@@ -12,7 +12,7 @@ from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
 from .pathing import PathAssignment, baseline_paths, count_handovers, grow_paths, retain_paths
-from .radio import LinkStats, make_link_stats
+from .radio import LinkStats, alpha_trans, make_link_stats
 from .selection import CandidateEntry, select_maps, selection_probabilities, table_digest
 from .trust import TrustObservation, TrustRecord, detection_rates, inject_sybils, update_trust
 
@@ -146,10 +146,20 @@ def run_round(
             - np.array([pos[m] for m in maps_sorted])[None, :]
         ) % config.road_length
         dmat = np.minimum(gaps, config.road_length - gaps)
-        candidates_of = {
-            i: list(zip(row, maps_sorted))
-            for i, row in zip(served, dmat.tolist())
-        }
+        if blockchain:
+            # the transmission term alone bounds the delay from below, so a
+            # MAP failing it can never be admitted; float64 arithmetic on the
+            # grid rounds exactly as alpha_trans does on one distance
+            keep = alpha_trans(dmat, config) * dmat < config.delay_threshold
+            kept_maps = np.array(maps_sorted)[keep.nonzero()[1]]
+            pairs = list(zip(dmat[keep].tolist(), kept_maps.tolist()))
+            ends = np.cumsum(keep.sum(axis=1)).tolist()
+            candidates_of = {i: pairs[a:b] for i, a, b in zip(served, [0] + ends, ends)}
+        else:
+            candidates_of = {
+                i: list(zip(row, maps_sorted))
+                for i, row in zip(served, dmat.tolist())
+            }
     else:
         candidates_of = {i: [] for i in served}
     ordinal_of = {ident: n for n, ident in enumerate(idents)}

@@ -2,8 +2,12 @@
 
 Attachment runs in two passes over the whole fleet each round: first every
 vehicle re-books the paths it already holds, then remaining slots are filled
-nearest first. Incumbents therefore never lose a slot to a newcomer, which
-is what keeps handover counts low.
+nearest first, stopping at the first link over the delay bound. Incumbents
+therefore never lose a slot to a newcomer, which is what keeps handover
+counts low.
+
+The model has no co-channel interference, so path delay never falls as
+distance grows; the nearest-first scan relies on that to stop early.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .config import SimConfig
-from .radio import LinkStats, alpha_trans
+from .radio import LinkStats
 
 # (vehicle, map, attached_count) -> stats for that link
 StatsProvider = Callable[[int, int, int], LinkStats]
@@ -49,8 +53,6 @@ def retain_paths(
     for d, m in order:
         if len(held) >= config.max_paths:
             break
-        if alpha_trans(d, config) * d >= config.delay_threshold:
-            continue
         stats = provider(vehicle, m, attach_counts.get(m, 0) + 1)
         if admits(stats, config):
             attach_counts[m] = attach_counts.get(m, 0) + 1
@@ -66,26 +68,21 @@ def grow_paths(
     attach_counts: dict[int, int],
     config: SimConfig,
 ) -> PathAssignment:
-    """Rank every open candidate path by delay, then fill remaining slots.
+    """Fill remaining slots nearest first, up to the first link over the delay bound.
 
-    The delay of a path does not depend on how many vehicles share the MAP,
-    so the ranking probes at share one; bandwidth is re-checked against the
-    live attachment count at admission time.
+    Delay never falls with distance and does not depend on how many vehicles
+    share the MAP, so one probe at the live attachment count per candidate
+    decides both the stop and the bandwidth check. Candidates may come in
+    any order.
     """
     chosen = list(held)
     taken = {s.map_ident for s in chosen}
-    ranked = sorted(
-        (provider(vehicle, m, 1).total_delay, d, m)
-        for d, m in candidates
-        if m not in taken
-    )
-    for delay, d, m in ranked:
+    for _, m in sorted(c for c in candidates if c[1] not in taken):
         if len(chosen) >= config.max_paths:
             break
-        # ranked ascending, so the first miss ends the scan
-        if delay >= config.delay_threshold:
-            break
         stats = provider(vehicle, m, attach_counts.get(m, 0) + 1)
+        if stats.total_delay >= config.delay_threshold:
+            break
         if admits(stats, config):
             attach_counts[m] = attach_counts.get(m, 0) + 1
             chosen.append(stats)

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mapsim import (
+    PathAssignment,
     SimConfig,
     baseline_paths,
     count_handovers,
     grow_paths,
+    admits,
     make_link_stats,
     retain_paths,
     ring_distance,
@@ -122,6 +126,63 @@ def test_grow_skips_already_held():
     pa = grow_paths(0, held, cand, provider, counts, CFG)
     assert pa.paths == (10, 11)
     assert counts == {10: 1, 11: 1}
+
+
+def rank_everything_grow_paths(vehicle, held, candidates, provider, attach_counts, config):
+    """The growth pass as first written: probe every open candidate at share
+    one, rank by (delay, distance, map), then admit in that order."""
+    chosen = list(held)
+    taken = {s.map_ident for s in chosen}
+    ranked = sorted(
+        (provider(vehicle, m, 1).total_delay, d, m)
+        for d, m in candidates
+        if m not in taken
+    )
+    for delay, d, m in ranked:
+        if len(chosen) >= config.max_paths:
+            break
+        if delay >= config.delay_threshold:
+            break
+        stats = provider(vehicle, m, attach_counts.get(m, 0) + 1)
+        if admits(stats, config):
+            attach_counts[m] = attach_counts.get(m, 0) + 1
+            chosen.append(stats)
+    chosen.sort(key=lambda s: (s.distance, s.map_ident))
+    return PathAssignment(vehicle, tuple(s.map_ident for s in chosen), tuple(chosen))
+
+
+# offsets from the vehicle reach past the ~262 m default cutoff both ways;
+# the fixed ones make distance ties between different MAPs likely
+offsets = st.one_of(st.floats(-600.0, 600.0), st.sampled_from([-150.0, 0.0, 150.0, 262.0]))
+
+
+@given(
+    vehicle_pos=st.floats(0.0, 9999.0),
+    map_offsets=st.lists(offsets, max_size=12),
+    max_paths=st.integers(1, 4),
+    b_cap=st.floats(0.1, 4.0),
+    delay_threshold=st.floats(1.0, 40.0),
+    data=st.data(),
+)
+def test_grow_paths_matches_rank_everything_oracle(
+    vehicle_pos, map_offsets, max_paths, b_cap, delay_threshold, data
+):
+    cfg = CFG.replace(max_paths=max_paths, b_cap=b_cap, delay_threshold=delay_threshold)
+    maps = [10 + j for j in range(len(map_offsets))]
+    pos = {0: vehicle_pos}
+    pos.update({m: (vehicle_pos + off) % cfg.road_length for m, off in zip(maps, map_offsets)})
+    provider = make_provider(cfg, pos)
+    cand = data.draw(st.permutations(candidates_for(cfg, pos, 0, maps)))
+    held_maps, counts = [], {}
+    if maps:
+        held_maps = data.draw(st.lists(st.sampled_from(maps), unique=True, max_size=max_paths))
+        counts = data.draw(st.dictionaries(st.sampled_from(maps), st.integers(0, 5)))
+    held = [provider(0, m, counts.get(m, 0) + 1) for m in held_maps]
+    oracle_counts = dict(counts)
+    expected = rank_everything_grow_paths(0, held, cand, provider, oracle_counts, cfg)
+    got = grow_paths(0, held, cand, provider, counts, cfg)
+    assert got == expected
+    assert counts == oracle_counts
 
 
 class StubIntRng:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,3 +103,38 @@ def test_make_link_stats_consistent():
     assert stats.total_delay == path_delay(190.0, stats.sinr, CFG)
     assert stats.bandwidth == link_bandwidth(stats.sinr, 2, CFG)
     assert stats.total_delay == stats.trans_delay + stats.sinr_delay
+
+
+# the second branch straddles the 1 m point where received power saturates
+distances = st.one_of(st.floats(0.0, 5000.0), st.floats(0.5, 1.5))
+
+
+@given(
+    a0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    d_c=st.floats(1.0, 5000.0),
+    b0=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    path_loss_exp=st.floats(1.0, 6.0),
+    tx_power=st.floats(1e-3, 100.0),
+    noise_power=st.floats(1e-16, 1e-9),
+    sinr_threshold=st.floats(0.1, 1000.0),
+    d1=distances,
+    d2=distances,
+)
+def test_link_delay_never_falls_with_distance(
+    a0, d_c, b0, path_loss_exp, tx_power, noise_power, sinr_threshold, d1, d2
+):
+    # grow_paths scans nearest first and stops at the first link over the
+    # delay bound; that is only exact while this holds
+    cfg = CFG.replace(
+        a0=a0,
+        d_c=d_c,
+        b0=b0,
+        path_loss_exp=path_loss_exp,
+        tx_power=tx_power,
+        noise_power=noise_power,
+        sinr_threshold=sinr_threshold,
+    )
+    lo, hi = sorted((d1, d2))
+    delay = [make_link_stats(0, 1, d, cfg).total_delay for d in (lo, math.nextafter(lo, math.inf), hi)]
+    assert delay[0] <= delay[1]
+    assert delay[0] <= delay[2]
