@@ -64,18 +64,16 @@ def _load_config(path: Path | None) -> SimConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     overrides = {}
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
     if args.strategy is not None:
         overrides["strategy"] = args.strategy
-    if overrides:
-        cfg = cfg.replace(**overrides)
+    try:
+        cfg = _load_config(args.config).replace(**overrides)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report = run_simulation(cfg)
     out = write_run(args.out, report)
     for key in SUMMARY_KEYS:
@@ -91,7 +89,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        for seed in seeds:
+            cfg.replace(rng_seed=seed)
+    except ValueError as exc:
+        print(f"bad --seeds {args.seeds!r}: {exc}", file=sys.stderr)
+        return 2
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in STRATEGIES:

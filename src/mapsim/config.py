@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Any
 
 KMH_TO_MPS = 1000.0 / 3600.0
@@ -77,6 +79,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
+        _require(isinstance(data, dict), "config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -95,6 +98,15 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _validate(cfg: SimConfig) -> None:
+    # fields are annotated as strings under postponed evaluation
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float":
+            ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            _require(ok, f"{f.name} must be a finite number, got {value!r}")
+        elif f.type == "int":
+            ok = isinstance(value, Integral) and not isinstance(value, bool)
+            _require(ok, f"{f.name} must be an integer, got {value!r}")
     _require(cfg.road_length > 0, "road_length must be positive")
     _require(cfg.vehicle_density >= 0, "vehicle_density must be non-negative")
     _require(0 <= cfg.speed_min <= cfg.speed_max, "speeds must satisfy 0 <= speed_min <= speed_max")
@@ -122,4 +134,5 @@ def _validate(cfg: SimConfig) -> None:
     _require(0 <= cfg.sybil_handover_prob <= 1, "sybil_handover_prob must lie in [0, 1]")
     _require(0 <= cfg.sybil_low_sinr_prob <= 1, "sybil_low_sinr_prob must lie in [0, 1]")
     _require(cfg.load_max >= 1, "load_max must be at least 1")
+    _require(cfg.rng_seed >= 0, "rng_seed must be non-negative")
     _require(cfg.strategy in STRATEGIES, f"strategy must be one of {list(STRATEGIES)}")

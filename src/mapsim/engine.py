@@ -131,7 +131,7 @@ def run_round(
 
     def provider(vehicle: int, m: int, attached: int) -> LinkStats:
         d = ring_distance(pos[vehicle], pos[m], config.road_length)
-        return make_link_stats(vehicle, m, d, config, attached)
+        return make_link_stats(m, d, config, attached)
 
     maps_sorted = sorted(elected)
     served = [
@@ -260,10 +260,9 @@ def build_summary(
     num = 0.0
     den = 0
     for m in rounds:
-        conn = m.vehicle_count - m.elected_maps - m.flagged_count - m.disconnected
-        if m.avg_delay_s is not None and conn > 0:
-            num += m.avg_delay_s * conn
-            den += conn
+        if m.avg_delay_s is not None and m.attached > 0:
+            num += m.avg_delay_s * m.attached
+            den += m.attached
     serve = sum(m.vehicle_count - m.elected_maps - m.flagged_count for m in rounds)
     disc = sum(m.disconnected for m in rounds)
     tpr, fpr = detection_rates(state.trust.values(), set(state.clone_ids))

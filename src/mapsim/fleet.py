@@ -11,18 +11,12 @@ from .config import SimConfig, speed_to_mps
 
 @dataclass(frozen=True)
 class Vehicle:
-    """One network identity.
-
-    Clones carry is_sybil=True and remember the attacker they mirror in
-    source; every other identity has source None.
-    """
+    """One network identity; clones are told apart only by SimState.clone_ids."""
 
     ident: int
     position: float
     speed: float
     load: int
-    is_sybil: bool = False
-    source: int | None = None
 
 
 def ring_distance(a: float, b: float, road_length: float) -> float:

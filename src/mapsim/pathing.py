@@ -90,19 +90,6 @@ def grow_paths(
     return PathAssignment(vehicle, tuple(s.map_ident for s in chosen), tuple(chosen))
 
 
-def select_paths(
-    vehicle: int,
-    candidates: Sequence[tuple[float, int]],
-    provider: StatsProvider,
-    prev_paths: Sequence[int],
-    attach_counts: dict[int, int],
-    config: SimConfig,
-) -> PathAssignment:
-    """Single vehicle convenience: retention pass then growth pass."""
-    held = retain_paths(vehicle, prev_paths, candidates, provider, attach_counts, config)
-    return grow_paths(vehicle, held, candidates, provider, attach_counts, config)
-
-
 def baseline_paths(
     strategy: str,
     vehicle: int,

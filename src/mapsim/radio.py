@@ -1,10 +1,9 @@
-"""Link level model: received power, SINR, shared bandwidth and delay."""
+"""Link level model: received power over noise (SNR), shared bandwidth and delay."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .config import SimConfig
 
@@ -13,34 +12,21 @@ from .config import SimConfig
 class LinkStats:
     """Everything the admission rule and the metrics need about one link."""
 
-    vehicle: int
     map_ident: int
     distance: float
     sinr: float
     bandwidth: float
-    trans_delay: float
-    sinr_delay: float
     total_delay: float
 
 
-def received_power(tx_power: float, distance: float, path_loss_exp: float) -> float:
-    # distances under one metre saturate instead of diverging
-    return tx_power * max(distance, 1.0) ** (-path_loss_exp)
+def compute_sinr(distance: float, config: SimConfig) -> float:
+    """Received power over noise, as a linear ratio.
 
-
-def compute_sinr(
-    tx_power: float,
-    distance: float,
-    interferer_distances: Iterable[float],
-    config: SimConfig,
-) -> float:
-    """Signal over noise plus co-channel interference, as a linear ratio."""
-    signal = received_power(tx_power, distance, config.path_loss_exp)
-    interference = sum(
-        received_power(config.tx_power, d, config.path_loss_exp)
-        for d in interferer_distances
-    )
-    return signal / (config.noise_power + interference)
+    The model has no co-channel interference, so this is an SNR; the name
+    matches SimConfig.sinr_threshold. Distances under one metre saturate
+    instead of diverging.
+    """
+    return config.tx_power * max(distance, 1.0) ** (-config.path_loss_exp) / config.noise_power
 
 
 def link_bandwidth(sinr: float, attached_count: int, config: SimConfig) -> float:
@@ -66,23 +52,16 @@ def path_delay(distance: float, sinr: float, config: SimConfig) -> float:
 
 
 def make_link_stats(
-    vehicle: int,
     map_ident: int,
     distance: float,
     config: SimConfig,
     attached_count: int = 1,
-    interferer_distances: Iterable[float] = (),
 ) -> LinkStats:
-    sinr = compute_sinr(config.tx_power, distance, interferer_distances, config)
-    trans = alpha_trans(distance, config) * distance
-    sdel = alpha_sinr(sinr, config) / sinr
+    sinr = compute_sinr(distance, config)
     return LinkStats(
-        vehicle=vehicle,
         map_ident=map_ident,
         distance=distance,
         sinr=sinr,
         bandwidth=link_bandwidth(sinr, attached_count, config),
-        trans_delay=trans,
-        sinr_delay=sdel,
-        total_delay=trans + sdel,
+        total_delay=path_delay(distance, sinr, config),
     )

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .ledger import canonical_payload
-
-
-class UniformSource(Protocol):
-    def random(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,12 @@ def selection_probabilities(
     return CandidateTable(kept, weights, probabilities)
 
 
-def select_maps(table: CandidateTable, k: int, rng: UniformSource) -> list[int]:
+def select_maps(table: CandidateTable, k: int, rng) -> list[int]:
     """Draw up to k distinct winners, renormalising after each draw.
 
-    One uniform variate is consumed per winner; the cumulative scan keeps
-    the draw reproducible across platforms.
+    rng needs only a random() method returning a uniform variate in
+    [0, 1); one is consumed per winner. The cumulative scan keeps the draw
+    reproducible across platforms.
     """
     pool = list(range(len(table.entries)))
     winners: list[int] = []

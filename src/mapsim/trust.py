@@ -48,11 +48,6 @@ def update_trust(record: TrustRecord, obs: TrustObservation, config: SimConfig) 
     return TrustRecord(record.ident, score, flagged)
 
 
-def classify_sybil(record: TrustRecord, trust_threshold: float) -> bool:
-    """A record at or below the threshold counts as suspect."""
-    return record.flagged or record.score <= trust_threshold
-
-
 def inject_sybils(
     fleet: list[Vehicle],
     config: SimConfig,
@@ -63,7 +58,8 @@ def inject_sybils(
     Each clone copies the attacker's position and speed so the pair stays
     co-located, advertises the maximum load, and gets a fresh identity
     appended after the honest range. Returns (extended fleet, attacker ids,
-    clone ids). Attackers themselves keep their original records.
+    clone ids), where clone j mirrors attackers[j // sybil_clones].
+    Attackers themselves keep their original records.
     """
     count = len(fleet)
     n_attackers = int(config.sybil_fraction * count)
@@ -77,7 +73,7 @@ def inject_sybils(
     for a in attackers:
         src = fleet[a]
         for _ in range(config.sybil_clones):
-            out.append(Vehicle(next_id, src.position, src.speed, config.load_max, True, a))
+            out.append(Vehicle(next_id, src.position, src.speed, config.load_max))
             clones.append(next_id)
             next_id += 1
     return out, attackers, clones

@@ -155,6 +155,28 @@ def test_compare_rejects_unknown_strategy(tmp_path, capsys):
     assert "teleport" in capsys.readouterr().err
 
 
+def test_compare_rejects_bad_seed_list(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--config", str(cfg), "--seeds", "1,x", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rng_seed must be non-negative" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [[], ["not-a-command"]])
 def test_bad_invocations_exit_nonzero(argv):
     with pytest.raises(SystemExit) as info:

@@ -38,11 +38,31 @@ def test_partial_round_does_not_run():
         {"noise_power": 0.0},
         {"sybil_handover_prob": 1.5},
         {"strategy": "psychic"},
+        {"road_length": float("inf")},
+        {"total_time": float("inf")},
+        {"a0": float("nan")},
+        {"max_paths": 1.5},
+        {"sybil_clones": 1.5},
+        {"load_max": True},
+        {"rng_seed": 1.5},
+        {"rng_seed": -1},
+        {"b_cap": "2"},
     ],
 )
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):
         SimConfig(**changes)
+
+
+def test_int_stays_valid_in_float_fields():
+    cfg = SimConfig(road_length=2000, total_time=100, b_cap=2)
+    assert cfg.rounds() == 10
+
+
+@pytest.mark.parametrize("data", [[1, 2], "x", None])
+def test_from_dict_rejects_non_object(data):
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        SimConfig.from_dict(data)
 
 
 def test_dict_round_trip():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from mapsim import (
     run_simulation,
     selection_probabilities,
     update_trust,
+    write_run,
 )
 from mapsim.selection import CandidateEntry
 
@@ -95,11 +97,11 @@ def test_golden_election_table():
 def test_golden_link_stats():
     cfg, _ = golden_setup()
     exp = FIXTURE["expected"]
-    v1 = make_link_stats(1, 2, 190.0, cfg, attached_count=1)
+    v1 = make_link_stats(2, 190.0, cfg, attached_count=1)
     assert v1.sinr == exp["v1_stats"]["sinr"]
     assert v1.bandwidth == exp["v1_stats"]["bandwidth"]
     assert v1.total_delay == exp["v1_stats"]["total_delay"]
-    v3 = make_link_stats(3, 2, 200.0, cfg, attached_count=2)
+    v3 = make_link_stats(2, 200.0, cfg, attached_count=2)
     assert v3.sinr == exp["v3_stats"]["sinr"]
     assert v3.bandwidth == exp["v3_stats"]["bandwidth"]
     assert v3.total_delay == exp["v3_stats"]["total_delay"]
@@ -167,11 +169,13 @@ def test_trust_bounded_and_clones_tracked():
     assert set(report.state.clone_ids) <= idents
     assert report.summary["clone_count"] == len(report.state.clone_ids)
     assert report.summary["identity_count"] == len(idents)
+    # every attacker has sybil_clones clones that move in lockstep with it
+    attackers, clones = report.state.attacker_ids, report.state.clone_ids
+    assert len(clones) == SMALL.sybil_clones * len(attackers)
     by_id = {v.ident: v for v in report.state.fleet}
-    for c in report.state.clone_ids:
-        assert by_id[c].is_sybil
-    for a in report.state.attacker_ids:
-        assert not by_id[a].is_sybil
+    for j, c in enumerate(clones):
+        assert by_id[c].position == by_id[attackers[j // SMALL.sybil_clones]].position
+    assert not set(attackers) & set(clones)
 
 
 def test_handover_totals_cover_honest_identities_only():
@@ -196,3 +200,60 @@ def test_without_incumbent_retention():
         assert m.vehicle_count == (
             m.elected_maps + m.attached + m.disconnected + m.flagged_count
         )
+
+
+# sha256 of (rounds.csv, summary.json, ledger.json) for SMALL under each
+# strategy and seed. A mismatch means the run's results changed; a change
+# that means to do so says so and why, it does not just refresh these.
+ARTIFACT_SHA256 = {
+    ("blockchain-multipath", 1): (
+        "4aac9bc134afcc9ac3cdd1aa65d82a720677b0db638be1e7aecdaac2b89a2064",
+        "057a8dcf21483717f4ade47baa80308d6df225aa6b8102661adf97b39c71df16",
+        "27f6a5c3d911b2bc4e772c55b1c64fce95da97d15013a5b132720e35016828fb",
+    ),
+    ("blockchain-multipath", 2): (
+        "f4bfc95556b6d4501a32a3d583c1d9e35ed23119a1918873b8cacede067e337e",
+        "012fcdfa0d371112bc9d9c8474e50c87292f4eda25c18bdaad86f0ba537990cb",
+        "6aef5534156ac4cedbc80c3b5bd2d6075319066f2a11b68668ded286bccd13c4",
+    ),
+    ("distance-based", 1): (
+        "5a624c7d6de5bf110948797c6cdc3ffa1152dbad084de5b0659e7ea12db1504f",
+        "3998320324cac2f43a9cc3b9e146f595951d59002ef74dc8974b4c47a1c99fcb",
+        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
+    ),
+    ("distance-based", 2): (
+        "62f7da2f0d4637e68e384314f070998a3f4d5ac9c53704378083c27eb53f6c39",
+        "a4a974cb27bdc2ba0d946bfc7d90db029e7257fafc8e7b818e139d17a6fe880c",
+        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
+    ),
+    ("independent-random", 1): (
+        "eb714f1b58a8c8fff343d6f90ec598e6a9b93643353c752b13118b275168b143",
+        "ce88f72eec40a9e406eba6262a39f8136193cbd9a571c31daff4004087076817",
+        "8d8777a331f24f5c07361cefe077d2579d126e786ff950c7c8824acf84934799",
+    ),
+    ("independent-random", 2): (
+        "84717b76416d0803449231597bd514d9304e326fb1222c2149a7d3d7272b771f",
+        "660cff7e091c7ddffd56fdcbe88406f1a03b6e94a2bd794455d52e4b1fc98a3b",
+        "471ce9520d6071b76c8b0fc32cdab5e8bf16958335ea11a499fcef5ccb1aceaf",
+    ),
+    ("sequence-based", 1): (
+        "b6b24d98a0d96d3d8020b258f6d6b3e7c07f8d639148b93f6a297878a3a7df80",
+        "ff48caffa349c732d5903aee5d0f7977aec42765cb640a70c3e61b287e0713c3",
+        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
+    ),
+    ("sequence-based", 2): (
+        "92844daa4e57593bf980a3e41c03ee14846dd20eaf84b4a6af41790edbd81ae3",
+        "c1405b8bc001deb262f04c51f640405bbdae87951c7b75a4b68057ed8445f962",
+        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, seed", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes_pinned(tmp_path, strategy, seed):
+    out = write_run(tmp_path, run_simulation(SMALL.replace(strategy=strategy, rng_seed=seed)))
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("rounds.csv", "summary.json", "ledger.json")
+    )
+    assert got == ARTIFACT_SHA256[strategy, seed]

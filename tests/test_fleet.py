@@ -39,7 +39,6 @@ def test_make_fleet_properties():
         assert 0.0 <= v.position < cfg.road_length
         assert lo <= v.speed <= hi
         assert 1 <= v.load <= cfg.load_max
-        assert not v.is_sybil
 
 
 def test_make_fleet_deterministic():

@@ -12,7 +12,6 @@ from mapsim import (
     make_link_stats,
     retain_paths,
     ring_distance,
-    select_paths,
 )
 
 CFG = SimConfig()
@@ -21,13 +20,19 @@ CFG = SimConfig()
 def make_provider(cfg, pos):
     def provider(vehicle, m, att):
         d = ring_distance(pos[vehicle], pos[m], cfg.road_length)
-        return make_link_stats(vehicle, m, d, cfg, att)
+        return make_link_stats(m, d, cfg, att)
 
     return provider
 
 
 def candidates_for(cfg, pos, vehicle, maps):
     return [(ring_distance(pos[vehicle], pos[m], cfg.road_length), m) for m in maps]
+
+
+def attach(vehicle, candidates, provider, prev_paths, attach_counts, config):
+    """One vehicle's retention pass then growth pass."""
+    held = retain_paths(vehicle, prev_paths, candidates, provider, attach_counts, config)
+    return grow_paths(vehicle, held, candidates, provider, attach_counts, config)
 
 
 def test_count_handovers_oracles():
@@ -43,7 +48,7 @@ def test_select_paths_takes_two_nearest():
     provider = make_provider(CFG, pos)
     cand = candidates_for(CFG, pos, 0, [10, 11, 12])
     counts = {}
-    pa = select_paths(0, cand, provider, (), counts, CFG)
+    pa = attach(0, cand, provider, (), counts, CFG)
     assert pa.paths == (10, 11)
     assert [s.distance for s in pa.stats] == [100.0, 200.0]
     assert counts == {10: 1, 11: 1}
@@ -54,7 +59,7 @@ def test_out_of_window_map_skipped():
     pos = {0: 0.0, 10: 400.0, 11: 150.0}
     provider = make_provider(CFG, pos)
     cand = candidates_for(CFG, pos, 0, [10, 11])
-    pa = select_paths(0, cand, provider, (), {}, CFG)
+    pa = attach(0, cand, provider, (), {}, CFG)
     assert pa.paths == (11,)
 
 
@@ -63,7 +68,7 @@ def test_retention_beats_nearer_newcomer():
     pos = {0: 0.0, 10: 50.0, 12: 200.0}
     provider = make_provider(cfg, pos)
     cand = candidates_for(cfg, pos, 0, [10, 12])
-    pa = select_paths(0, cand, provider, (12,), {}, cfg)
+    pa = attach(0, cand, provider, (12,), {}, cfg)
     assert pa.paths == (12,)
 
 
@@ -71,7 +76,7 @@ def test_retention_ignores_dead_map():
     pos = {0: 0.0, 10: 50.0}
     provider = make_provider(CFG, pos)
     cand = candidates_for(CFG, pos, 0, [10])
-    pa = select_paths(0, cand, provider, (99,), {}, CFG)
+    pa = attach(0, cand, provider, (99,), {}, CFG)
     assert pa.paths == (10,)
 
 
@@ -82,7 +87,7 @@ def test_retention_requalifies_under_current_geometry():
     cand = candidates_for(CFG, pos, 0, [10, 11])
     held = retain_paths(0, (10,), cand, provider, {}, CFG)
     assert held == []
-    pa = select_paths(0, cand, provider, (10,), {}, CFG)
+    pa = attach(0, cand, provider, (10,), {}, CFG)
     assert pa.paths == (11,)
 
 
@@ -95,8 +100,8 @@ def test_bandwidth_slot_competition():
     pos = {1: 300.0, 2: 9700.0, 50: 0.0}
     provider = make_provider(SCARCE, pos)
     counts = {}
-    first = select_paths(1, candidates_for(SCARCE, pos, 1, [50]), provider, (), counts, SCARCE)
-    second = select_paths(2, candidates_for(SCARCE, pos, 2, [50]), provider, (), counts, SCARCE)
+    first = attach(1, candidates_for(SCARCE, pos, 1, [50]), provider, (), counts, SCARCE)
+    second = attach(2, candidates_for(SCARCE, pos, 2, [50]), provider, (), counts, SCARCE)
     assert first.paths == (50,)
     assert second.paths == ()
     assert counts == {50: 1}

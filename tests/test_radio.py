@@ -18,24 +18,12 @@ CFG = SimConfig()
 
 def test_sinr_oracle_no_interference():
     # 2 W over 100 m at exponent 4 is 2e-8 W received, against 1e-13 W noise
-    assert compute_sinr(2.0, 100.0, [], CFG) == pytest.approx(2e5, rel=1e-12)
-
-
-def test_sinr_oracle_one_interferer():
-    # same link jammed from 200 m; value derived by hand
-    got = compute_sinr(2.0, 100.0, [200.0], CFG)
-    assert got == pytest.approx(15.998720102391808, rel=1e-12)
+    assert compute_sinr(100.0, CFG) == pytest.approx(2e5, rel=1e-12)
 
 
 def test_sinr_distance_floor():
-    assert compute_sinr(2.0, 0.0, [], CFG) == compute_sinr(2.0, 1.0, [], CFG)
-    assert compute_sinr(2.0, 0.5, [], CFG) == compute_sinr(2.0, 1.0, [], CFG)
-
-
-@given(st.lists(st.floats(10.0, 5000.0), min_size=1, max_size=5))
-def test_interference_always_hurts(interferers):
-    clean = compute_sinr(2.0, 150.0, [], CFG)
-    assert compute_sinr(2.0, 150.0, interferers, CFG) < clean
+    assert compute_sinr(0.0, CFG) == compute_sinr(1.0, CFG)
+    assert compute_sinr(0.5, CFG) == compute_sinr(1.0, CFG)
 
 
 def test_bandwidth_oracles():
@@ -96,13 +84,12 @@ def test_delay_monotone_in_sinr(s1, s2):
 
 
 def test_make_link_stats_consistent():
-    stats = make_link_stats(7, 3, 190.0, CFG, attached_count=2)
-    assert stats.vehicle == 7
+    stats = make_link_stats(3, 190.0, CFG, attached_count=2)
     assert stats.map_ident == 3
-    assert stats.sinr == compute_sinr(CFG.tx_power, 190.0, [], CFG)
+    assert stats.distance == 190.0
+    assert stats.sinr == compute_sinr(190.0, CFG)
     assert stats.total_delay == path_delay(190.0, stats.sinr, CFG)
     assert stats.bandwidth == link_bandwidth(stats.sinr, 2, CFG)
-    assert stats.total_delay == stats.trans_delay + stats.sinr_delay
 
 
 # the second branch straddles the 1 m point where received power saturates
@@ -135,6 +122,6 @@ def test_link_delay_never_falls_with_distance(
         sinr_threshold=sinr_threshold,
     )
     lo, hi = sorted((d1, d2))
-    delay = [make_link_stats(0, 1, d, cfg).total_delay for d in (lo, math.nextafter(lo, math.inf), hi)]
+    delay = [make_link_stats(1, d, cfg).total_delay for d in (lo, math.nextafter(lo, math.inf), hi)]
     assert delay[0] <= delay[1]
     assert delay[0] <= delay[2]
