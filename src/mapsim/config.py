@@ -11,6 +11,9 @@ from typing import Any
 
 KMH_TO_MPS = 1000.0 / 3600.0
 
+# a run longer than this is a mistyped dt or total_time, not a simulation
+MAX_ROUNDS = 10**6
+
 STRATEGIES = (
     "blockchain-multipath",
     "independent-random",
@@ -112,10 +115,17 @@ def _validate(cfg: SimConfig) -> None:
     _require(0 <= cfg.speed_min <= cfg.speed_max, "speeds must satisfy 0 <= speed_min <= speed_max")
     _require(cfg.dt > 0, "dt must be positive")
     _require(cfg.total_time >= 0, "total_time must be non-negative")
+    rounds = (cfg.total_time + 1e-9) // cfg.dt  # rounds() before its int(), which can overflow
+    _require(rounds <= MAX_ROUNDS, f"total_time / dt gives {rounds:.3g} rounds, over {MAX_ROUNDS}")
     _require(cfg.tx_power > 0, "tx_power must be positive")
     _require(cfg.path_loss_exp > 0, "path_loss_exp must be positive")
     _require(cfg.noise_power > 0, "noise_power must be positive")
     _require(cfg.sinr_threshold > 0, "sinr_threshold must be positive")
+    # radio.compute_sinr at the farthest ring distance; an SNR that
+    # underflows to zero there would make path_delay fail mid-run
+    far_gain = max(cfg.road_length / 2, 1.0) ** (-cfg.path_loss_exp)
+    far_snr = cfg.tx_power * far_gain / cfg.noise_power
+    _require(far_snr > 0, "the SNR at half the road length underflows to zero")
     _require(cfg.bandwidth_min >= 0, "bandwidth_min must be non-negative")
     _require(cfg.b_cap > 0, "b_cap must be positive")
     _require(cfg.delay_threshold > 0, "delay_threshold must be positive")

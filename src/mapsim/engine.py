@@ -9,10 +9,10 @@ from statistics import fmean
 import numpy as np
 
 from .config import SimConfig
-from .fleet import Vehicle, make_fleet, ring_distance, step_positions
+from .fleet import Vehicle, make_fleet, step_positions
 from .ledger import Ledger
 from .pathing import PathAssignment, baseline_paths, count_handovers, grow_paths, retain_paths
-from .radio import LinkStats, alpha_trans, make_link_stats
+from .radio import alpha_trans, make_link_stats
 from .selection import CandidateEntry, select_maps, selection_probabilities, table_digest
 from .trust import TrustObservation, TrustRecord, detection_rates, inject_sybils, update_trust
 
@@ -57,7 +57,6 @@ class SimState:
     trust: dict[int, TrustRecord]
     pending_obs: dict[int, TrustObservation] = field(default_factory=dict)
     current_maps: list[int] = field(default_factory=list)
-    prev_assignments: dict[int, tuple[int, ...]] = field(default_factory=dict)
     last_assignments: dict[int, PathAssignment] = field(default_factory=dict)
     handover_totals: dict[int, int] = field(default_factory=dict)
     attacker_ids: list[int] = field(default_factory=list)
@@ -126,76 +125,61 @@ def run_round(
     state.current_maps = list(elected)
     elected_set = set(elected)
 
-    # path assignment
-    pos = {v.ident: v.position for v in state.fleet}
-
-    def provider(vehicle: int, m: int, attached: int) -> LinkStats:
-        d = ring_distance(pos[vehicle], pos[m], config.road_length)
-        return make_link_stats(m, d, config, attached)
-
+    # path assignment; the one client x MAP distance grid is the only source
+    # of link distances, and its floats equal ring_distance's since fmod on
+    # nonnegative doubles is exact
     maps_sorted = sorted(elected)
     served = [
         i for i in idents
         if i not in elected_set and not (blockchain and i in flagged)
     ]
-    # one broadcast for the whole client x MAP distance grid; same floats
-    # as ring_distance since fmod on nonnegative doubles is exact
-    if served and maps_sorted:
-        gaps = np.abs(
-            np.array([pos[i] for i in served])[:, None]
-            - np.array([pos[m] for m in maps_sorted])[None, :]
-        ) % config.road_length
-        dmat = np.minimum(gaps, config.road_length - gaps)
-        if blockchain:
-            # the transmission term alone bounds the delay from below, so a
-            # MAP failing it can never be admitted; float64 arithmetic on the
-            # grid rounds exactly as alpha_trans does on one distance
-            keep = alpha_trans(dmat, config) * dmat < config.delay_threshold
-            kept_maps = np.array(maps_sorted)[keep.nonzero()[1]]
-            pairs = list(zip(dmat[keep].tolist(), kept_maps.tolist()))
-            ends = np.cumsum(keep.sum(axis=1)).tolist()
-            candidates_of = {i: pairs[a:b] for i, a, b in zip(served, [0] + ends, ends)}
-        else:
-            candidates_of = {
-                i: list(zip(row, maps_sorted))
-                for i, row in zip(served, dmat.tolist())
-            }
-    else:
-        candidates_of = {i: [] for i in served}
-    ordinal_of = {ident: n for n, ident in enumerate(idents)}
+    gaps = np.abs(
+        np.array([by_ident[i].position for i in served])[:, None]
+        - np.array([by_ident[m].position for m in maps_sorted])[None, :]
+    ) % config.road_length
+    dmat = np.minimum(gaps, config.road_length - gaps)
+    prev_paths = {i: pa.paths for i, pa in state.last_assignments.items()}
     attach_counts: dict[int, int] = {}
     assignments: dict[int, PathAssignment] = {}
     if blockchain:
+        # the transmission term alone bounds the delay from below, so a
+        # MAP failing it can never be admitted; float64 arithmetic on the
+        # grid rounds exactly as alpha_trans does on one distance
+        keep = alpha_trans(dmat, config) * dmat < config.delay_threshold
+        kept_maps = np.array(maps_sorted)[keep.nonzero()[1]]
+        pairs = list(zip(dmat[keep].tolist(), kept_maps.tolist()))
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        candidates_of = {i: pairs[a:b] for i, a, b in zip(served, [0] + ends, ends)}
         held_of = {
             i: retain_paths(
-                i, state.prev_assignments.get(i, ()), cand, provider, attach_counts, config
+                i, prev_paths.get(i, ()), cand, make_link_stats, attach_counts, config
             )
             for i, cand in candidates_of.items()
         }
         for i, cand in candidates_of.items():
-            assignments[i] = grow_paths(i, held_of[i], cand, provider, attach_counts, config)
+            assignments[i] = grow_paths(
+                i, held_of[i], cand, make_link_stats, attach_counts, config
+            )
     else:
-        for i, cand in candidates_of.items():
+        ordinal_of = {ident: n for n, ident in enumerate(idents)}
+        for i, row in zip(served, dmat.tolist()):
             assignments[i] = baseline_paths(
                 config.strategy, i, ordinal_of[i], round_index,
-                cand, provider, attach_counts, rng, config,
+                row, maps_sorted, make_link_stats, attach_counts, rng, config,
             )
 
-    new_assignments: dict[int, tuple[int, ...]] = {i: () for i in idents}
-    for i, pa in assignments.items():
-        new_assignments[i] = pa.paths
-
     # handover metric counts honest identities only; the first round is a
-    # cold start, joining then is not a handover
+    # cold start, joining then is not a handover. A vehicle left without an
+    # assignment gained no path, so only served vehicles can count any.
+    real_handovers = {
+        i: 0 if round_index == 0 else count_handovers(prev_paths.get(i, ()), pa.paths)
+        for i, pa in assignments.items()
+    }
     clone_set = set(state.clone_ids)
-    real_handovers: dict[int, int] = {}
-    for i in idents:
-        prev = state.prev_assignments.get(i, ())
-        real_handovers[i] = 0 if round_index == 0 else count_handovers(prev, new_assignments[i])
     population = [i for i in idents if i not in clone_set and i not in elected_set]
-    counts = [real_handovers[i] for i in population]
-    for i in population:
-        state.handover_totals[i] = state.handover_totals.get(i, 0) + real_handovers[i]
+    counts = [real_handovers.get(i, 0) for i in population]
+    for i, c in zip(population, counts):
+        state.handover_totals[i] = state.handover_totals.get(i, 0) + c
 
     delays = [
         fmean(s.total_delay for s in pa.stats)
@@ -245,7 +229,6 @@ def run_round(
         excluded=tuple(sorted(flagged)),
         input_digest=table_digest(table),
     )
-    state.prev_assignments = new_assignments
     state.last_assignments = assignments
     return state, metrics, event
 

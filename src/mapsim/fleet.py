@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,6 @@ def make_fleet(config: SimConfig, rng: np.random.Generator) -> list[Vehicle]:
 def step_positions(fleet: list[Vehicle], dt: float, road_length: float) -> list[Vehicle]:
     """Advance every vehicle by one step, wrapping around the ring."""
     return [
-        replace(v, position=(v.position + v.speed * dt) % road_length)
+        Vehicle(v.ident, (v.position + v.speed * dt) % road_length, v.speed, v.load)
         for v in fleet
     ]

@@ -6,6 +6,9 @@ nearest first, stopping at the first link over the delay bound. Incumbents
 therefore never lose a slot to a newcomer, which is what keeps handover
 counts low.
 
+Link distances arrive with the candidates, from the engine's one distance
+grid; `probe` is `radio.make_link_stats`, called with those distances.
+
 The model has no co-channel interference, so path delay never falls as
 distance grows; the nearest-first scan relies on that to stop early.
 """
@@ -17,9 +20,6 @@ from typing import Callable, Iterable, Sequence
 
 from .config import SimConfig
 from .radio import LinkStats
-
-# (vehicle, map, attached_count) -> stats for that link
-StatsProvider = Callable[[int, int, int], LinkStats]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def retain_paths(
     vehicle: int,
     prev_paths: Sequence[int],
     candidates: Sequence[tuple[float, int]],
-    provider: StatsProvider,
+    probe: Callable[..., LinkStats],
     attach_counts: dict[int, int],
     config: SimConfig,
 ) -> list[LinkStats]:
@@ -53,7 +53,7 @@ def retain_paths(
     for d, m in order:
         if len(held) >= config.max_paths:
             break
-        stats = provider(vehicle, m, attach_counts.get(m, 0) + 1)
+        stats = probe(m, d, config, attach_counts.get(m, 0) + 1)
         if admits(stats, config):
             attach_counts[m] = attach_counts.get(m, 0) + 1
             held.append(stats)
@@ -64,7 +64,7 @@ def grow_paths(
     vehicle: int,
     held: Sequence[LinkStats],
     candidates: Sequence[tuple[float, int]],
-    provider: StatsProvider,
+    probe: Callable[..., LinkStats],
     attach_counts: dict[int, int],
     config: SimConfig,
 ) -> PathAssignment:
@@ -72,15 +72,15 @@ def grow_paths(
 
     Delay never falls with distance and does not depend on how many vehicles
     share the MAP, so one probe at the live attachment count per candidate
-    decides both the stop and the bandwidth check. Candidates may come in
-    any order.
+    decides both the stop and the bandwidth check. Candidates are
+    (distance, map) pairs in any order.
     """
     chosen = list(held)
     taken = {s.map_ident for s in chosen}
-    for _, m in sorted(c for c in candidates if c[1] not in taken):
+    for d, m in sorted(c for c in candidates if c[1] not in taken):
         if len(chosen) >= config.max_paths:
             break
-        stats = provider(vehicle, m, attach_counts.get(m, 0) + 1)
+        stats = probe(m, d, config, attach_counts.get(m, 0) + 1)
         if stats.total_delay >= config.delay_threshold:
             break
         if admits(stats, config):
@@ -95,30 +95,32 @@ def baseline_paths(
     vehicle: int,
     ordinal: int,
     round_index: int,
-    candidates: Sequence[tuple[float, int]],
-    provider: StatsProvider,
+    distances: Sequence[float],
+    roster: Sequence[int],
+    probe: Callable[..., LinkStats],
     attach_counts: dict[int, int],
     rng,
     config: SimConfig,
 ) -> PathAssignment:
-    """Single path comparison policies.
+    """Single path comparison policies over the ident-sorted MAP roster.
 
-    independent-random and distance-based attach unconditionally to their
-    pick; sequence-based rotates through the roster but still has to pass
-    the admission rule, dropping the round when it fails.
+    distances[j] is the vehicle's distance to roster[j]. independent-random
+    and distance-based (lowest ident on a tie) attach unconditionally to
+    their pick; sequence-based rotates through the roster but still has to
+    pass the admission rule, dropping the round when it fails.
     """
-    if not candidates:
+    if not roster:
         return PathAssignment(vehicle, (), ())
-    roster = sorted(m for _, m in candidates)
     if strategy == "independent-random":
-        pick = roster[int(rng.integers(0, len(roster)))]
+        j = int(rng.integers(0, len(roster)))
     elif strategy == "distance-based":
-        pick = min(candidates)[1]
+        j = distances.index(min(distances))
     elif strategy == "sequence-based":
-        pick = roster[(ordinal + round_index) % len(roster)]
+        j = (ordinal + round_index) % len(roster)
     else:
         raise ValueError(f"unknown baseline strategy: {strategy}")
-    stats = provider(vehicle, pick, attach_counts.get(pick, 0) + 1)
+    pick = roster[j]
+    stats = probe(pick, distances[j], config, attach_counts.get(pick, 0) + 1)
     if strategy == "sequence-based" and not admits(stats, config):
         return PathAssignment(vehicle, (), ())
     attach_counts[pick] = attach_counts.get(pick, 0) + 1

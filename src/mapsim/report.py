@@ -15,16 +15,22 @@ from typing import Any
 
 from .engine import RoundMetrics, SimulationReport
 
-CSV_COLUMNS = (
-    "round",
-    "vehicle_count",
-    "elected_maps",
-    "flagged_count",
-    "avg_handover",
-    "max_handover",
-    "min_handover",
-    "avg_delay_s",
-    "disconnected",
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+# (column, RoundMetrics field, parser) in file order; only avg_delay_s may be
+# empty, every other parser raises on an empty cell
+ROUND_COLUMNS = (
+    ("round", "round_index", int),
+    ("vehicle_count", "vehicle_count", int),
+    ("elected_maps", "elected_maps", int),
+    ("flagged_count", "flagged_count", int),
+    ("avg_handover", "avg_handover", float),
+    ("max_handover", "max_handover", int),
+    ("min_handover", "min_handover", int),
+    ("avg_delay_s", "avg_delay_s", _optional_float),
+    ("disconnected", "disconnected", int),
 )
 
 
@@ -39,42 +45,18 @@ def _cell(value: Any) -> str:
 def write_rounds_csv(path: Any, rounds: list[RoundMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow([column for column, _, _ in ROUND_COLUMNS])
         for m in rounds:
-            writer.writerow(
-                [
-                    _cell(m.round_index),
-                    _cell(m.vehicle_count),
-                    _cell(m.elected_maps),
-                    _cell(m.flagged_count),
-                    _cell(m.avg_handover),
-                    _cell(m.max_handover),
-                    _cell(m.min_handover),
-                    _cell(m.avg_delay_s),
-                    _cell(m.disconnected),
-                ]
-            )
+            writer.writerow([_cell(getattr(m, name)) for _, name, _ in ROUND_COLUMNS])
 
 
 def read_rounds_csv(path: Any) -> list[dict[str, Any]]:
     """Parse a rounds file back into typed dicts."""
-    out: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                {
-                    "round": int(row["round"]),
-                    "vehicle_count": int(row["vehicle_count"]),
-                    "elected_maps": int(row["elected_maps"]),
-                    "flagged_count": int(row["flagged_count"]),
-                    "avg_handover": float(row["avg_handover"]),
-                    "max_handover": int(row["max_handover"]),
-                    "min_handover": int(row["min_handover"]),
-                    "avg_delay_s": float(row["avg_delay_s"]) if row["avg_delay_s"] else None,
-                    "disconnected": int(row["disconnected"]),
-                }
-            )
-    return out
+        return [
+            {column: parse(row[column]) for column, _, parse in ROUND_COLUMNS}
+            for row in csv.DictReader(fh)
+        ]
 
 
 def write_summary_json(path: Any, summary: dict) -> None:

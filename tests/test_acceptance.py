@@ -274,8 +274,6 @@ def test_criterion_09_golden_round_trace():
     state, metrics, event = run_round(state, 0, cfg, StubRng([doc["stub_draw"]]))
 
     idents = [v.ident for v in state.fleet]
-    elected = set(event.elected)
-    excluded = set(event.excluded)
     eligible = sorted(i for i in idents if not state.trust[i].flagged)
     table = selection_probabilities(
         [CandidateEntry(i, loads[i], float(state.trust[i].score)) for i in eligible]
@@ -291,11 +289,8 @@ def test_criterion_09_golden_round_trace():
         }
 
     rebuilt = {
-        "assignments": {
-            str(i): list(state.prev_assignments[i])
-            for i in idents
-            if i not in elected and i not in excluded
-        },
+        # every entry, so elected and excluded identities must hold none
+        "assignments": {str(i): list(pa.paths) for i, pa in state.last_assignments.items()},
         "elected": list(event.elected),
         "eligible": eligible,
         "excluded": list(event.excluded),

@@ -60,6 +60,18 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unbounded_round_count(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": 1e-300}))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rounds" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_rejects_missing_config(tmp_path, capsys):
     rc = main(
         ["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]

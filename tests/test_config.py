@@ -1,8 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapsim import STRATEGIES, SimConfig, speed_to_mps
+from mapsim import STRATEGIES, SimConfig, initial_state, run_round, speed_to_mps
+from mapsim.config import MAX_ROUNDS
 
 
 def test_defaults_are_valid():
@@ -47,11 +52,25 @@ def test_partial_round_does_not_run():
         {"rng_seed": 1.5},
         {"rng_seed": -1},
         {"b_cap": "2"},
+        {"dt": 1e-300},
+        {"total_time": 1e308, "dt": 1e-10},
+        {"total_time": 1e7 + 10.0},
+        {
+            "road_length": 1e84,
+            "vehicle_density": 1e-83,
+            "total_time": 20.0,
+            "strategy": "distance-based",
+            "rng_seed": 1,
+        },
     ],
 )
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):
         SimConfig(**changes)
+
+
+def test_round_bound_is_inclusive():
+    assert SimConfig(total_time=1e7).rounds() == MAX_ROUNDS
 
 
 def test_int_stays_valid_in_float_fields():
@@ -95,3 +114,86 @@ def test_replace_revalidates():
     cfg = SimConfig()
     with pytest.raises(ValueError):
         cfg.replace(dt=0.0)
+
+
+@st.composite
+def small_configs(draw):
+    """Valid configs on a tiny road that run at most five rounds."""
+    dt = draw(st.floats(0.5, 20.0))
+    speed_min = draw(st.floats(0.0, 150.0))
+    return SimConfig(
+        road_length=draw(st.floats(10.0, 2000.0)),
+        vehicle_density=draw(st.floats(0.0, 0.02)),
+        speed_min=speed_min,
+        speed_max=draw(st.floats(speed_min, 200.0)),
+        dt=dt,
+        total_time=dt * draw(st.integers(0, 5)),
+        path_loss_exp=draw(st.floats(1.0, 6.0)),
+        bandwidth_min=draw(st.floats(0.0, 4.0)),
+        b_cap=draw(st.floats(0.1, 4.0)),
+        delay_threshold=draw(st.floats(1.0, 40.0)),
+        a0=draw(st.floats(0.0, 1.0)),
+        b0=draw(st.floats(0.0, 20.0)),
+        max_paths=draw(st.integers(1, 4)),
+        trust_threshold=draw(st.floats(0.0, 100.0)),
+        trust_initial=draw(st.floats(0.0, 100.0)),
+        handover_penalty=draw(st.floats(0.0, 60.0)),
+        map_fraction=draw(st.floats(0.01, 1.0)),
+        sybil_fraction=draw(st.floats(0.0, 1.0)),
+        sybil_clones=draw(st.integers(0, 3)),
+        incumbent_retention=draw(st.booleans()),
+        rng_seed=draw(st.integers(0, 2**32)),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs())
+def test_valid_small_configs_run_and_conserve(cfg):
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    assert cfg.rounds() <= 5
+    bounded = cfg.strategy in ("blockchain-multipath", "sequence-based")
+    for r in range(cfg.rounds()):
+        state, m, _ = run_round(state, r, cfg, rng)
+        assert m.vehicle_count == m.elected_maps + m.attached + m.disconnected + m.flagged_count
+        for pa in state.last_assignments.values():
+            assert len(pa.paths) <= (cfg.max_paths if bounded else 1)
+            if bounded:
+                for s in pa.stats:
+                    assert s.total_delay < cfg.delay_threshold
+                    assert s.bandwidth >= cfg.bandwidth_min
+
+
+@st.composite
+def invalid_changes(draw, cfg):
+    """One change that puts cfg outside what SimConfig accepts."""
+    bad_float = st.sampled_from([math.inf, -math.inf, math.nan])
+    return draw(
+        st.one_of(
+            st.fixed_dictionaries({"road_length": st.floats(max_value=0.0) | bad_float}),
+            st.fixed_dictionaries({"dt": st.floats(max_value=0.0) | bad_float}),
+            st.fixed_dictionaries(
+                {"dt": st.floats(1e-300, 1e-7), "total_time": st.floats(1.0, 1e6)}
+            ),
+            st.fixed_dictionaries({"total_time": st.floats(max_value=-1e-300) | bad_float}),
+            st.fixed_dictionaries({"speed_min": st.floats(cfg.speed_max, 1e6, exclude_min=True)}),
+            st.fixed_dictionaries({"path_loss_exp": st.floats(2000.0, 1e6)}),
+            st.fixed_dictionaries({"noise_power": st.floats(max_value=0.0)}),
+            st.fixed_dictionaries({"max_paths": st.integers(max_value=0) | st.floats()}),
+            st.fixed_dictionaries({"map_fraction": st.floats(1.0, exclude_min=True)}),
+            st.fixed_dictionaries({"trust_threshold": st.floats(100.0, exclude_min=True)}),
+            st.fixed_dictionaries({"sybil_clones": st.integers(max_value=-1) | st.booleans()}),
+            st.fixed_dictionaries({"rng_seed": st.integers(max_value=-1)}),
+            st.fixed_dictionaries({"strategy": st.text().filter(lambda s: s not in STRATEGIES)}),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invalid_configs_are_rejected(data):
+    cfg = data.draw(small_configs())
+    changes = data.draw(invalid_changes(cfg))
+    with pytest.raises(ValueError):
+        cfg.replace(**changes)

@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mapsim import (
@@ -10,7 +11,9 @@ from mapsim import (
     TrustObservation,
     TrustRecord,
     Vehicle,
+    initial_state,
     make_link_stats,
+    ring_distance,
     run_round,
     run_simulation,
     selection_probabilities,
@@ -71,9 +74,9 @@ def test_golden_round_replay():
     assert metrics.disconnected == m["disconnected"]
     assert metrics.attached == m["attached"]
 
+    # the whole dict: elected MAP 2 and flagged identity 4 hold no entry
     expected_paths = {int(k): tuple(v) for k, v in exp["assignments"].items()}
-    expected_paths.update({2: (), 4: ()})
-    assert state.prev_assignments == expected_paths
+    assert {i: pa.paths for i, pa in state.last_assignments.items()} == expected_paths
 
     assert state.pending_obs == {
         int(k): TrustObservation(int(v[0]), bool(v[1]), bool(v[2]))
@@ -128,6 +131,28 @@ def test_conservation_every_round(strategy):
         assert m.vehicle_count == (
             m.elected_maps + m.attached + m.disconnected + m.flagged_count
         ), f"round {m.round_index} leaks identities"
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    ["blockchain-multipath", "independent-random", "distance-based", "sequence-based"],
+)
+def test_link_distances_equal_ring_distance(strategy):
+    # link stats take their distances from the engine's grid; they must be
+    # the scalar ring distances bit for bit
+    cfg = SMALL.replace(strategy=strategy)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    checked = 0
+    for r in range(4):
+        state, _, _ = run_round(state, r, cfg, rng)
+        pos = {v.ident: v.position for v in state.fleet}
+        for i, pa in state.last_assignments.items():
+            for s in pa.stats:
+                d = ring_distance(pos[i], pos[s.map_ident], cfg.road_length)
+                assert s.distance.hex() == d.hex()
+                checked += 1
+    assert checked > 0
 
 
 def test_repeat_run_is_identical():

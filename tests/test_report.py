@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mapsim import (
     SimConfig,
     read_rounds_csv,
@@ -30,6 +32,17 @@ def test_csv_round_trip_exact(tmp_path):
             "avg_delay_s": m.avg_delay_s,
             "disconnected": m.disconnected,
         }
+
+
+def test_csv_only_delay_cell_may_be_empty(tmp_path):
+    header = "round,vehicle_count,elected_maps,flagged_count,avg_handover,"
+    header += "max_handover,min_handover,avg_delay_s,disconnected\n"
+    path = tmp_path / "rounds.csv"
+    path.write_text(header + "0,5,1,0,0.0,0,0,,4\n")
+    assert read_rounds_csv(path)[0]["avg_delay_s"] is None
+    path.write_text(header + "0,5,1,0,0.0,0,0,0.5,\n")
+    with pytest.raises(ValueError):
+        read_rounds_csv(path)
 
 
 def test_summary_matches_csv_fold(tmp_path):
