@@ -33,7 +33,7 @@ for r in range(config.rounds()):
               f"{state.trust[watched_honest].score:>14.1f}"
               f"{metrics.flagged_count:>9}")
 
-tpr, fpr = detection_rates(state.trust.values(), clones)
+tpr, fpr = detection_rates(state.flagged, state.is_clone)
 print(f"\ncaught {tpr:.0%} of the clones, "
       f"false positive rate {fpr:.0%}")
 print(f"excluded identities in the last block: "

@@ -12,7 +12,7 @@ from .config import STRATEGIES, SimConfig, speed_to_mps
 from .engine import SimState, initial_state, run_round, run_simulation
 from .experiment import run_comparison
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
-from .ledger import Block, GENESIS_HASH, Ledger, block_digest, canonical_payload, verify_chain
+from .ledger import Block, GENESIS_HASH, Ledger, block_digest, canonical_payload, chain_break, verify_chain
 from .pathing import PathAssignment, admits, baseline_paths, count_handovers, grow_paths, retain_paths
 from .radio import alpha_sinr, compute_sinr, link_bandwidth, make_link_stats, path_delay
 from .report import read_rounds_csv, write_run, write_rounds_csv, write_summary_json

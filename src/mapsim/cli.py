@@ -11,7 +11,7 @@ from pathlib import Path
 from .config import STRATEGIES, SimConfig
 from .engine import run_simulation
 from .experiment import run_comparison
-from .ledger import Ledger
+from .ledger import Ledger, chain_break
 from .report import write_run
 
 log = logging.getLogger("mapsim")
@@ -118,10 +118,11 @@ def _cmd_verify_ledger(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"ledger unreadable: {exc}", file=sys.stderr)
         return 1
-    if ledger.verify():
+    broken = chain_break(ledger.blocks)
+    if broken is None:
         print(f"ledger OK ({len(ledger)} blocks)")
         return 0
-    print("ledger INVALID: hash chain check failed")
+    print("ledger INVALID: block {} fails {}".format(*broken))
     return 1
 
 

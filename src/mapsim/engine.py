@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import logging
 import time
-from dataclasses import dataclass, field
-from statistics import fmean
+from dataclasses import dataclass
+from math import fsum
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import SimConfig
-from .fleet import Vehicle, make_fleet, step_positions
+from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
 from .pathing import PathAssignment, baseline_paths, count_handovers, grow_paths, retain_paths
 from .radio import alpha_trans, make_link_stats
-from .selection import CandidateEntry, select_maps, selection_probabilities, table_digest
+from .selection import select_maps, selection_probabilities, table_digest
 from .trust import TrustObservation, TrustRecord, detection_rates, inject_sybils, update_trust
 
 BLOCKCHAIN = "blockchain-multipath"
+
+log = logging.getLogger("mapsim")
 
 
 @dataclass
@@ -51,16 +56,65 @@ class SelectionEvent:
         }
 
 
-@dataclass
 class SimState:
-    fleet: list[Vehicle]
-    trust: dict[int, TrustRecord]
-    pending_obs: dict[int, TrustObservation] = field(default_factory=dict)
-    current_maps: list[int] = field(default_factory=list)
-    last_assignments: dict[int, PathAssignment] = field(default_factory=dict)
-    handover_totals: dict[int, int] = field(default_factory=dict)
-    attacker_ids: list[int] = field(default_factory=list)
-    clone_ids: list[int] = field(default_factory=list)
+    """Round state as arrays indexed by identity: 0..n-1, clones appended.
+
+    Built from vehicle and trust records, so a hand-made state runs the same
+    code. `evidence` holds the next trust pass's observations as (handovers,
+    low SNR, connected, observed) arrays. `fleet`, `trust`, `pending_obs`
+    and `handover_totals` are read-only record views, built on demand.
+    """
+
+    def __init__(
+        self,
+        fleet: Sequence[Vehicle],
+        trust: Mapping[int, TrustRecord],
+        handover_totals: Mapping[int, int] | None = None,
+        attacker_ids: Sequence[int] = (),
+        clone_ids: Sequence[int] = (),
+    ) -> None:
+        n = len(fleet)
+        if [v.ident for v in fleet] != list(range(n)) or sorted(trust) != list(range(n)):
+            raise ValueError("fleet and trust must hold identities 0..n-1, the fleet in order")
+        self.position = np.array([v.position for v in fleet], dtype=np.float64)
+        self.speed = np.array([v.speed for v in fleet], dtype=np.float64)
+        self.load = np.array([v.load for v in fleet], dtype=np.int64)
+        self.score = np.array([trust[i].score for i in range(n)], dtype=np.float64)
+        self.flagged = np.array([trust[i].flagged for i in range(n)], dtype=bool)
+        self.attacker_ids, self.clone_ids = list(attacker_ids), list(clone_ids)
+        self.is_clone = np.isin(np.arange(n), self.clone_ids)
+        totals = handover_totals or {}
+        self.handover_total = np.array([totals.get(i, 0) for i in range(n)], dtype=np.int64)
+        self.evidence = no_evidence(n)
+        self.current_maps: list[int] = []
+        self.last_assignments: dict[int, PathAssignment] = {}
+
+    @property
+    def fleet(self) -> tuple[Vehicle, ...]:
+        columns = (self.position.tolist(), self.speed.tolist(), self.load.tolist())
+        return tuple(map(Vehicle, range(len(self.position)), *columns))
+
+    @property
+    def trust(self) -> Mapping[int, TrustRecord]:
+        rows = zip(range(len(self.score)), self.score.tolist(), self.flagged.tolist())
+        return MappingProxyType({row[0]: TrustRecord(*row) for row in rows})
+
+    @property
+    def pending_obs(self) -> Mapping[int, TrustObservation]:
+        seen = np.flatnonzero(self.evidence[3])
+        rows = zip(seen.tolist(), *(column[seen].tolist() for column in self.evidence[:3]))
+        return MappingProxyType({i: TrustObservation(*obs) for i, *obs in rows})
+
+    @property
+    def handover_totals(self) -> Mapping[int, int]:
+        """Totals of the honest identities; clones are never counted."""
+        honest = np.flatnonzero(~self.is_clone)
+        return MappingProxyType(dict(zip(honest.tolist(), self.handover_total[honest].tolist())))
+
+
+def no_evidence(n: int) -> tuple[np.ndarray, ...]:
+    """Handovers, low SNR, connected and observed for n identities, all unset."""
+    return (np.zeros(n, dtype=np.int64),) + tuple(np.zeros(n, dtype=bool) for _ in range(3))
 
 
 @dataclass
@@ -77,15 +131,7 @@ def initial_state(config: SimConfig, rng: np.random.Generator) -> SimState:
     fleet = make_fleet(config, rng)
     fleet, attackers, clones = inject_sybils(fleet, config, rng)
     trust = {v.ident: TrustRecord(v.ident, config.trust_initial) for v in fleet}
-    clone_set = set(clones)
-    totals = {v.ident: 0 for v in fleet if v.ident not in clone_set}
-    return SimState(
-        fleet=fleet,
-        trust=trust,
-        handover_totals=totals,
-        attacker_ids=attackers,
-        clone_ids=clones,
-    )
+    return SimState(fleet, trust, attacker_ids=attackers, clone_ids=clones)
 
 
 def run_round(
@@ -96,51 +142,44 @@ def run_round(
 ) -> tuple[SimState, RoundMetrics, SelectionEvent]:
     """Advance one step: move, judge trust, elect, attach, observe."""
     blockchain = config.strategy == BLOCKCHAIN
-
-    state.fleet = step_positions(state.fleet, config.dt, config.road_length)
-    idents = [v.ident for v in state.fleet]
-    by_ident = {v.ident: v for v in state.fleet}
+    n = len(state.position)
+    state.position = step_positions(state.position, state.speed, config.dt, config.road_length)
 
     # trust pass; comparison policies carry no scoring, so nothing ever flags
+    was_flagged = state.flagged
     if blockchain:
-        for i in idents:
-            obs = state.pending_obs.get(i, TrustObservation())
-            state.trust[i] = update_trust(state.trust[i], obs, config)
-    state.pending_obs = {}
-    flagged = {i for i in idents if state.trust[i].flagged}
+        state.score, state.flagged = update_trust(
+            state.score, state.flagged, *state.evidence[:3], config
+        )
+    flagged = state.flagged
 
-    # election over the unflagged roster
-    eligible = [i for i in idents if i not in flagged]
-    k = max(1, round(config.map_fraction * len(eligible)))
-    entries = [CandidateEntry(i, by_ident[i].load, float(state.trust[i].score)) for i in eligible]
-    table = selection_probabilities(entries)
+    # election over the unflagged roster of (ident, load, trust) rows
+    roster = np.column_stack((np.arange(n), state.load, state.score))
+    table = selection_probabilities(roster[~flagged])
+    k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
+    prev_maps = state.current_maps
     if blockchain and config.incumbent_retention:
-        retained = sorted(m for m in state.current_maps if m not in flagged)
-        need = max(0, k - len(retained))
-        retained_set = set(retained)
-        pool = selection_probabilities(e for e in entries if e.ident not in retained_set)
-        elected = retained + select_maps(pool, need, rng)
+        retained = sorted(m for m in prev_maps if not flagged[m])
+        in_pool = ~flagged
+        in_pool[retained] = False
+        pool = selection_probabilities(roster[in_pool])
+        elected = retained + select_maps(pool, max(0, k - len(retained)), rng)
     else:
         elected = select_maps(table, k, rng)
-    state.current_maps = list(elected)
-    elected_set = set(elected)
+    state.current_maps = elected
+    is_map = np.zeros(n, dtype=bool)
+    is_map[elected] = True
 
     # path assignment; the one client x MAP distance grid is the only source
-    # of link distances, and its floats equal ring_distance's since fmod on
-    # nonnegative doubles is exact
+    # of link distances
     maps_sorted = sorted(elected)
-    served = [
-        i for i in idents
-        if i not in elected_set and not (blockchain and i in flagged)
-    ]
-    gaps = np.abs(
-        np.array([by_ident[i].position for i in served])[:, None]
-        - np.array([by_ident[m].position for m in maps_sorted])[None, :]
-    ) % config.road_length
-    dmat = np.minimum(gaps, config.road_length - gaps)
-    prev_paths = {i: pa.paths for i, pa in state.last_assignments.items()}
+    served = np.flatnonzero(~(is_map | flagged) if blockchain else ~is_map)
+    ids = served.tolist()
+    position = state.position
+    dmat = ring_distance(position[served][:, None], position[maps_sorted][None, :], config.road_length)
+    last = state.last_assignments
+    prev = [last[i].paths if i in last else () for i in ids]
     attach_counts: dict[int, int] = {}
-    assignments: dict[int, PathAssignment] = {}
     if blockchain:
         # the transmission term alone bounds the delay from below, so a
         # MAP failing it can never be admitted; float64 arithmetic on the
@@ -149,87 +188,84 @@ def run_round(
         kept_maps = np.array(maps_sorted)[keep.nonzero()[1]]
         pairs = list(zip(dmat[keep].tolist(), kept_maps.tolist()))
         ends = np.cumsum(keep.sum(axis=1)).tolist()
-        candidates_of = {i: pairs[a:b] for i, a, b in zip(served, [0] + ends, ends)}
-        held_of = {
-            i: retain_paths(
-                i, prev_paths.get(i, ()), cand, make_link_stats, attach_counts, config
-            )
-            for i, cand in candidates_of.items()
-        }
-        for i, cand in candidates_of.items():
-            assignments[i] = grow_paths(
-                i, held_of[i], cand, make_link_stats, attach_counts, config
-            )
+        cands = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+        # every vehicle re-books its paths before any grows new ones
+        held = [
+            retain_paths(i, p, c, make_link_stats, attach_counts, config)
+            for i, p, c in zip(ids, prev, cands)
+        ]
+        found = [
+            grow_paths(i, h, c, make_link_stats, attach_counts, config)
+            for i, h, c in zip(ids, held, cands)
+        ]
     else:
-        ordinal_of = {ident: n for n, ident in enumerate(idents)}
-        for i, row in zip(served, dmat.tolist()):
-            assignments[i] = baseline_paths(
-                config.strategy, i, ordinal_of[i], round_index,
+        # identities are array indices, so a vehicle's ordinal is its ident
+        found = [
+            baseline_paths(
+                config.strategy, i, i, round_index,
                 row, maps_sorted, make_link_stats, attach_counts, rng, config,
             )
+            for i, row in zip(ids, dmat.tolist())
+        ]
 
-    # handover metric counts honest identities only; the first round is a
-    # cold start, joining then is not a handover. A vehicle left without an
-    # assignment gained no path, so only served vehicles can count any.
-    real_handovers = {
-        i: 0 if round_index == 0 else count_handovers(prev_paths.get(i, ()), pa.paths)
-        for i, pa in assignments.items()
-    }
-    clone_set = set(state.clone_ids)
-    population = [i for i in idents if i not in clone_set and i not in elected_set]
-    counts = [real_handovers.get(i, 0) for i in population]
-    for i, c in zip(population, counts):
-        state.handover_totals[i] = state.handover_totals.get(i, 0) + c
+    # the first round is a cold start, joining then is not a handover
+    if round_index == 0:
+        handovers = [0] * len(ids)
+    else:
+        handovers = [count_handovers(p, pa.paths) for p, pa in zip(prev, found)]
+    low_sinr = [any(s.sinr < config.sinr_threshold for s in pa.stats) for pa in found]
+    attached = [bool(pa.paths) for pa in found]
+    delays = [fsum(s.total_delay for s in pa.stats) / len(pa.stats) for pa in found if pa.paths]
 
-    delays = [
-        fmean(s.total_delay for s in pa.stats)
-        for pa in assignments.values()
-        if pa.paths
-    ]
-    attached = sum(1 for pa in assignments.values() if pa.paths)
-    disconnected = len(assignments) - attached
+    # the handover metric counts honest identities only; an unserved one
+    # gained no path
+    counts = np.zeros(n, dtype=np.int64)
+    counts[served] = handovers
+    population = ~(state.is_clone | is_map)
+    counts = counts[population]
+    state.handover_total[population] += counts
+    n_attached = sum(attached)
     metrics = RoundMetrics(
         round_index=round_index,
-        vehicle_count=len(idents),
+        vehicle_count=n,
         elected_maps=len(elected),
-        flagged_count=len(flagged),
-        avg_handover=fmean(counts) if counts else 0.0,
-        max_handover=max(counts) if counts else 0,
-        min_handover=min(counts) if counts else 0,
-        avg_delay_s=fmean(delays) if delays else None,
-        disconnected=disconnected,
-        attached=attached,
+        flagged_count=int(flagged.sum()),
+        avg_handover=int(counts.sum()) / len(counts) if len(counts) else 0.0,
+        max_handover=int(counts.max()) if len(counts) else 0,
+        min_handover=int(counts.min()) if len(counts) else 0,
+        avg_delay_s=fsum(delays) / len(delays) if delays else None,
+        disconnected=len(ids) - n_attached,
+        attached=n_attached,
     )
 
     # evidence for the next trust pass
+    evidence = no_evidence(n)
     if blockchain:
-        obs: dict[int, TrustObservation] = {}
-        for m in elected:
-            obs[m] = TrustObservation(0, False, True)
-        for i, pa in assignments.items():
-            low = any(s.sinr < config.sinr_threshold for s in pa.stats)
-            obs[i] = TrustObservation(real_handovers[i], low, bool(pa.paths))
-        # clone misbehaviour draws run every round to keep the stream stable
-        for c in state.clone_ids:
-            forced_h = 1 if rng.random() < config.sybil_handover_prob else 0
-            forced_low = rng.random() < config.sybil_low_sinr_prob
-            if state.trust[c].flagged:
-                continue
-            base = obs.get(c, TrustObservation())
-            obs[c] = TrustObservation(
-                base.handovers + forced_h,
-                base.low_sinr or forced_low,
-                base.connected,
-            )
-        state.pending_obs = obs
+        obs_h, obs_low, obs_conn, observed = evidence
+        obs_conn[elected] = observed[elected] = True
+        obs_h[served], obs_low[served], obs_conn[served] = handovers, low_sinr, attached
+        observed[served] = True
+        if state.clone_ids:
+            # two draws per clone every round, handover then weak link, in
+            # clone order, flagged or not, so the stream stays stable
+            draws = rng.random(2 * len(state.clone_ids))
+            live = ~flagged[state.clone_ids]
+            clones = np.array(state.clone_ids)[live]
+            obs_h[clones] += (draws[0::2] < config.sybil_handover_prob)[live]
+            obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
+            observed[clones] = True
+    state.evidence = evidence
+    state.last_assignments = dict(zip(ids, found))
 
-    event = SelectionEvent(
-        round_index=round_index,
-        elected=tuple(elected),
-        excluded=tuple(sorted(flagged)),
-        input_digest=table_digest(table),
-    )
-    state.last_assignments = assignments
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "round %d: elected %d (%d new), flagged %d (%d new), attached %d, disconnected %d",
+            round_index, len(elected), len(set(elected) - set(prev_maps)),
+            metrics.flagged_count, int((flagged & ~was_flagged).sum()),
+            metrics.attached, metrics.disconnected,
+        )
+    excluded = tuple(np.flatnonzero(flagged).tolist())
+    event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table))
     return state, metrics, event
 
 
@@ -239,7 +275,7 @@ def build_summary(
     rounds: list[RoundMetrics],
     ledger_blocks: int,
 ) -> dict:
-    totals = list(state.handover_totals.values())
+    totals = state.handover_total[~state.is_clone]
     num = 0.0
     den = 0
     for m in rounds:
@@ -248,24 +284,24 @@ def build_summary(
             den += m.attached
     serve = sum(m.vehicle_count - m.elected_maps - m.flagged_count for m in rounds)
     disc = sum(m.disconnected for m in rounds)
-    tpr, fpr = detection_rates(state.trust.values(), set(state.clone_ids))
+    tpr, fpr = detection_rates(state.flagged, state.is_clone)
     return {
         "strategy": config.strategy,
         "seed": config.rng_seed,
         "rounds": len(rounds),
-        "identity_count": len(state.fleet),
-        "fleet_size": len(state.fleet) - len(state.clone_ids),
+        "identity_count": len(state.position),
+        "fleet_size": len(state.position) - len(state.clone_ids),
         "attacker_count": len(state.attacker_ids),
         "clone_count": len(state.clone_ids),
-        "avg_handover": fmean(totals) if totals else 0.0,
-        "max_handover": max(totals) if totals else 0,
-        "min_handover": min(totals) if totals else 0,
-        "zero_handover_vehicles": sum(1 for t in totals if t == 0),
+        "avg_handover": int(totals.sum()) / len(totals) if len(totals) else 0.0,
+        "max_handover": int(totals.max()) if len(totals) else 0,
+        "min_handover": int(totals.min()) if len(totals) else 0,
+        "zero_handover_vehicles": int((totals == 0).sum()),
         "avg_delay_s": (num / den) if den else None,
         "disconnection_rate": (disc / serve) if serve else None,
         "sybil_detection_rate": tpr,
         "false_positive_rate": fpr,
-        "flagged_count": sum(1 for r in state.trust.values() if r.flagged),
+        "flagged_count": int(state.flagged.sum()),
         "ledger_blocks": ledger_blocks,
     }
 

@@ -19,10 +19,10 @@ class Vehicle:
     load: int
 
 
-def ring_distance(a: float, b: float, road_length: float) -> float:
-    """Shorter-arc separation between two positions on the ring."""
-    gap = abs(a - b) % road_length
-    return min(gap, road_length - gap)
+def ring_distance(a, b, road_length: float):
+    """Shorter-arc separation between positions on the ring, elementwise on arrays."""
+    gap = np.abs(a - b) % road_length
+    return np.minimum(gap, road_length - gap)
 
 
 def make_fleet(config: SimConfig, rng: np.random.Generator) -> list[Vehicle]:
@@ -40,9 +40,9 @@ def make_fleet(config: SimConfig, rng: np.random.Generator) -> list[Vehicle]:
     ]
 
 
-def step_positions(fleet: list[Vehicle], dt: float, road_length: float) -> list[Vehicle]:
-    """Advance every vehicle by one step, wrapping around the ring."""
-    return [
-        Vehicle(v.ident, (v.position + v.speed * dt) % road_length, v.speed, v.load)
-        for v in fleet
-    ]
+def step_positions(position: np.ndarray, speed: np.ndarray, dt: float, road_length: float):
+    """Advance every vehicle by one step, wrapping around the ring.
+
+    Elementwise float64, so each equals the scalar arithmetic bit for bit.
+    """
+    return (position + speed * dt) % road_length

@@ -44,22 +44,32 @@ class Block:
         return json.loads(self.payload.decode("utf-8"))
 
 
-def verify_chain(blocks: list[Block]) -> bool:
-    """Recompute every digest and link; reject any inconsistency."""
+def chain_break(blocks: list[Block]) -> tuple[int, str] | None:
+    """First inconsistency as (position, check), or None for a sound chain.
+
+    Per block, in order: "index" is its position, "prev_hash" links to the
+    previous digest (genesis first), "round_order" rounds strictly increase,
+    "digest" matches a recomputation.
+    """
     prev = GENESIS_HASH
     last_round: int | None = None
     for i, b in enumerate(blocks):
         if b.index != i:
-            return False
+            return i, "index"
         if b.prev_hash != prev:
-            return False
+            return i, "prev_hash"
         if last_round is not None and b.round_index <= last_round:
-            return False
+            return i, "round_order"
         if block_digest(b.index, b.round_index, b.payload, b.prev_hash) != b.digest:
-            return False
+            return i, "digest"
         prev = b.digest
         last_round = b.round_index
-    return True
+    return None
+
+
+def verify_chain(blocks: list[Block]) -> bool:
+    """Recompute every digest and link; reject any inconsistency."""
+    return chain_break(blocks) is None
 
 
 class Ledger:

@@ -4,72 +4,76 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple
+
+import numpy as np
 
 from .ledger import canonical_payload
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
+class CandidateEntry(NamedTuple):
     ident: int
     load: int
     trust: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateTable:
-    """Election input after filtering, with weights and normalised odds."""
+    """Election input after filtering, ident-sorted, as parallel arrays."""
 
-    entries: tuple[CandidateEntry, ...]
-    weights: tuple[float, ...]
-    probabilities: tuple[float, ...]
+    idents: np.ndarray
+    loads: np.ndarray
+    trust: np.ndarray
+    weights: np.ndarray
+    probabilities: np.ndarray
 
 
-def selection_probabilities(
-    entries: Iterable[CandidateEntry],
-    trust_threshold: float = 0.0,
-) -> CandidateTable:
+def selection_probabilities(entries, trust_threshold: float = 0.0) -> CandidateTable:
     """Weight each candidate by load times trust and normalise.
 
-    Candidates at or below trust_threshold never make the table.
+    entries are (ident, load, trust) rows: CandidateEntry tuples or an n x 3
+    float array. Candidates at or below trust_threshold never make the
+    table. The total is the sequential sum, as select_maps' scan adds it up.
     """
-    kept = tuple(sorted((e for e in entries if e.trust > trust_threshold), key=lambda e: e.ident))
-    weights = tuple(e.load * e.trust for e in kept)
-    total = sum(weights)
-    if total > 0:
-        probabilities = tuple(w / total for w in weights)
-    else:
-        probabilities = tuple(0.0 for _ in weights)
-    return CandidateTable(kept, weights, probabilities)
+    rows = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
+    rows = rows[rows[:, 2] > trust_threshold]
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    idents, loads, trust = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
+    weights = rows[:, 1] * trust
+    total = np.cumsum(weights)[-1] if len(weights) else 0.0
+    probabilities = weights / total if total > 0 else np.zeros_like(weights)
+    return CandidateTable(idents, loads, trust, weights, probabilities)
 
 
 def select_maps(table: CandidateTable, k: int, rng) -> list[int]:
     """Draw up to k distinct winners, renormalising after each draw.
 
     rng needs only a random() method returning a uniform variate in
-    [0, 1); one is consumed per winner. The cumulative scan keeps the draw
-    reproducible across platforms.
+    [0, 1); one is consumed per winner. Weights must be nonnegative. Each
+    draw scans the sequential running sums of the remaining weights, the
+    same floats whatever the platform or Python version; a winner's weight
+    is zeroed, which leaves every running sum of the others unchanged.
     """
-    pool = list(range(len(table.entries)))
+    weights = table.weights.copy()
+    remaining = np.ones(len(weights), dtype=bool)
     winners: list[int] = []
-    for _ in range(min(k, len(pool))):
-        total = sum(table.weights[i] for i in pool)
+    for _ in range(min(k, len(weights))):
+        acc = np.cumsum(weights)
+        total = acc[-1]
         if total <= 0:
             break
         u = rng.random() * total
-        acc = 0.0
-        pick = pool[-1]
-        for i in pool:
-            acc += table.weights[i]
-            if u < acc:
-                pick = i
-                break
-        winners.append(table.entries[pick].ident)
-        pool.remove(pick)
+        pick = int(np.searchsorted(acc, u, side="right"))
+        if pick == len(acc):
+            # u reached the total through rounding; the last remaining wins
+            pick = int(np.flatnonzero(remaining)[-1])
+        winners.append(int(table.idents[pick]))
+        weights[pick] = 0.0
+        remaining[pick] = False
     return winners
 
 
 def table_digest(table: CandidateTable) -> str:
     """Digest of the election input, for the audit trail."""
-    rows = [[e.ident, e.load, e.trust] for e in table.entries]
+    rows = list(zip(table.idents.tolist(), table.loads.tolist(), table.trust.tolist()))
     return hashlib.sha256(canonical_payload(rows)).hexdigest()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -27,25 +26,26 @@ class TrustRecord:
     flagged: bool = False
 
 
-def update_trust(record: TrustRecord, obs: TrustObservation, config: SimConfig) -> TrustRecord:
-    """Apply one round of evidence.
+def update_trust(
+    score: np.ndarray, flagged: np.ndarray, handovers: np.ndarray,
+    low_sinr: np.ndarray, connected: np.ndarray, config: SimConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one round of evidence to every identity; returns (score, flagged).
 
-    Handovers and poor signal cost points, a quiet connected round earns a
-    small reward. Scores clamp to [0, 100]. A flag is permanent and freezes
-    the score, so flagged identities cannot launder their history.
+    Arrays are indexed by identity; an unobserved identity has no handovers,
+    no low SNR and no connection. Handovers and poor signal cost points, a
+    quiet connected round earns a small reward. Scores clamp to [0, 100]. A
+    flag is permanent and freezes the score, so flagged identities cannot
+    launder their history. The float operations run in the scalar rule's order.
     """
-    if record.flagged:
-        return record
-    delta = 0.0
-    if obs.handovers > 0:
-        delta -= config.handover_penalty * obs.handovers
-    if obs.low_sinr:
-        delta -= config.low_sinr_penalty
-    if obs.connected and obs.handovers == 0 and not obs.low_sinr:
-        delta += config.stability_reward
-    score = min(100.0, max(0.0, record.score + delta))
-    flagged = score <= config.trust_threshold
-    return TrustRecord(record.ident, score, flagged)
+    delta = np.where(handovers > 0, 0.0 - config.handover_penalty * handovers, 0.0)
+    delta = np.where(low_sinr, delta - config.low_sinr_penalty, delta)
+    quiet = connected & (handovers == 0) & ~low_sinr
+    delta = np.where(quiet, delta + config.stability_reward, delta)
+    raw = score + delta
+    raw = np.where(raw > 0.0, raw, 0.0)
+    new = np.where(flagged, score, np.where(raw < 100.0, raw, 100.0))
+    return new, flagged | (new <= config.trust_threshold)
 
 
 def inject_sybils(
@@ -80,16 +80,13 @@ def inject_sybils(
 
 
 def detection_rates(
-    records: Iterable[TrustRecord],
-    truth: set[int],
+    flagged: np.ndarray, is_sybil: np.ndarray
 ) -> tuple[float | None, float | None]:
-    """True and false positive rates of the flagging against ground truth.
+    """True and false positive rates of the per-identity flags against ground truth.
 
     Returns None for a rate whose denominator is empty.
     """
-    recs = list(records)
-    sybil = [r for r in recs if r.ident in truth]
-    honest = [r for r in recs if r.ident not in truth]
-    tpr = sum(1 for r in sybil if r.flagged) / len(sybil) if sybil else None
-    fpr = sum(1 for r in honest if r.flagged) / len(honest) if honest else None
-    return tpr, fpr
+    def rate(mask: np.ndarray) -> float | None:
+        return int(flagged[mask].sum()) / int(mask.sum()) if mask.any() else None
+
+    return rate(is_sybil), rate(~is_sybil)

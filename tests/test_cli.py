@@ -101,7 +101,8 @@ def test_verify_ledger_flags_tampering(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify-ledger", str(path)])
     assert rc == 1
-    assert "INVALID" in capsys.readouterr().out
+    # the edited payload no longer matches block 1's stored digest
+    assert capsys.readouterr().out == "ledger INVALID: block 1 fails digest\n"
 
 
 def test_verify_ledger_missing_file(tmp_path, capsys):

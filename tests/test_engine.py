@@ -1,9 +1,13 @@
 import hashlib
 import json
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapsim import (
     SimConfig,
@@ -113,11 +117,120 @@ def test_golden_link_stats():
 def test_golden_trust_step_after_round():
     cfg, state = golden_setup()
     state, _, _ = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
-    after = {
-        i: update_trust(state.trust[i], obs, cfg).score
-        for i, obs in state.pending_obs.items()
-    }
+    score, _ = update_trust(state.score, state.flagged, *state.evidence[:3], cfg)
+    after = {i: score[i] for i in state.pending_obs}
     assert after == {0: 100.0, 1: 92.0, 2: 82.0, 3: 62.0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    density=st.floats(0.0, 0.03),
+    sybil_fraction=st.floats(0.0, 1.0),
+    sybil_clones=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identity_is_the_array_index(density, sybil_fraction, sybil_clones, seed):
+    cfg = SMALL.replace(
+        vehicle_density=density, sybil_fraction=sybil_fraction, sybil_clones=sybil_clones
+    )
+    state = initial_state(cfg, np.random.default_rng(seed))
+    n = len(state.position)
+    assert [v.ident for v in state.fleet] == list(range(n))
+    assert list(state.trust) == list(range(n))
+    for column in (state.speed, state.load, state.score, state.flagged, state.is_clone):
+        assert len(column) == n
+    honest = n - len(state.clone_ids)
+    assert state.clone_ids == list(range(honest, n))
+    assert state.is_clone.tolist() == [i >= honest for i in range(n)]
+    assert list(state.handover_totals) == list(range(honest))
+
+
+@pytest.mark.parametrize(
+    "idents, trusted",
+    [([1, 0], [0, 1]), ([0, 2], [0, 2]), ([0, 1], [0]), ([0, 1], [0, 1, 2])],
+)
+def test_state_rejects_identities_that_are_not_indices(idents, trusted):
+    fleet = [Vehicle(i, 10.0 * i, 20.0, 1) for i in idents]
+    trust = {i: TrustRecord(i, 100.0) for i in trusted}
+    with pytest.raises(ValueError, match="0..n-1"):
+        SimState(fleet=fleet, trust=trust)
+
+
+def test_record_views_are_read_only():
+    _, state = golden_setup()
+    with pytest.raises(TypeError):
+        state.trust[0] = TrustRecord(0, 1.0)
+    with pytest.raises(AttributeError):
+        state.fleet = ()
+
+
+class BatchStubRng(StubRng):
+    """Replays fixed uniforms, one at a time or as a batch."""
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        return np.array([self.values.pop(0) for _ in range(size)])
+
+
+def test_clone_draws_alternate_handover_and_weak_link():
+    # six identities 100 m apart, 4 and 5 clones; the first draw elects one MAP
+    cfg = SimConfig(
+        road_length=1000.0, map_fraction=0.2, sybil_handover_prob=0.5, sybil_low_sinr_prob=0.5
+    )
+    fleet = [Vehicle(i, 100.0 * i, 20.0, 1) for i in range(6)]
+
+    def evidence(clone_draws, flag_clone=False):
+        trust = {i: TrustRecord(i, 100.0, flag_clone and i == 5) for i in range(6)}
+        state = SimState(fleet=fleet, trust=trust, clone_ids=[4, 5])
+        rng = BatchStubRng([0.3] + clone_draws)
+        run_round(state, 0, cfg, rng)
+        assert rng.values == []
+        return state.pending_obs
+
+    # draws are (handover, weak link) per clone, in clone order
+    base = evidence([0.9, 0.9, 0.9, 0.9])
+    assert not base[4].low_sinr and not base[5].low_sinr
+    forced = evidence([0.1, 0.9, 0.9, 0.1])
+    assert forced[4] == TrustObservation(base[4].handovers + 1, False, base[4].connected)
+    assert forced[5] == TrustObservation(base[5].handovers, True, base[5].connected)
+    assert {i: forced[i] for i in range(4)} == {i: base[i] for i in range(4)}
+    # a flagged clone still consumes its two draws but gains no evidence
+    flagged = evidence([0.1, 0.9, 0.1, 0.1], flag_clone=True)
+    assert 5 not in flagged
+    assert flagged[4] == forced[4]
+
+
+@given(seed=st.integers(0, 2**32 - 1), clones=st.integers(0, 60))
+def test_batched_draws_equal_interleaved_scalar_draws(seed, clones):
+    batch = np.random.default_rng(seed).random(2 * clones)
+    rng = np.random.default_rng(seed)
+    scalar = [rng.random() for _ in range(2 * clones)]
+    assert [x.hex() for x in batch.tolist()] == [x.hex() for x in scalar]
+
+
+def test_debug_log_line_per_round(tmp_path, caplog):
+    cfg = SMALL.replace(total_time=30.0)
+    quiet = write_run(tmp_path / "quiet", run_simulation(cfg))
+    with caplog.at_level(logging.DEBUG, logger="mapsim"):
+        report = run_simulation(cfg)
+    loud = write_run(tmp_path / "loud", report)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mapsim"]
+    assert len(lines) == 3
+    pattern = re.compile(
+        r"round (\d+): elected (\d+) \((\d+) new\), flagged (\d+) \((\d+) new\), "
+        r"attached (\d+), disconnected (\d+)"
+    )
+    flagged_before, elected_before = 0, set()
+    for line, m, block in zip(lines, report.round_metrics, report.ledger.blocks):
+        elected = set(block.payload_obj()["elected"])
+        got = [int(x) for x in pattern.fullmatch(line).groups()]
+        assert got[:3] == [m.round_index, m.elected_maps, len(elected - elected_before)]
+        assert got[3:5] == [m.flagged_count, m.flagged_count - flagged_before]
+        assert got[5:] == [m.attached, m.disconnected]
+        flagged_before, elected_before = m.flagged_count, elected
+    for name in ("rounds.csv", "summary.json", "ledger.json"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
 
 @pytest.mark.parametrize(

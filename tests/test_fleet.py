@@ -23,10 +23,26 @@ def test_ring_distance_symmetric_and_bounded(a, b):
 
 
 def test_step_wraps_around():
-    v = Vehicle(0, 9990.0, 20.0, 1)
-    stepped = step_positions([v], 10.0, 10000.0)[0]
-    assert stepped.position == 190.0
-    assert stepped.speed == 20.0
+    stepped = step_positions(np.array([9990.0, 10.0]), np.array([20.0, 20.0]), 10.0, 10000.0)
+    assert stepped.tolist() == [190.0, 210.0]
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e3)), max_size=50),
+    st.floats(1e-3, 1e3),
+    st.floats(1.0, 1e6),
+)
+def test_step_matches_scalar_arithmetic(rows, dt, road_length):
+    # the per-vehicle step the vectorised one replaced, as its oracle
+    fleet = [Vehicle(i, p % road_length, s, 1) for i, (p, s) in enumerate(rows)]
+    want = [(v.position + v.speed * dt) % road_length for v in fleet]
+    got = step_positions(
+        np.array([v.position for v in fleet], dtype=np.float64),
+        np.array([v.speed for v in fleet], dtype=np.float64),
+        dt,
+        road_length,
+    )
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_make_fleet_properties():

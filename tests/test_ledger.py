@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import GENESIS_HASH, Block, Ledger, block_digest, canonical_payload, verify_chain
+from mapsim import (
+    GENESIS_HASH,
+    Block,
+    Ledger,
+    block_digest,
+    canonical_payload,
+    chain_break,
+    verify_chain,
+)
 
 
 def test_digest_formula_oracle():
@@ -104,6 +112,69 @@ def test_genesis_must_be_zero():
     assert not led.verify()
 
 
+def _sealed(rounds):
+    """A chain of properly linked and sealed blocks over the given rounds."""
+    blocks, prev = [], GENESIS_HASH
+    for i, r in enumerate(rounds):
+        payload = canonical_payload({"round": r})
+        blocks.append(Block(i, r, payload, prev, block_digest(i, r, payload, prev)))
+        prev = blocks[-1].digest
+    return blocks
+
+
+def _with_payload(blocks, i):
+    blocks[i] = replace(blocks[i], payload=canonical_payload({"elected": [99]}))
+
+
+def _with_index(blocks, i):
+    blocks[i] = replace(blocks[i], index=7)
+
+
+def _with_prev_hash(blocks, i):
+    blocks[i] = replace(blocks[i], prev_hash=b"\x01" + bytes(31))
+
+
+def _dropped(blocks, i):
+    del blocks[i]
+
+
+@pytest.mark.parametrize(
+    "tamper, at, check",
+    [
+        (_with_index, 2, "index"),
+        (_dropped, 1, "index"),
+        (_with_prev_hash, 3, "prev_hash"),
+        (_with_prev_hash, 0, "prev_hash"),
+        (_with_payload, 2, "digest"),
+        (_with_payload, 4, "digest"),
+    ],
+)
+def test_chain_break_names_block_and_check(tamper, at, check):
+    blocks = list(_chain().blocks)
+    tamper(blocks, at)
+    assert chain_break(blocks) == (at, check)
+    assert not verify_chain(blocks)
+
+
+def test_chain_break_names_round_order():
+    # linked and sealed, but round 1 is logged twice
+    blocks = _sealed([0, 1, 1, 2])
+    assert chain_break(blocks) == (2, "round_order")
+    assert chain_break(_sealed([0, 1, 5, 9])) is None
+
+
+def test_chain_break_reports_the_first_break():
+    blocks = list(_chain(6).blocks)
+    _with_payload(blocks, 4)
+    _with_payload(blocks, 1)
+    assert chain_break(blocks) == (1, "digest")
+
+
+def test_sound_chains_have_no_break():
+    assert chain_break([]) is None
+    assert chain_break(_chain().blocks) is None
+
+
 def test_json_round_trip(tmp_path):
     led = _chain(7)
     path = tmp_path / "ledger.json"
@@ -133,4 +204,5 @@ def test_arbitrary_payloads_chain(payloads):
     for r, payload in enumerate(payloads):
         led.append(r, payload)
     assert led.verify()
+    assert chain_break(led.blocks) is None
     assert len(led) == len(payloads)

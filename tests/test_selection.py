@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mapsim import CandidateEntry, select_maps, selection_probabilities, table_digest
@@ -28,31 +28,32 @@ def test_probability_oracle():
             CandidateEntry(2, 1, 50.0),
         ]
     )
-    assert table.weights == (200.0, 100.0, 50.0)
-    assert table.probabilities == (
+    assert table.weights.tolist() == [200.0, 100.0, 50.0]
+    assert table.probabilities.tolist() == [
         0.5714285714285714,
         0.2857142857142857,
         0.14285714285714285,
-    )
+    ]
 
 
 def test_threshold_gates_candidates():
     entries = [CandidateEntry(0, 2, 80.0), CandidateEntry(1, 4, 50.0), CandidateEntry(2, 1, 0.0)]
     table = selection_probabilities(entries, trust_threshold=50.0)
-    assert [e.ident for e in table.entries] == [0]
+    assert table.idents.tolist() == [0]
     table = selection_probabilities(entries)
-    assert [e.ident for e in table.entries] == [0, 1]
+    assert table.idents.tolist() == [0, 1]
 
 
 def test_empty_table():
     table = selection_probabilities([])
-    assert table.entries == ()
+    assert table.idents.tolist() == []
     assert select_maps(table, 3, StubRng([0.5, 0.5, 0.5])) == []
 
 
 def test_entries_sorted_by_ident():
     table = selection_probabilities([CandidateEntry(5, 1, 60.0), CandidateEntry(1, 1, 60.0)])
-    assert [e.ident for e in table.entries] == [1, 5]
+    assert table.idents.tolist() == [1, 5]
+    assert table.loads.tolist() == [1, 1]
 
 
 @given(
@@ -135,3 +136,66 @@ def test_table_digest_sensitive_to_trust():
     a = selection_probabilities([CandidateEntry(0, 1, 60.0)])
     b = selection_probabilities([CandidateEntry(0, 1, 61.0)])
     assert table_digest(a) != table_digest(b)
+
+
+def scalar_select(idents, weights, k, rng):
+    """The per-entry scan select_maps replaced, kept as its oracle.
+
+    Totals are summed with an explicit loop: builtin sum() of floats is
+    compensated on Python >= 3.12 and would differ from a sequential scan.
+    """
+    pool = list(range(len(weights)))
+    winners = []
+    for _ in range(min(k, len(pool))):
+        total = 0.0
+        for i in pool:
+            total += weights[i]
+        if total <= 0:
+            break
+        u = rng.random() * total
+        acc = 0.0
+        pick = pool[-1]
+        for i in pool:
+            acc += weights[i]
+            if u < acc:
+                pick = i
+                break
+        winners.append(idents[pick])
+        pool.remove(pick)
+    return winners
+
+
+# zero trust (kept by a negative threshold) gives zero weights; the tiny
+# ones put draws on the subnormal range, where u can round up to the total
+TRUSTS = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 5e-324, 1e-310, 100.0]))
+UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]),
+)
+
+
+# numpy's pairwise sum of these weights is one ulp above the sequential
+# one, so a total taken that way lets the largest draw pass every running
+# sum and fall through to the trailing zero-weight entry
+PAIRWISE_TRAP = [
+    (4, 93.4), (6, 35.78), (8, 57.15), (6, 32.19), (7, 59.43), (6, 33.79), (6, 39.16),
+    (4, 89.03), (8, 22.72), (2, 62.32), (5, 8.4), (6, 83.26), (7, 78.71), (5, 23.94),
+    (4, 87.65), (3, 5.86), (4, 33.61), (4, 15.03), (6, 0.0),
+]
+
+
+@example(rows=PAIRWISE_TRAP, k=1, draws=[1.0 - 2.0**-53] * 30)
+@given(
+    rows=st.lists(st.tuples(st.integers(1, 8), TRUSTS), max_size=25),
+    k=st.integers(0, 30),
+    draws=st.lists(UNIFORMS, min_size=30, max_size=30),
+)
+def test_select_maps_matches_scalar_scan(rows, k, draws):
+    entries = [CandidateEntry(i, load, trust) for i, (load, trust) in enumerate(rows)]
+    table = selection_probabilities(entries, trust_threshold=-1.0)
+    weights = [load * trust for _, load, trust in entries]
+    assert table.weights.tolist() == weights
+    want = scalar_select(list(range(len(rows))), weights, k, StubRng(draws))
+    got = select_maps(table, k, StubRng(draws))
+    assert got == want
+    assert all(type(ident) is int for ident in got)

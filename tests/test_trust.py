@@ -16,33 +16,57 @@ from mapsim import (
 CFG = SimConfig()
 
 
+def step(rec, obs, cfg=CFG):
+    """One identity through the vectorised update, as a record."""
+    score, flagged = update_trust(
+        np.array([rec.score]), np.array([rec.flagged]), np.array([obs.handovers]),
+        np.array([obs.low_sinr]), np.array([obs.connected]), cfg,
+    )
+    return TrustRecord(rec.ident, float(score[0]), bool(flagged[0]))
+
+
+def scalar_update(record, obs, config):
+    """The per-record rule the vectorised update replaced, kept as its oracle."""
+    if record.flagged:
+        return record
+    delta = 0.0
+    if obs.handovers > 0:
+        delta -= config.handover_penalty * obs.handovers
+    if obs.low_sinr:
+        delta -= config.low_sinr_penalty
+    if obs.connected and obs.handovers == 0 and not obs.low_sinr:
+        delta += config.stability_reward
+    score = min(100.0, max(0.0, record.score + delta))
+    return TrustRecord(record.ident, score, score <= config.trust_threshold)
+
+
 def test_penalties_oracle():
-    rec = update_trust(TrustRecord(0, 55.0), TrustObservation(handovers=1, low_sinr=True), CFG)
+    rec = step(TrustRecord(0, 55.0), TrustObservation(handovers=1, low_sinr=True))
     assert rec.score == 42.0
     assert rec.flagged
 
 
 def test_score_floors_at_zero():
-    rec = update_trust(TrustRecord(0, 3.0), TrustObservation(handovers=1), CFG)
+    rec = step(TrustRecord(0, 3.0), TrustObservation(handovers=1))
     assert rec.score == 0.0
     assert rec.flagged
 
 
 def test_stability_reward_clamps_at_hundred():
-    rec = update_trust(TrustRecord(0, 100.0), TrustObservation(connected=True), CFG)
+    rec = step(TrustRecord(0, 100.0), TrustObservation(connected=True))
     assert rec.score == 100.0
     assert not rec.flagged
-    rec = update_trust(TrustRecord(0, 90.0), TrustObservation(connected=True), CFG)
+    rec = step(TrustRecord(0, 90.0), TrustObservation(connected=True))
     assert rec.score == 92.0
 
 
 def test_handover_cancels_reward():
-    rec = update_trust(TrustRecord(0, 90.0), TrustObservation(handovers=1, connected=True), CFG)
+    rec = step(TrustRecord(0, 90.0), TrustObservation(handovers=1, connected=True))
     assert rec.score == 82.0
 
 
 def test_empty_observation_still_evaluates_flag():
-    rec = update_trust(TrustRecord(0, 40.0), TrustObservation(), CFG)
+    rec = step(TrustRecord(0, 40.0), TrustObservation())
     assert rec.score == 40.0
     assert rec.flagged
 
@@ -52,7 +76,7 @@ def test_misbehaviour_flags_within_four_rounds():
     obs = TrustObservation(handovers=1, low_sinr=True)
     seen = []
     for _ in range(4):
-        rec = update_trust(rec, obs, CFG)
+        rec = step(rec, obs)
         seen.append(rec.score)
     assert seen == [87.0, 74.0, 61.0, 48.0]
     assert rec.flagged
@@ -60,7 +84,7 @@ def test_misbehaviour_flags_within_four_rounds():
 
 def test_flag_is_sticky_and_freezes_score():
     rec = TrustRecord(0, 48.0, flagged=True)
-    rec = update_trust(rec, TrustObservation(connected=True), CFG)
+    rec = step(rec, TrustObservation(connected=True))
     assert rec.flagged
     assert rec.score == 48.0
 
@@ -72,7 +96,7 @@ def test_flag_is_sticky_and_freezes_score():
     connected=st.booleans(),
 )
 def test_score_stays_in_range(score, handovers, low, connected):
-    rec = update_trust(TrustRecord(0, score), TrustObservation(handovers, low, connected), CFG)
+    rec = step(TrustRecord(0, score), TrustObservation(handovers, low, connected))
     assert 0.0 <= rec.score <= 100.0
 
 
@@ -81,7 +105,7 @@ def test_flag_never_clears(seq):
     rec = TrustRecord(0, 60.0)
     was_flagged = False
     for handovers, low, connected in seq:
-        rec = update_trust(rec, TrustObservation(handovers, low, connected), CFG)
+        rec = step(rec, TrustObservation(handovers, low, connected))
         was_flagged = was_flagged or rec.flagged
         if was_flagged:
             assert rec.flagged
@@ -122,24 +146,66 @@ def test_inject_sybils_disabled():
 
 
 def test_detection_rates():
-    records = [
-        TrustRecord(0, 100.0),
-        TrustRecord(1, 20.0, flagged=True),
-        TrustRecord(2, 10.0, flagged=True),
-        TrustRecord(3, 90.0),
-    ]
-    tpr, fpr = detection_rates(records, truth={1, 2})
+    flagged = np.array([False, True, True, False])
+    tpr, fpr = detection_rates(flagged, is_sybil=np.array([False, True, True, False]))
     assert tpr == 1.0
     assert fpr == 0.0
-    tpr, fpr = detection_rates(records, truth={0, 1})
+    tpr, fpr = detection_rates(flagged, is_sybil=np.array([True, True, False, False]))
     assert tpr == 0.5
     assert fpr == 0.5
 
 
 def test_detection_rates_empty_denominators():
-    tpr, fpr = detection_rates([TrustRecord(0, 50.0)], truth=set())
+    tpr, fpr = detection_rates(np.array([False]), is_sybil=np.array([False]))
     assert tpr is None
     assert fpr == 0.0
-    tpr, fpr = detection_rates([TrustRecord(0, 50.0, flagged=True)], truth={0})
+    tpr, fpr = detection_rates(np.array([True]), is_sybil=np.array([True]))
     assert tpr == 1.0
     assert fpr is None
+
+
+# scores at the clamps, on the default threshold and one ulp inside them
+EDGE_SCORES = st.sampled_from([0.0, 5e-324, 50.0, 99.99999999999999, 100.0])
+
+
+@given(
+    penalties=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
+    threshold=st.one_of(st.floats(0.0, 100.0), EDGE_SCORES),
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 100.0), EDGE_SCORES),
+            st.booleans(),
+            st.integers(0, 6),
+            st.booleans(),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+)
+def test_vectorised_update_matches_scalar_rule(penalties, threshold, rows):
+    handover, low, reward = penalties
+    cfg = CFG.replace(
+        handover_penalty=handover, low_sinr_penalty=low, stability_reward=reward,
+        trust_threshold=threshold,
+    )
+    records = [TrustRecord(i, row[0], row[1]) for i, row in enumerate(rows)]
+    observations = [TrustObservation(*row[2:]) for row in rows]
+    score, flagged = update_trust(
+        np.array([r.score for r in records], dtype=np.float64),
+        np.array([r.flagged for r in records], dtype=bool),
+        np.array([o.handovers for o in observations], dtype=np.int64),
+        np.array([o.low_sinr for o in observations], dtype=bool),
+        np.array([o.connected for o in observations], dtype=bool),
+        cfg,
+    )
+    for rec, obs, got_score, got_flag in zip(records, observations, score.tolist(), flagged.tolist()):
+        want = scalar_update(rec, obs, cfg)
+        assert got_score.hex() == float(want.score).hex()
+        assert got_flag == want.flagged
+        assert 0.0 <= got_score <= 100.0
+        if rec.flagged:
+            # a flag freezes the score and never clears
+            assert got_flag and got_score == rec.score
+        if obs == TrustObservation() and rec.score <= threshold:
+            # an identity nobody observed is still judged on its score
+            assert got_flag
