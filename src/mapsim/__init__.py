@@ -8,15 +8,11 @@ behaviour and get flagged out of the roster. Three simpler selection
 policies are included for comparison.
 """
 
-from .config import STRATEGIES, SimConfig, speed_to_mps
-from .engine import SimState, initial_state, run_round, run_simulation
+from .config import STRATEGIES, SimConfig
+from .engine import initial_state, run_round, run_simulation
 from .experiment import run_comparison
-from .fleet import Vehicle, make_fleet, ring_distance, step_positions
-from .ledger import Block, GENESIS_HASH, Ledger, block_digest, canonical_payload, chain_break, verify_chain
-from .pathing import PathAssignment, admits, baseline_paths, count_handovers, grow_paths, retain_paths
-from .radio import alpha_sinr, compute_sinr, link_bandwidth, make_link_stats, path_delay
-from .report import read_rounds_csv, write_run, write_rounds_csv, write_summary_json
-from .selection import CandidateEntry, select_maps, selection_probabilities, table_digest
-from .trust import TrustObservation, TrustRecord, detection_rates, inject_sybils, update_trust
+from .ledger import Ledger, block_digest, chain_break, verify_chain
+from .report import write_run
+from .trust import detection_rates
 
 __version__ = "0.1.0"

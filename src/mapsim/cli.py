@@ -91,21 +91,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        if not seeds:
+            raise ValueError("no seeds given")
         for seed in seeds:
             cfg.replace(rng_seed=seed)
     except ValueError as exc:
         print(f"bad --seeds {args.seeds!r}: {exc}", file=sys.stderr)
         return 2
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
-        if s not in STRATEGIES:
-            print(f"unknown strategy: {s}", file=sys.stderr)
-            return 2
+    if not strategies or not set(strategies) <= set(STRATEGIES):
+        known = ", ".join(STRATEGIES)
+        print(f"bad --strategies {args.strategies!r}: choose from {known}", file=sys.stderr)
+        return 2
     result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(
             f"{metric}={row[f'{metric}_mean']:.6g}±{row[f'{metric}_std']:.3g}"
-            for metric in ("avg_handover", "avg_delay_s")
+            for metric in ("avg_handover", "avg_delay_s", "disconnection_rate")
         )
         print(f"{row['strategy']}: {cells}")
     print(f"artifacts: {args.out}")

@@ -17,7 +17,7 @@ from .ledger import Ledger
 from .pathing import PathAssignment, baseline_paths, count_handovers, grow_paths, retain_paths
 from .radio import alpha_trans, make_link_stats
 from .selection import select_maps, selection_probabilities, table_digest
-from .trust import TrustObservation, TrustRecord, detection_rates, inject_sybils, update_trust
+from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
 
 BLOCKCHAIN = "blockchain-multipath"
 
@@ -56,35 +56,32 @@ class SelectionEvent:
         }
 
 
+@dataclass(eq=False)
 class SimState:
     """Round state as arrays indexed by identity: 0..n-1, clones appended.
 
-    Built from vehicle and trust records, so a hand-made state runs the same
-    code. `evidence` holds the next trust pass's observations as (handovers,
-    low SNR, connected, observed) arrays. `fleet`, `trust`, `pending_obs`
-    and `handover_totals` are read-only record views, built on demand.
+    position, speed and score are float64 arrays, load int64 and flagged
+    bool. A new state has zero handover totals and no evidence, MAPs or paths.
+    `evidence` holds the next trust pass's (handovers, low SNR, connected,
+    observed) arrays. `fleet` and `trust` are read-only record views, built
+    on demand, for the benchmark's worker and tracer.
     """
 
-    def __init__(
-        self,
-        fleet: Sequence[Vehicle],
-        trust: Mapping[int, TrustRecord],
-        handover_totals: Mapping[int, int] | None = None,
-        attacker_ids: Sequence[int] = (),
-        clone_ids: Sequence[int] = (),
-    ) -> None:
-        n = len(fleet)
-        if [v.ident for v in fleet] != list(range(n)) or sorted(trust) != list(range(n)):
-            raise ValueError("fleet and trust must hold identities 0..n-1, the fleet in order")
-        self.position = np.array([v.position for v in fleet], dtype=np.float64)
-        self.speed = np.array([v.speed for v in fleet], dtype=np.float64)
-        self.load = np.array([v.load for v in fleet], dtype=np.int64)
-        self.score = np.array([trust[i].score for i in range(n)], dtype=np.float64)
-        self.flagged = np.array([trust[i].flagged for i in range(n)], dtype=bool)
-        self.attacker_ids, self.clone_ids = list(attacker_ids), list(clone_ids)
+    position: np.ndarray
+    speed: np.ndarray
+    load: np.ndarray
+    score: np.ndarray
+    flagged: np.ndarray
+    attacker_ids: Sequence[int] = ()
+    clone_ids: Sequence[int] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.position)
+        if any(len(a) != n for a in (self.speed, self.load, self.score, self.flagged)):
+            raise ValueError("position, speed, load, score and flagged must have equal lengths")
+        self.attacker_ids, self.clone_ids = list(self.attacker_ids), list(self.clone_ids)
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
-        totals = handover_totals or {}
-        self.handover_total = np.array([totals.get(i, 0) for i in range(n)], dtype=np.int64)
+        self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
         self.current_maps: list[int] = []
         self.last_assignments: dict[int, PathAssignment] = {}
@@ -98,18 +95,6 @@ class SimState:
     def trust(self) -> Mapping[int, TrustRecord]:
         rows = zip(range(len(self.score)), self.score.tolist(), self.flagged.tolist())
         return MappingProxyType({row[0]: TrustRecord(*row) for row in rows})
-
-    @property
-    def pending_obs(self) -> Mapping[int, TrustObservation]:
-        seen = np.flatnonzero(self.evidence[3])
-        rows = zip(seen.tolist(), *(column[seen].tolist() for column in self.evidence[:3]))
-        return MappingProxyType({i: TrustObservation(*obs) for i, *obs in rows})
-
-    @property
-    def handover_totals(self) -> Mapping[int, int]:
-        """Totals of the honest identities; clones are never counted."""
-        honest = np.flatnonzero(~self.is_clone)
-        return MappingProxyType(dict(zip(honest.tolist(), self.handover_total[honest].tolist())))
 
 
 def no_evidence(n: int) -> tuple[np.ndarray, ...]:
@@ -128,10 +113,10 @@ class SimulationReport:
 
 
 def initial_state(config: SimConfig, rng: np.random.Generator) -> SimState:
-    fleet = make_fleet(config, rng)
-    fleet, attackers, clones = inject_sybils(fleet, config, rng)
-    trust = {v.ident: TrustRecord(v.ident, config.trust_initial) for v in fleet}
-    return SimState(fleet, trust, attacker_ids=attackers, clone_ids=clones)
+    position, speed, load, attackers, clones = inject_sybils(*make_fleet(config, rng), config, rng)
+    n = len(position)
+    score = np.full(n, float(config.trust_initial))
+    return SimState(position, speed, load, score, np.zeros(n, bool), attackers, clones)
 
 
 def run_round(
@@ -199,10 +184,9 @@ def run_round(
             for i, h, c in zip(ids, held, cands)
         ]
     else:
-        # identities are array indices, so a vehicle's ordinal is its ident
         found = [
             baseline_paths(
-                config.strategy, i, i, round_index,
+                config.strategy, i, round_index,
                 row, maps_sorted, make_link_stats, attach_counts, rng, config,
             )
             for i, row in zip(ids, dmat.tolist())

@@ -10,7 +10,10 @@ from .config import STRATEGIES, SimConfig
 from .engine import run_simulation
 from .report import write_run
 
-COMPARE_METRICS = ("avg_handover", "max_handover", "min_handover", "avg_delay_s")
+COMPARE_METRICS = (
+    "avg_handover", "max_handover", "min_handover", "avg_delay_s",
+    "disconnection_rate", "zero_handover_vehicles",
+)
 
 _PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#b279a2")
 

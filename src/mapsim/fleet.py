@@ -11,7 +11,7 @@ from .config import SimConfig, speed_to_mps
 
 @dataclass(frozen=True)
 class Vehicle:
-    """One network identity; clones are told apart only by SimState.clone_ids."""
+    """Record view of one identity, as SimState.fleet builds it."""
 
     ident: int
     position: float
@@ -25,19 +25,16 @@ def ring_distance(a, b, road_length: float):
     return np.minimum(gap, road_length - gap)
 
 
-def make_fleet(config: SimConfig, rng: np.random.Generator) -> list[Vehicle]:
+def make_fleet(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Draw a fleet: Poisson count, uniform positions and speeds, integer loads.
 
-    Identities are numbered 0..n-1 in draw order.
+    Returns (position, speed, load) arrays; identities are the indices
+    0..n-1, in draw order.
     """
     count = int(rng.poisson(config.road_length * config.vehicle_density))
-    positions = rng.uniform(0.0, config.road_length, count)
-    speeds_kmh = rng.uniform(config.speed_min, config.speed_max, count)
-    loads = rng.integers(1, config.load_max + 1, count)
-    return [
-        Vehicle(i, float(positions[i]), speed_to_mps(float(speeds_kmh[i])), int(loads[i]))
-        for i in range(count)
-    ]
+    position = rng.uniform(0.0, config.road_length, count)
+    speed = speed_to_mps(rng.uniform(config.speed_min, config.speed_max, count))
+    return position, speed, rng.integers(1, config.load_max + 1, count)
 
 
 def step_positions(position: np.ndarray, speed: np.ndarray, dt: float, road_length: float):

@@ -93,7 +93,6 @@ def grow_paths(
 def baseline_paths(
     strategy: str,
     vehicle: int,
-    ordinal: int,
     round_index: int,
     distances: Sequence[float],
     roster: Sequence[int],
@@ -116,7 +115,7 @@ def baseline_paths(
     elif strategy == "distance-based":
         j = distances.index(min(distances))
     elif strategy == "sequence-based":
-        j = (ordinal + round_index) % len(roster)
+        j = (vehicle + round_index) % len(roster)
     else:
         raise ValueError(f"unknown baseline strategy: {strategy}")
     pick = roster[j]

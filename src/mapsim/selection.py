@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .ledger import canonical_payload
-
-
-class CandidateEntry(NamedTuple):
-    ident: int
-    load: int
-    trust: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +24,8 @@ class CandidateTable:
 def selection_probabilities(entries, trust_threshold: float = 0.0) -> CandidateTable:
     """Weight each candidate by load times trust and normalise.
 
-    entries are (ident, load, trust) rows: CandidateEntry tuples or an n x 3
-    float array. Candidates at or below trust_threshold never make the
+    entries are (ident, load, trust) rows: an n x 3 array or any sequence
+    of triples. Candidates at or below trust_threshold never make the
     table. The total is the sequential sum, as select_maps' scan adds it up.
     """
     rows = np.asarray(entries, dtype=np.float64).reshape(-1, 3)

@@ -7,16 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig
-from .fleet import Vehicle
-
-
-@dataclass(frozen=True)
-class TrustObservation:
-    """What the network saw a vehicle do during one round."""
-
-    handovers: int = 0
-    low_sinr: bool = False
-    connected: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,34 +39,27 @@ def update_trust(
 
 
 def inject_sybils(
-    fleet: list[Vehicle],
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> tuple[list[Vehicle], list[int], list[int]]:
+    position: np.ndarray, speed: np.ndarray, load: np.ndarray,
+    config: SimConfig, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
     """Append cloned identities for a randomly chosen set of attackers.
 
     Each clone copies the attacker's position and speed so the pair stays
     co-located, advertises the maximum load, and gets a fresh identity
-    appended after the honest range. Returns (extended fleet, attacker ids,
-    clone ids), where clone j mirrors attackers[j // sybil_clones].
-    Attackers themselves keep their original records.
+    appended after the honest range. Returns (position, speed, load,
+    attacker ids, clone ids), where clone j mirrors
+    attackers[j // sybil_clones]. Attackers themselves keep their entries.
     """
-    count = len(fleet)
+    count = len(position)
     n_attackers = int(config.sybil_fraction * count)
     if n_attackers == 0 or config.sybil_clones == 0:
-        return list(fleet), [], []
-    order = rng.permutation(count)
-    attackers = sorted(int(i) for i in order[:n_attackers])
-    out = list(fleet)
-    clones: list[int] = []
-    next_id = count
-    for a in attackers:
-        src = fleet[a]
-        for _ in range(config.sybil_clones):
-            out.append(Vehicle(next_id, src.position, src.speed, config.load_max))
-            clones.append(next_id)
-            next_id += 1
-    return out, attackers, clones
+        return position, speed, load, [], []
+    attackers = sorted(rng.permutation(count)[:n_attackers].tolist())
+    source = np.repeat(attackers, config.sybil_clones)
+    position = np.concatenate((position, position[source]))
+    speed = np.concatenate((speed, speed[source]))
+    load = np.concatenate((load, np.full(len(source), config.load_max, dtype=load.dtype)))
+    return position, speed, load, attackers, list(range(count, count + len(source)))
 
 
 def detection_rates(

@@ -18,21 +18,11 @@ from statistics import fmean, median
 import numpy as np
 import pytest
 
-from mapsim import (
-    STRATEGIES,
-    CandidateEntry,
-    SimConfig,
-    SimState,
-    TrustRecord,
-    Vehicle,
-    initial_state,
-    run_round,
-    run_simulation,
-    select_maps,
-    selection_probabilities,
-    verify_chain,
-    write_run,
-)
+from mapsim.config import STRATEGIES, SimConfig
+from mapsim.engine import SimState, initial_state, run_round, run_simulation
+from mapsim.ledger import verify_chain
+from mapsim.report import write_run
+from mapsim.selection import select_maps, selection_probabilities
 
 DATA = Path(__file__).parent / "data"
 SEEDS = tuple(range(1, 11))
@@ -161,21 +151,12 @@ def test_criterion_05_ledger_tamper_evidence():
 
 
 def test_criterion_06_selection_probability_law():
-    table = selection_probabilities(
-        [CandidateEntry(0, 2, 100.0), CandidateEntry(1, 2, 50.0), CandidateEntry(2, 1, 50.0)]
-    )
+    table = selection_probabilities([(0, 2, 100.0), (1, 2, 50.0), (2, 1, 50.0)])
     hand = (0.5714285714285714, 0.2857142857142857, 0.14285714285714285)
     for got, want in zip(table.probabilities, hand):
         assert abs(got - want) <= 1e-12
 
-    golden = selection_probabilities(
-        [
-            CandidateEntry(0, 4, 100.0),
-            CandidateEntry(1, 1, 90.0),
-            CandidateEntry(2, 3, 80.0),
-            CandidateEntry(3, 2, 60.0),
-        ]
-    )
+    golden = selection_probabilities([(0, 4, 100.0), (1, 1, 90.0), (2, 3, 80.0), (3, 2, 60.0)])
     fixture = json.loads((DATA / "golden_round.json").read_text())
     for got, want in zip(golden.probabilities, fixture["expected"]["probabilities"]):
         assert abs(got - want) <= 1e-12
@@ -184,19 +165,18 @@ def test_criterion_06_selection_probability_law():
     for _ in range(50):
         n = int(rng.integers(1, 41))
         entries = [
-            CandidateEntry(i, int(rng.integers(1, 5)), float(rng.uniform(1.0, 100.0)))
-            for i in range(n)
+            (i, int(rng.integers(1, 5)), float(rng.uniform(1.0, 100.0))) for i in range(n)
         ]
         t = selection_probabilities(entries)
         assert abs(sum(t.probabilities) - 1.0) <= 1e-9
 
-    base = [CandidateEntry(i, 1 + i % 4, 10.0 * (i + 1)) for i in range(8)]
+    base = [(i, 1 + i % 4, 10.0 * (i + 1)) for i in range(8)]
     reference = selection_probabilities(base).probabilities
     scaled_loads = selection_probabilities(
-        [CandidateEntry(e.ident, e.load * 3, e.trust) for e in base]
+        [(i, load * 3, trust) for i, load, trust in base]
     ).probabilities
     scaled_trust = selection_probabilities(
-        [CandidateEntry(e.ident, e.load, e.trust * 2.5) for e in base]
+        [(i, load, trust * 2.5) for i, load, trust in base]
     ).probabilities
     for variant in (scaled_loads, scaled_trust):
         for got, want in zip(variant, reference):
@@ -220,28 +200,22 @@ def _inclusion_by_enumeration(weights: list[float], k: int) -> list[float]:
 
 
 def test_criterion_07_sampling_oracle():
-    entries = [
-        CandidateEntry(0, 4, 100.0),
-        CandidateEntry(1, 1, 90.0),
-        CandidateEntry(2, 3, 80.0),
-        CandidateEntry(3, 2, 60.0),
-        CandidateEntry(4, 1, 50.0),
-    ]
+    entries = [(0, 4, 100.0), (1, 1, 90.0), (2, 3, 80.0), (3, 2, 60.0), (4, 1, 50.0)]
     table = selection_probabilities(entries)
     expected = _inclusion_by_enumeration(list(table.weights), 2)
 
     draws = 100_000
     rng = np.random.default_rng(12345)
-    counts = {e.ident: 0 for e in entries}
+    counts = {ident: 0 for ident, _, _ in entries}
     for _ in range(draws):
         for ident in select_maps(table, 2, rng):
             counts[ident] += 1
 
-    for i, e in enumerate(entries):
+    for i, (ident, _, _) in enumerate(entries):
         p = expected[i]
         sigma = math.sqrt(p * (1.0 - p) / draws)
-        observed = counts[e.ident] / draws
-        assert abs(observed - p) <= 3.0 * sigma, (e.ident, observed, p)
+        observed = counts[ident] / draws
+        assert abs(observed - p) <= 3.0 * sigma, (ident, observed, p)
 
 
 def test_criterion_08_path_admission_soundness():
@@ -260,25 +234,17 @@ def test_criterion_09_golden_round_trace():
     raw = (DATA / "golden_round.json").read_bytes()
     doc = json.loads(raw)
     cfg = SimConfig.from_dict(doc["config"])
-    loads = {int(i): int(load) for i, p, s, load in doc["vehicles"]}
-    fleet = [
-        Vehicle(int(i), float(p), float(s), int(load))
-        for i, p, s, load in doc["vehicles"]
-    ]
-    trust = {int(i): TrustRecord(int(i), float(t)) for i, t in doc["trust"].items()}
-    state = SimState(
-        fleet=fleet,
-        trust=trust,
-        handover_totals={v.ident: 0 for v in fleet},
-    )
+    # identities are the array indices, so the fixture must list them in order
+    idents, positions, speeds, loads = (np.array(column) for column in zip(*doc["vehicles"]))
+    assert idents.tolist() == list(range(len(idents)))
+    scores = np.array([doc["trust"][str(i)] for i in idents.tolist()])
+    state = SimState(positions, speeds, loads, scores, np.zeros(len(idents), dtype=bool))
     state, metrics, event = run_round(state, 0, cfg, StubRng([doc["stub_draw"]]))
 
-    idents = [v.ident for v in state.fleet]
-    eligible = sorted(i for i in idents if not state.trust[i].flagged)
-    table = selection_probabilities(
-        [CandidateEntry(i, loads[i], float(state.trust[i].score)) for i in eligible]
-    )
+    eligible = np.flatnonzero(~state.flagged).tolist()
+    table = selection_probabilities([(i, int(loads[i]), state.score[i]) for i in eligible])
     stats_of = {i: pa.stats for i, pa in state.last_assignments.items()}
+    handovers, low_sinr, connected, observed = (column.tolist() for column in state.evidence)
 
     def stat_block(s):
         return {
@@ -309,10 +275,10 @@ def test_criterion_09_golden_round_trace():
             "vehicle_count": metrics.vehicle_count,
         },
         "pending_obs": {
-            str(i): [o.handovers, o.low_sinr, o.connected]
-            for i, o in state.pending_obs.items()
+            str(i): [handovers[i], low_sinr[i], connected[i]]
+            for i in range(len(observed)) if observed[i]
         },
-        "positions": {str(v.ident): v.position for v in state.fleet},
+        "positions": {str(i): p for i, p in enumerate(state.position.tolist())},
         "probabilities": list(table.probabilities),
         "v1_stats": stat_block(stats_of[1][0]),
         "v3_stats": stat_block(stats_of[3][0]),
@@ -354,8 +320,8 @@ def test_criterion_11_complexity_scaling():
             best = per_round if best is None else min(best, per_round)
         # attachment sorts only the MAPs inside the delay cutoff and probes a
         # few links per vehicle; the n x k distance grid is one numpy broadcast
-        fleet = len(state.fleet)
-        points.append(best / (fleet * math.log2(fleet)))
+        identities = len(state.position)
+        points.append(best / (identities * math.log2(identities)))
 
     fit = math.sqrt(max(points) * min(points))
     assert max(points) / fit <= 1.5, points
@@ -370,5 +336,5 @@ def test_criterion_12_sybil_exclusion_invariant(battery):
 
     cfg = SimConfig(rng_seed=4)
     for state, metrics, event in drive(cfg):
-        flagged = {i for i, rec in state.trust.items() if rec.flagged}
+        flagged = set(np.flatnonzero(state.flagged).tolist())
         assert not set(event.elected) & flagged

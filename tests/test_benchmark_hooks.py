@@ -1,9 +1,11 @@
-"""The traced benchmark patches names in mapsim's modules; keep them there.
+"""The benchmark patches names in mapsim's modules and reads the round state.
 
 perfbench/tracer.py lists in SPANS every (module, attribute) it wraps for
 the duration of a traced run. Deleting or inlining one of them would break
 that run without failing anything else, so resolve each one here exactly
-as the recorder does. The tracer module is only read, never patched in.
+as the recorder does. The same holds for the state the tracer and the
+worker read: the `trust` and `fleet` record views. The tracer module is
+only read, never patched in.
 """
 
 import importlib
@@ -11,19 +13,24 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from mapsim.config import SimConfig
+from mapsim.engine import initial_state, run_round
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
 
 
-SPANS = load_spans()
+TRACER = load_tracer()
+SPANS = TRACER.SPANS
 
 
 def names_looked_up(module):
@@ -55,3 +62,19 @@ def test_span_target_resolves_to_a_callable(span, module_name, attr):
         # a collaborator patched where the engine imported it only takes
         # effect if the engine looks the name up at call time
         assert attr in names_looked_up(module), span
+
+
+def test_state_surface_the_benchmark_reads():
+    # the tracer's newly-flagged count reads state.trust; the worker's seed
+    # search counts len(state.fleet)
+    cfg = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=5)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    for r in range(cfg.rounds()):
+        maps, flagged = TRACER.Recorder._before_round((state,))
+        assert maps == set(state.current_maps)
+        assert flagged == TRACER._flagged(state)
+        state, _, _ = run_round(state, r, cfg, rng)
+        assert TRACER._flagged(state) == set(np.flatnonzero(state.flagged).tolist())
+        assert len(state.fleet) == len(state.position)
+    assert state.flagged.any()

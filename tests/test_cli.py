@@ -111,7 +111,7 @@ def test_verify_ledger_missing_file(tmp_path, capsys):
     assert "unreadable" in capsys.readouterr().err
 
 
-def test_compare_outputs(tmp_path):
+def test_compare_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
     rc = main(
@@ -138,45 +138,59 @@ def test_compare_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     by_strategy = {r["strategy"]: r for r in rows}
     assert set(by_strategy) == {"blockchain-multipath", "distance-based"}
+    # the comparison shows how many served vehicle-rounds went without a path
+    for strategy, row in by_strategy.items():
+        summaries = [
+            json.loads((out / f"{strategy}_seed{seed}" / "summary.json").read_text())
+            for seed in (1, 2)
+        ]
+        for metric in ("disconnection_rate", "zero_handover_vehicles"):
+            mean = sum(s[metric] for s in summaries) / 2
+            assert float(row[f"{metric}_mean"]) == pytest.approx(mean, rel=1e-12)
+    assert float(by_strategy["distance-based"]["disconnection_rate_mean"]) == 0.0
+    assert float(by_strategy["blockchain-multipath"]["disconnection_rate_mean"]) > 0.0
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0].startswith("blockchain-multipath: avg_handover=")
+    assert all("disconnection_rate=" in line for line in stdout[:2])
 
     svg = (out / "comparison.svg").read_text()
     assert svg.startswith("<svg")
     bars = re.findall(
         r'data-metric="([^"]+)" data-strategy="([^"]+)" data-value="([^"]+)"', svg
     )
-    assert bars
+    assert {metric for metric, _, _ in bars} == {
+        "avg_handover", "max_handover", "min_handover", "avg_delay_s",
+        "disconnection_rate", "zero_handover_vehicles",
+    }
     for metric, strategy, value in bars:
         assert float(value) == float(by_strategy[strategy][f"{metric}_mean"])
 
 
 def test_compare_rejects_unknown_strategy(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    rc = main(
-        [
-            "compare",
-            "--config",
-            str(cfg),
-            "--seeds",
-            "1",
-            "--strategies",
-            "teleport",
-            "--out",
-            str(tmp_path / "cmp"),
-        ]
-    )
-    assert rc == 2
-    assert "teleport" in capsys.readouterr().err
+    out = tmp_path / "cmp"
+    # an unknown name, and a list that names no strategy at all
+    for strategies in ("teleport", "blockchain-multipath,teleport", ",", " , "):
+        argv = ["compare", "--config", str(cfg), "--seeds", "1", "--out", str(out)]
+        rc = main(argv + ["--strategies", strategies])
+        assert rc == 2, strategies
+        err = capsys.readouterr().err
+        assert f"--strategies {strategies!r}" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_compare_rejects_bad_seed_list(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
-    rc = main(["compare", "--config", str(cfg), "--seeds", "1,x", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--seeds" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
+    # a malformed entry, and a list that names no seed at all
+    for seeds in ("1,x", "", ",", " , "):
+        rc = main(["compare", "--config", str(cfg), "--seeds", seeds, "--out", str(out)])
+        assert rc == 2, seeds
+        err = capsys.readouterr().err
+        assert "--seeds" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_simulate_rejects_negative_seed(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapsim import STRATEGIES, SimConfig, initial_state, run_round, speed_to_mps
-from mapsim.config import MAX_ROUNDS
+from mapsim.config import MAX_ROUNDS, STRATEGIES, SimConfig, speed_to_mps
+from mapsim.engine import initial_state, run_round
 
 
 def test_defaults_are_valid():

@@ -9,22 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapsim import (
-    SimConfig,
-    SimState,
-    TrustObservation,
-    TrustRecord,
-    Vehicle,
-    initial_state,
-    make_link_stats,
-    ring_distance,
-    run_round,
-    run_simulation,
-    selection_probabilities,
-    update_trust,
-    write_run,
-)
-from mapsim.selection import CandidateEntry
+from mapsim.config import SimConfig
+from mapsim.engine import SimState, initial_state, run_round, run_simulation
+from mapsim.fleet import ring_distance
+from mapsim.radio import make_link_stats
+from mapsim.report import write_run
+from mapsim.selection import selection_probabilities
+from mapsim.trust import TrustRecord, update_trust
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden_round.json").read_text())
 
@@ -41,17 +32,20 @@ class StubRng:
 
 def golden_setup():
     cfg = SimConfig.from_dict(FIXTURE["config"])
-    fleet = [
-        Vehicle(int(i), float(p), float(s), int(load))
-        for i, p, s, load in FIXTURE["vehicles"]
-    ]
-    trust = {int(k): TrustRecord(int(k), float(v)) for k, v in FIXTURE["trust"].items()}
-    state = SimState(
-        fleet=fleet,
-        trust=trust,
-        handover_totals={v.ident: 0 for v in fleet},
-    )
+    ident, position, speed, load = (np.array(column) for column in zip(*FIXTURE["vehicles"]))
+    assert ident.tolist() == list(range(len(ident)))
+    score = np.array([FIXTURE["trust"][str(i)] for i in ident.tolist()])
+    state = SimState(position, speed, load, score, np.zeros(len(ident), dtype=bool))
     return cfg, state
+
+
+def observations(state):
+    """The next trust pass's evidence of each observed identity."""
+    handovers, low_sinr, connected, observed = (column.tolist() for column in state.evidence)
+    return {
+        i: (handovers[i], low_sinr[i], connected[i])
+        for i in range(len(observed)) if observed[i]
+    }
 
 
 def test_golden_round_replay():
@@ -59,7 +53,7 @@ def test_golden_round_replay():
     exp = FIXTURE["expected"]
     state, metrics, event = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
 
-    assert {v.ident: v.position for v in state.fleet} == {
+    assert dict(enumerate(state.position.tolist())) == {
         int(k): v for k, v in exp["positions"].items()
     }
     assert list(event.elected) == exp["elected"]
@@ -82,21 +76,16 @@ def test_golden_round_replay():
     expected_paths = {int(k): tuple(v) for k, v in exp["assignments"].items()}
     assert {i: pa.paths for i, pa in state.last_assignments.items()} == expected_paths
 
-    assert state.pending_obs == {
-        int(k): TrustObservation(int(v[0]), bool(v[1]), bool(v[2]))
-        for k, v in exp["pending_obs"].items()
+    assert observations(state) == {
+        int(k): (int(v[0]), bool(v[1]), bool(v[2])) for k, v in exp["pending_obs"].items()
     }
 
 
 def test_golden_election_table():
     cfg, state = golden_setup()
     exp = FIXTURE["expected"]
-    entries = [
-        CandidateEntry(v.ident, v.load, state.trust[v.ident].score)
-        for v in state.fleet
-        if v.ident in exp["eligible"]
-    ]
-    table = selection_probabilities(entries)
+    rows = [(i, state.load[i], state.score[i]) for i in exp["eligible"]]
+    table = selection_probabilities(rows)
     assert list(table.weights) == exp["weights"]
     assert list(table.probabilities) == exp["probabilities"]
 
@@ -118,7 +107,7 @@ def test_golden_trust_step_after_round():
     cfg, state = golden_setup()
     state, _, _ = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
     score, _ = update_trust(state.score, state.flagged, *state.evidence[:3], cfg)
-    after = {i: score[i] for i in state.pending_obs}
+    after = {i: score[i] for i in observations(state)}
     assert after == {0: 100.0, 1: 92.0, 2: 82.0, 3: 62.0}
 
 
@@ -135,25 +124,30 @@ def test_identity_is_the_array_index(density, sybil_fraction, sybil_clones, seed
     )
     state = initial_state(cfg, np.random.default_rng(seed))
     n = len(state.position)
-    assert [v.ident for v in state.fleet] == list(range(n))
-    assert list(state.trust) == list(range(n))
-    for column in (state.speed, state.load, state.score, state.flagged, state.is_clone):
+    columns = (state.speed, state.load, state.score, state.flagged, state.is_clone)
+    for column in columns + (state.handover_total,) + state.evidence:
         assert len(column) == n
+    assert not state.handover_total.any() and not state.flagged.any()
+    assert (state.score == cfg.trust_initial).all()
     honest = n - len(state.clone_ids)
     assert state.clone_ids == list(range(honest, n))
     assert state.is_clone.tolist() == [i >= honest for i in range(n)]
-    assert list(state.handover_totals) == list(range(honest))
+    assert set(state.attacker_ids) <= set(range(honest))
 
 
-@pytest.mark.parametrize(
-    "idents, trusted",
-    [([1, 0], [0, 1]), ([0, 2], [0, 2]), ([0, 1], [0]), ([0, 1], [0, 1, 2])],
-)
-def test_state_rejects_identities_that_are_not_indices(idents, trusted):
-    fleet = [Vehicle(i, 10.0 * i, 20.0, 1) for i in idents]
-    trust = {i: TrustRecord(i, 100.0) for i in trusted}
-    with pytest.raises(ValueError, match="0..n-1"):
-        SimState(fleet=fleet, trust=trust)
+@pytest.mark.parametrize("short", ["position", "speed", "load", "score", "flagged"])
+def test_state_rejects_ragged_arrays(short):
+    columns = {
+        "position": np.array([0.0, 10.0, 20.0]),
+        "speed": np.full(3, 20.0),
+        "load": np.ones(3, dtype=np.int64),
+        "score": np.full(3, 100.0),
+        "flagged": np.zeros(3, dtype=bool),
+    }
+    SimState(**columns)
+    columns[short] = columns[short][:2]
+    with pytest.raises(ValueError, match="equal lengths"):
+        SimState(**columns)
 
 
 def test_record_views_are_read_only():
@@ -178,22 +172,26 @@ def test_clone_draws_alternate_handover_and_weak_link():
     cfg = SimConfig(
         road_length=1000.0, map_fraction=0.2, sybil_handover_prob=0.5, sybil_low_sinr_prob=0.5
     )
-    fleet = [Vehicle(i, 100.0 * i, 20.0, 1) for i in range(6)]
+    position = 100.0 * np.arange(6)
 
     def evidence(clone_draws, flag_clone=False):
-        trust = {i: TrustRecord(i, 100.0, flag_clone and i == 5) for i in range(6)}
-        state = SimState(fleet=fleet, trust=trust, clone_ids=[4, 5])
+        flagged = np.zeros(6, dtype=bool)
+        flagged[5] = flag_clone
+        state = SimState(
+            position, np.full(6, 20.0), np.ones(6, dtype=np.int64), np.full(6, 100.0), flagged,
+            clone_ids=[4, 5],
+        )
         rng = BatchStubRng([0.3] + clone_draws)
         run_round(state, 0, cfg, rng)
         assert rng.values == []
-        return state.pending_obs
+        return observations(state)
 
     # draws are (handover, weak link) per clone, in clone order
     base = evidence([0.9, 0.9, 0.9, 0.9])
-    assert not base[4].low_sinr and not base[5].low_sinr
+    assert not base[4][1] and not base[5][1]
     forced = evidence([0.1, 0.9, 0.9, 0.1])
-    assert forced[4] == TrustObservation(base[4].handovers + 1, False, base[4].connected)
-    assert forced[5] == TrustObservation(base[5].handovers, True, base[5].connected)
+    assert forced[4] == (base[4][0] + 1, False, base[4][2])
+    assert forced[5] == (base[5][0], True, base[5][2])
     assert {i: forced[i] for i in range(4)} == {i: base[i] for i in range(4)}
     # a flagged clone still consumes its two draws but gains no evidence
     flagged = evidence([0.1, 0.9, 0.1, 0.1], flag_clone=True)
@@ -259,7 +257,7 @@ def test_link_distances_equal_ring_distance(strategy):
     checked = 0
     for r in range(4):
         state, _, _ = run_round(state, r, cfg, rng)
-        pos = {v.ident: v.position for v in state.fleet}
+        pos = state.position.tolist()
         for i, pa in state.last_assignments.items():
             for s in pa.stats:
                 d = ring_distance(pos[i], pos[s.map_ident], cfg.road_length)
@@ -301,26 +299,29 @@ def test_zero_round_run():
 
 def test_trust_bounded_and_clones_tracked():
     report = run_simulation(SMALL)
-    for rec in report.state.trust.values():
-        assert 0.0 <= rec.score <= 100.0
-    idents = {v.ident for v in report.state.fleet}
-    assert set(report.state.clone_ids) <= idents
-    assert report.summary["clone_count"] == len(report.state.clone_ids)
-    assert report.summary["identity_count"] == len(idents)
+    state = report.state
+    assert ((0.0 <= state.score) & (state.score <= 100.0)).all()
+    n = len(state.position)
+    assert set(state.clone_ids) <= set(range(n))
+    assert report.summary["clone_count"] == len(state.clone_ids)
+    assert report.summary["identity_count"] == n
     # every attacker has sybil_clones clones that move in lockstep with it
-    attackers, clones = report.state.attacker_ids, report.state.clone_ids
+    attackers, clones = state.attacker_ids, state.clone_ids
     assert len(clones) == SMALL.sybil_clones * len(attackers)
-    by_id = {v.ident: v for v in report.state.fleet}
     for j, c in enumerate(clones):
-        assert by_id[c].position == by_id[attackers[j // SMALL.sybil_clones]].position
+        assert state.position[c] == state.position[attackers[j // SMALL.sybil_clones]]
     assert not set(attackers) & set(clones)
 
 
 def test_handover_totals_cover_honest_identities_only():
     report = run_simulation(SMALL)
-    clone_set = set(report.state.clone_ids)
-    honest = {v.ident for v in report.state.fleet if v.ident not in clone_set}
-    assert set(report.state.handover_totals) == honest
+    state = report.state
+    # clones attach and switch paths, yet never add to the totals
+    assert state.clone_ids and not state.handover_total[state.is_clone].any()
+    honest = state.handover_total[~state.is_clone]
+    assert honest.any()
+    assert report.summary["avg_handover"] == int(honest.sum()) / len(honest)
+    assert report.summary["zero_handover_vehicles"] == int((honest == 0).sum())
 
 
 def test_baselines_never_flag():

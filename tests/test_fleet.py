@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import SimConfig, Vehicle, make_fleet, ring_distance, speed_to_mps, step_positions
+from mapsim.config import SimConfig, speed_to_mps
+from mapsim.fleet import make_fleet, ring_distance, step_positions
 
 
 def test_ring_distance_oracles():
@@ -34,33 +35,41 @@ def test_step_wraps_around():
 )
 def test_step_matches_scalar_arithmetic(rows, dt, road_length):
     # the per-vehicle step the vectorised one replaced, as its oracle
-    fleet = [Vehicle(i, p % road_length, s, 1) for i, (p, s) in enumerate(rows)]
-    want = [(v.position + v.speed * dt) % road_length for v in fleet]
+    position = [p % road_length for p, _ in rows]
+    speed = [s for _, s in rows]
+    want = [(p + s * dt) % road_length for p, s in zip(position, speed)]
     got = step_positions(
-        np.array([v.position for v in fleet], dtype=np.float64),
-        np.array([v.speed for v in fleet], dtype=np.float64),
-        dt,
-        road_length,
+        np.array(position, dtype=np.float64), np.array(speed, dtype=np.float64), dt, road_length
     )
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_make_fleet_properties():
     cfg = SimConfig()
-    fleet = make_fleet(cfg, np.random.default_rng(3))
-    assert len(fleet) > 0
+    position, speed, load = make_fleet(cfg, np.random.default_rng(3))
+    assert len(position) > 0
+    assert len(speed) == len(load) == len(position)
+    assert (position.dtype, speed.dtype, load.dtype) == (np.float64, np.float64, np.int64)
     lo, hi = speed_to_mps(cfg.speed_min), speed_to_mps(cfg.speed_max)
-    for i, v in enumerate(fleet):
-        assert v.ident == i
-        assert 0.0 <= v.position < cfg.road_length
-        assert lo <= v.speed <= hi
-        assert 1 <= v.load <= cfg.load_max
+    assert ((0.0 <= position) & (position < cfg.road_length)).all()
+    assert ((lo <= speed) & (speed <= hi)).all()
+    assert ((1 <= load) & (load <= cfg.load_max)).all()
+
+
+def test_make_fleet_converts_each_speed_as_the_scalar_does():
+    cfg = SimConfig()
+    rng = np.random.default_rng(3)
+    count = int(rng.poisson(cfg.road_length * cfg.vehicle_density))
+    rng.uniform(0.0, cfg.road_length, count)
+    kmh = rng.uniform(cfg.speed_min, cfg.speed_max, count).tolist()
+    _, speed, _ = make_fleet(cfg, np.random.default_rng(3))
+    assert [s.hex() for s in speed.tolist()] == [speed_to_mps(k).hex() for k in kmh]
 
 
 def test_make_fleet_deterministic():
     cfg = SimConfig()
-    a = make_fleet(cfg, np.random.default_rng(11))
-    b = make_fleet(cfg, np.random.default_rng(11))
+    a = [column.tolist() for column in make_fleet(cfg, np.random.default_rng(11))]
+    b = [column.tolist() for column in make_fleet(cfg, np.random.default_rng(11))]
     assert a == b
-    c = make_fleet(cfg, np.random.default_rng(12))
+    c = [column.tolist() for column in make_fleet(cfg, np.random.default_rng(12))]
     assert a != c

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import (
+from mapsim.ledger import (
     GENESIS_HASH,
     Block,
     Ledger,

@@ -2,17 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import (
+from mapsim.config import SimConfig
+from mapsim.fleet import ring_distance
+from mapsim.pathing import (
     PathAssignment,
-    SimConfig,
+    admits,
     baseline_paths,
     count_handovers,
     grow_paths,
-    admits,
-    make_link_stats,
     retain_paths,
-    ring_distance,
 )
+from mapsim.radio import make_link_stats
 
 CFG = SimConfig()
 
@@ -189,14 +189,14 @@ class StubIntRng:
 
 
 def test_sequence_rotates_through_roster():
-    pos = {0: 0.0, 10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0}
+    # vehicle 1 starts one place into the roster and moves on one a round
+    pos = {1: 0.0, 10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0}
     roster = [10, 11, 12, 13]
-    dists = distances_for(CFG, pos, 0, roster)
+    dists = distances_for(CFG, pos, 1, roster)
     picks = []
     for r in range(5):
-        pa = baseline_paths(
-            "sequence-based", 0, 1, r, dists, roster, make_link_stats, {}, None, CFG
-        )
+        pa = baseline_paths("sequence-based", 1, r, dists, roster, make_link_stats, {}, None, CFG)
+        assert pa.vehicle == 1
         picks.append(pa.paths[0])
     assert picks == [11, 12, 13, 10, 11]
 
@@ -205,7 +205,7 @@ def test_sequence_respects_admission():
     pos = {0: 0.0, 10: 3000.0}
     dists = distances_for(CFG, pos, 0, [10])
     counts = {}
-    pa = baseline_paths("sequence-based", 0, 0, 0, dists, [10], make_link_stats, counts, None, CFG)
+    pa = baseline_paths("sequence-based", 0, 0, dists, [10], make_link_stats, counts, None, CFG)
     assert pa.paths == ()
     assert counts == {}
 
@@ -215,7 +215,7 @@ def test_distance_based_attaches_unconditionally():
     dists = distances_for(CFG, pos, 0, [20, 21])
     counts = {}
     pa = baseline_paths(
-        "distance-based", 0, 0, 0, dists, [20, 21], make_link_stats, counts, None, CFG
+        "distance-based", 0, 0, dists, [20, 21], make_link_stats, counts, None, CFG
     )
     assert pa.paths == (20,)
     assert pa.stats[0].total_delay > CFG.delay_threshold
@@ -228,7 +228,7 @@ def test_distance_based_tie_takes_lower_ident():
     roster = [10, 11, 12]
     dists = distances_for(CFG, pos, 0, roster)
     assert dists[1] == dists[2] == 100.0
-    pa = baseline_paths("distance-based", 0, 0, 0, dists, roster, make_link_stats, {}, None, CFG)
+    pa = baseline_paths("distance-based", 0, 0, dists, roster, make_link_stats, {}, None, CFG)
     assert pa.paths == (11,)
 
 
@@ -236,7 +236,7 @@ def test_random_uses_the_rng_index():
     pos = {0: 0.0, 20: 3000.0, 21: 5000.0}
     dists = distances_for(CFG, pos, 0, [20, 21])
     pa = baseline_paths(
-        "independent-random", 0, 0, 0, dists, [20, 21], make_link_stats, {}, StubIntRng([1]), CFG
+        "independent-random", 0, 0, dists, [20, 21], make_link_stats, {}, StubIntRng([1]), CFG
     )
     assert pa.paths == (21,)
     assert pa.stats[0].distance == 5000.0
@@ -244,7 +244,7 @@ def test_random_uses_the_rng_index():
 
 def test_empty_roster_disconnects():
     for strategy in ("independent-random", "distance-based", "sequence-based"):
-        pa = baseline_paths(strategy, 0, 0, 0, [], [], None, {}, None, CFG)
+        pa = baseline_paths(strategy, 0, 0, [], [], None, {}, None, CFG)
         assert pa.paths == ()
 
 
@@ -252,4 +252,4 @@ def test_unknown_strategy_rejected():
     pos = {0: 0.0, 10: 10.0}
     dists = distances_for(CFG, pos, 0, [10])
     with pytest.raises(ValueError):
-        baseline_paths("psychic", 0, 0, 0, dists, [10], make_link_stats, {}, None, CFG)
+        baseline_paths("psychic", 0, 0, dists, [10], make_link_stats, {}, None, CFG)

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import (
-    SimConfig,
-    alpha_sinr,
-    compute_sinr,
-    link_bandwidth,
-    make_link_stats,
-    path_delay,
-)
+from mapsim.config import SimConfig
+from mapsim.radio import alpha_sinr, compute_sinr, link_bandwidth, make_link_stats, path_delay
 
 CFG = SimConfig()
 

@@ -2,14 +2,9 @@ import json
 
 import pytest
 
-from mapsim import (
-    SimConfig,
-    read_rounds_csv,
-    run_simulation,
-    write_rounds_csv,
-    write_run,
-    write_summary_json,
-)
+from mapsim.config import SimConfig
+from mapsim.engine import run_simulation
+from mapsim.report import read_rounds_csv, write_rounds_csv, write_run, write_summary_json
 
 CFG = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=9)
 

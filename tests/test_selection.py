@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mapsim import CandidateEntry, select_maps, selection_probabilities, table_digest
+from mapsim.selection import select_maps, selection_probabilities, table_digest
 
 
 class StubRng:
@@ -21,13 +21,7 @@ class StubRng:
 
 def test_probability_oracle():
     # loads 2,1,1 at trusts 100,100,50 weight to 200,100,50
-    table = selection_probabilities(
-        [
-            CandidateEntry(0, 2, 100.0),
-            CandidateEntry(1, 1, 100.0),
-            CandidateEntry(2, 1, 50.0),
-        ]
-    )
+    table = selection_probabilities([(0, 2, 100.0), (1, 1, 100.0), (2, 1, 50.0)])
     assert table.weights.tolist() == [200.0, 100.0, 50.0]
     assert table.probabilities.tolist() == [
         0.5714285714285714,
@@ -37,7 +31,7 @@ def test_probability_oracle():
 
 
 def test_threshold_gates_candidates():
-    entries = [CandidateEntry(0, 2, 80.0), CandidateEntry(1, 4, 50.0), CandidateEntry(2, 1, 0.0)]
+    entries = [(0, 2, 80.0), (1, 4, 50.0), (2, 1, 0.0)]
     table = selection_probabilities(entries, trust_threshold=50.0)
     assert table.idents.tolist() == [0]
     table = selection_probabilities(entries)
@@ -51,7 +45,7 @@ def test_empty_table():
 
 
 def test_entries_sorted_by_ident():
-    table = selection_probabilities([CandidateEntry(5, 1, 60.0), CandidateEntry(1, 1, 60.0)])
+    table = selection_probabilities([(5, 1, 60.0), (1, 1, 60.0)])
     assert table.idents.tolist() == [1, 5]
     assert table.loads.tolist() == [1, 1]
 
@@ -65,7 +59,7 @@ def test_entries_sorted_by_ident():
     )
 )
 def test_probabilities_normalised_and_proportional(rows):
-    entries = [CandidateEntry(i, load, trust) for i, (load, trust) in enumerate(rows)]
+    entries = [(i, load, trust) for i, (load, trust) in enumerate(rows)]
     table = selection_probabilities(entries)
     assert sum(table.probabilities) == pytest.approx(1.0, rel=1e-9)
     total = sum(table.weights)
@@ -74,10 +68,10 @@ def test_probabilities_normalised_and_proportional(rows):
 
 
 GOLDEN_ENTRIES = [
-    CandidateEntry(0, 4, 100.0),
-    CandidateEntry(1, 1, 90.0),
-    CandidateEntry(2, 3, 80.0),
-    CandidateEntry(3, 2, 60.0),
+    (0, 4, 100.0),
+    (1, 1, 90.0),
+    (2, 3, 80.0),
+    (3, 2, 60.0),
 ]
 
 
@@ -107,7 +101,7 @@ def test_statistical_inclusion_matches_enumeration():
     # exact inclusion odds for k=2 over weights 200,100,50, from enumeration
     expected = {0: 0.8952380952380952, 1: 0.7142857142857142, 2: 0.3904761904761905}
     table = selection_probabilities(
-        [CandidateEntry(0, 2, 100.0), CandidateEntry(1, 1, 100.0), CandidateEntry(2, 1, 50.0)]
+        [(0, 2, 100.0), (1, 1, 100.0), (2, 1, 50.0)]
     )
     rng = np.random.default_rng(404)
     trials = 20000
@@ -133,8 +127,8 @@ def test_table_digest_matches_plain_sha256():
 
 
 def test_table_digest_sensitive_to_trust():
-    a = selection_probabilities([CandidateEntry(0, 1, 60.0)])
-    b = selection_probabilities([CandidateEntry(0, 1, 61.0)])
+    a = selection_probabilities([(0, 1, 60.0)])
+    b = selection_probabilities([(0, 1, 61.0)])
     assert table_digest(a) != table_digest(b)
 
 
@@ -191,7 +185,7 @@ PAIRWISE_TRAP = [
     draws=st.lists(UNIFORMS, min_size=30, max_size=30),
 )
 def test_select_maps_matches_scalar_scan(rows, k, draws):
-    entries = [CandidateEntry(i, load, trust) for i, (load, trust) in enumerate(rows)]
+    entries = [(i, load, trust) for i, (load, trust) in enumerate(rows)]
     table = selection_probabilities(entries, trust_threshold=-1.0)
     weights = [load * trust for _, load, trust in entries]
     assert table.weights.tolist() == weights

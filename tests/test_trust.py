@@ -3,90 +3,69 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapsim import (
-    SimConfig,
-    TrustObservation,
-    TrustRecord,
-    Vehicle,
-    detection_rates,
-    inject_sybils,
-    update_trust,
-)
+from mapsim.config import SimConfig
+from mapsim.trust import detection_rates, inject_sybils, update_trust
 
 CFG = SimConfig()
 
 
-def step(rec, obs, cfg=CFG):
-    """One identity through the vectorised update, as a record."""
-    score, flagged = update_trust(
-        np.array([rec.score]), np.array([rec.flagged]), np.array([obs.handovers]),
-        np.array([obs.low_sinr]), np.array([obs.connected]), cfg,
+def step(score, handovers=0, low_sinr=False, connected=False, flagged=False, cfg=CFG):
+    """One identity through the vectorised update; returns (score, flagged)."""
+    new, flag = update_trust(
+        np.array([score]), np.array([flagged]), np.array([handovers]),
+        np.array([low_sinr]), np.array([connected]), cfg,
     )
-    return TrustRecord(rec.ident, float(score[0]), bool(flagged[0]))
+    return float(new[0]), bool(flag[0])
 
 
-def scalar_update(record, obs, config):
+def scalar_update(score, flagged, handovers, low_sinr, connected, config):
     """The per-record rule the vectorised update replaced, kept as its oracle."""
-    if record.flagged:
-        return record
+    if flagged:
+        return score, flagged
     delta = 0.0
-    if obs.handovers > 0:
-        delta -= config.handover_penalty * obs.handovers
-    if obs.low_sinr:
+    if handovers > 0:
+        delta -= config.handover_penalty * handovers
+    if low_sinr:
         delta -= config.low_sinr_penalty
-    if obs.connected and obs.handovers == 0 and not obs.low_sinr:
+    if connected and handovers == 0 and not low_sinr:
         delta += config.stability_reward
-    score = min(100.0, max(0.0, record.score + delta))
-    return TrustRecord(record.ident, score, score <= config.trust_threshold)
+    score = min(100.0, max(0.0, score + delta))
+    return score, score <= config.trust_threshold
 
 
 def test_penalties_oracle():
-    rec = step(TrustRecord(0, 55.0), TrustObservation(handovers=1, low_sinr=True))
-    assert rec.score == 42.0
-    assert rec.flagged
+    assert step(55.0, handovers=1, low_sinr=True) == (42.0, True)
 
 
 def test_score_floors_at_zero():
-    rec = step(TrustRecord(0, 3.0), TrustObservation(handovers=1))
-    assert rec.score == 0.0
-    assert rec.flagged
+    assert step(3.0, handovers=1) == (0.0, True)
 
 
 def test_stability_reward_clamps_at_hundred():
-    rec = step(TrustRecord(0, 100.0), TrustObservation(connected=True))
-    assert rec.score == 100.0
-    assert not rec.flagged
-    rec = step(TrustRecord(0, 90.0), TrustObservation(connected=True))
-    assert rec.score == 92.0
+    assert step(100.0, connected=True) == (100.0, False)
+    assert step(90.0, connected=True) == (92.0, False)
 
 
 def test_handover_cancels_reward():
-    rec = step(TrustRecord(0, 90.0), TrustObservation(handovers=1, connected=True))
-    assert rec.score == 82.0
+    assert step(90.0, handovers=1, connected=True) == (82.0, False)
 
 
 def test_empty_observation_still_evaluates_flag():
-    rec = step(TrustRecord(0, 40.0), TrustObservation())
-    assert rec.score == 40.0
-    assert rec.flagged
+    assert step(40.0) == (40.0, True)
 
 
 def test_misbehaviour_flags_within_four_rounds():
-    rec = TrustRecord(0, 100.0)
-    obs = TrustObservation(handovers=1, low_sinr=True)
+    score, flagged = 100.0, False
     seen = []
     for _ in range(4):
-        rec = step(rec, obs)
-        seen.append(rec.score)
+        score, flagged = step(score, handovers=1, low_sinr=True, flagged=flagged)
+        seen.append(score)
     assert seen == [87.0, 74.0, 61.0, 48.0]
-    assert rec.flagged
+    assert flagged
 
 
 def test_flag_is_sticky_and_freezes_score():
-    rec = TrustRecord(0, 48.0, flagged=True)
-    rec = step(rec, TrustObservation(connected=True))
-    assert rec.flagged
-    assert rec.score == 48.0
+    assert step(48.0, connected=True, flagged=True) == (48.0, True)
 
 
 @given(
@@ -96,53 +75,61 @@ def test_flag_is_sticky_and_freezes_score():
     connected=st.booleans(),
 )
 def test_score_stays_in_range(score, handovers, low, connected):
-    rec = step(TrustRecord(0, score), TrustObservation(handovers, low, connected))
-    assert 0.0 <= rec.score <= 100.0
+    score, _ = step(score, handovers, low, connected)
+    assert 0.0 <= score <= 100.0
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), max_size=30))
 def test_flag_never_clears(seq):
-    rec = TrustRecord(0, 60.0)
+    score, flagged = 60.0, False
     was_flagged = False
     for handovers, low, connected in seq:
-        rec = step(rec, TrustObservation(handovers, low, connected))
-        was_flagged = was_flagged or rec.flagged
+        score, flagged = step(score, handovers, low, connected, flagged)
+        was_flagged = was_flagged or flagged
         if was_flagged:
-            assert rec.flagged
+            assert flagged
 
 
 def _fleet(n):
-    return [Vehicle(i, float(i * 10), 20.0, 1 + i % 4) for i in range(n)]
+    """(position, speed, load) of n honest vehicles."""
+    ident = np.arange(n)
+    return 10.0 * ident, np.full(n, 20.0), 1 + ident % 4
 
 
 def test_inject_sybils_shapes():
-    fleet, attackers, clones = inject_sybils(_fleet(50), CFG, np.random.default_rng(1))
+    position, speed, load, attackers, clones = inject_sybils(
+        *_fleet(50), CFG, np.random.default_rng(1)
+    )
     assert len(attackers) == 5
     assert len(clones) == 15
-    assert len(fleet) == 65
+    assert len(position) == len(speed) == len(load) == 65
     assert attackers == sorted(attackers)
     assert clones == list(range(50, 65))
-    by_id = {v.ident: v for v in fleet}
     # clone j mirrors attackers[j // sybil_clones]
     for j, c in enumerate(clones):
-        clone, src = by_id[c], by_id[attackers[j // CFG.sybil_clones]]
-        assert clone.position == src.position
-        assert clone.speed == src.speed
-        assert clone.load == CFG.load_max
-    assert fleet[:50] == _fleet(50)
+        src = attackers[j // CFG.sybil_clones]
+        assert position[c] == position[src]
+        assert speed[c] == speed[src]
+        assert load[c] == CFG.load_max
+    for got, honest in zip((position, speed, load), _fleet(50)):
+        assert got[:50].tolist() == honest.tolist()
+        assert got.dtype == honest.dtype
 
 
 def test_inject_sybils_deterministic():
-    a = inject_sybils(_fleet(40), CFG, np.random.default_rng(7))
-    b = inject_sybils(_fleet(40), CFG, np.random.default_rng(7))
-    assert a == b
+    a = inject_sybils(*_fleet(40), CFG, np.random.default_rng(7))
+    b = inject_sybils(*_fleet(40), CFG, np.random.default_rng(7))
+    assert [x.tolist() for x in a[:3]] == [x.tolist() for x in b[:3]]
+    assert a[3:] == b[3:]
 
 
 def test_inject_sybils_disabled():
     cfg = CFG.replace(sybil_fraction=0.0)
-    fleet, attackers, clones = inject_sybils(_fleet(30), cfg, np.random.default_rng(1))
+    position, speed, load, attackers, clones = inject_sybils(
+        *_fleet(30), cfg, np.random.default_rng(1)
+    )
     assert (attackers, clones) == ([], [])
-    assert len(fleet) == 30
+    assert len(position) == len(speed) == len(load) == 30
 
 
 def test_detection_rates():
@@ -188,24 +175,20 @@ def test_vectorised_update_matches_scalar_rule(penalties, threshold, rows):
         handover_penalty=handover, low_sinr_penalty=low, stability_reward=reward,
         trust_threshold=threshold,
     )
-    records = [TrustRecord(i, row[0], row[1]) for i, row in enumerate(rows)]
-    observations = [TrustObservation(*row[2:]) for row in rows]
+    # rows are (score, flagged, handovers, low SNR, connected)
+    dtypes = (np.float64, bool, np.int64, bool, bool)
     score, flagged = update_trust(
-        np.array([r.score for r in records], dtype=np.float64),
-        np.array([r.flagged for r in records], dtype=bool),
-        np.array([o.handovers for o in observations], dtype=np.int64),
-        np.array([o.low_sinr for o in observations], dtype=bool),
-        np.array([o.connected for o in observations], dtype=bool),
-        cfg,
+        *(np.array([row[k] for row in rows], dtype=dtype) for k, dtype in enumerate(dtypes)), cfg
     )
-    for rec, obs, got_score, got_flag in zip(records, observations, score.tolist(), flagged.tolist()):
-        want = scalar_update(rec, obs, cfg)
-        assert got_score.hex() == float(want.score).hex()
-        assert got_flag == want.flagged
+    for row, got_score, got_flag in zip(rows, score.tolist(), flagged.tolist()):
+        old_score, old_flag, handovers, low, connected = row
+        want_score, want_flag = scalar_update(*row, cfg)
+        assert got_score.hex() == float(want_score).hex()
+        assert got_flag == want_flag
         assert 0.0 <= got_score <= 100.0
-        if rec.flagged:
+        if old_flag:
             # a flag freezes the score and never clears
-            assert got_flag and got_score == rec.score
-        if obs == TrustObservation() and rec.score <= threshold:
+            assert got_flag and got_score == old_score
+        if (handovers, low, connected) == (0, False, False) and old_score <= threshold:
             # an identity nobody observed is still judged on its score
             assert got_flag
