@@ -93,6 +93,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not seeds:
             raise ValueError("no seeds given")
+        if len(set(seeds)) < len(seeds):
+            raise ValueError("a seed is listed twice")
         for seed in seeds:
             cfg.replace(rng_seed=seed)
     except ValueError as exc:
@@ -103,10 +105,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         known = ", ".join(STRATEGIES)
         print(f"bad --strategies {args.strategies!r}: choose from {known}", file=sys.stderr)
         return 2
+    if len(set(strategies)) < len(strategies):
+        print(f"bad --strategies {args.strategies!r}: a strategy is listed twice", file=sys.stderr)
+        return 2
     result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(
-            f"{metric}={row[f'{metric}_mean']:.6g}±{row[f'{metric}_std']:.3g}"
+            f"{metric}=n/a" if row[f"{metric}_mean"] is None
+            else f"{metric}={row[f'{metric}_mean']:.6g}±{row[f'{metric}_std']:.3g}"
             for metric in ("avg_handover", "avg_delay_s", "disconnection_rate")
         )
         print(f"{row['strategy']}: {cells}")

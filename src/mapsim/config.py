@@ -6,8 +6,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .pathing import AdmissionLimits
 
 KMH_TO_MPS = 1000.0 / 3600.0
 
@@ -73,6 +77,13 @@ class SimConfig:
     def rounds(self) -> int:
         # tolerate float jitter in total_time / dt; partial rounds do not run
         return int((self.total_time + 1e-9) // self.dt)
+
+    @cached_property
+    def limits(self) -> AdmissionLimits:
+        """The admission rule's threshold distances, found once per config."""
+        from .pathing import AdmissionLimits  # pathing imports this module
+
+        return AdmissionLimits(self)
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

@@ -14,8 +14,16 @@ import numpy as np
 from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
-from .pathing import PathAssignment, baseline_paths, count_handovers, grow_paths, retain_paths
-from .radio import alpha_trans, make_link_stats
+from .pathing import (
+    PathAssignment,
+    baseline_paths,
+    count_handovers,
+    grow_paths,
+    occurrence,
+    retain_paths,
+    settle,
+)
+from .radio import link_quality, make_link_stats
 from .selection import select_maps, selection_probabilities, table_digest
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
 
@@ -63,8 +71,13 @@ class SimState:
     position, speed and score are float64 arrays, load int64 and flagged
     bool. A new state has zero handover totals and no evidence, MAPs or paths.
     `evidence` holds the next trust pass's (handovers, low SNR, connected,
-    observed) arrays. `fleet` and `trust` are read-only record views, built
-    on demand, for the benchmark's worker and tracer.
+    observed) arrays. The last round's links are identities x max_paths
+    arrays in probe order: `link_map` (the MAP, -1 in an empty slot),
+    `link_dist` and `link_rank`, the share count the link was admitted at;
+    `served` lists the identities that round offered paths to and
+    `link_config` is the config it ran under. `fleet`,
+    `trust` and `last_assignments` are read-only record views, built on
+    demand, for the tests and the benchmark's worker and tracer.
     """
 
     position: np.ndarray
@@ -84,7 +97,11 @@ class SimState:
         self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
         self.current_maps: list[int] = []
-        self.last_assignments: dict[int, PathAssignment] = {}
+        self.served = np.zeros(0, dtype=np.int64)
+        self.link_map = np.full((n, 0), -1, dtype=np.int64)
+        self.link_dist = np.zeros((n, 0))
+        self.link_rank = np.zeros((n, 0), dtype=np.int64)
+        self.link_config: SimConfig | None = None
 
     @property
     def fleet(self) -> tuple[Vehicle, ...]:
@@ -95,6 +112,17 @@ class SimState:
     def trust(self) -> Mapping[int, TrustRecord]:
         rows = zip(range(len(self.score)), self.score.tolist(), self.flagged.tolist())
         return MappingProxyType({row[0]: TrustRecord(*row) for row in rows})
+
+    @property
+    def last_assignments(self) -> Mapping[int, PathAssignment]:
+        """Each served identity's paths, their LinkStats rebuilt from the link arrays."""
+        out = {}
+        for i in self.served.tolist():
+            links = zip(self.link_dist[i].tolist(), self.link_map[i].tolist(), self.link_rank[i].tolist())
+            # nearest first, as the scalar passes order a vehicle's paths
+            stats = tuple(make_link_stats(m, d, self.link_config, k) for d, m, k in sorted(links) if m >= 0)
+            out[i] = PathAssignment(i, tuple(s.map_ident for s in stats), stats)
+        return MappingProxyType(out)
 
 
 def no_evidence(n: int) -> tuple[np.ndarray, ...]:
@@ -157,49 +185,40 @@ def run_round(
 
     # path assignment; the one client x MAP distance grid is the only source
     # of link distances
-    maps_sorted = sorted(elected)
+    maps = np.array(sorted(elected), dtype=np.int64)
     served = np.flatnonzero(~(is_map | flagged) if blockchain else ~is_map)
-    ids = served.tolist()
     position = state.position
-    dmat = ring_distance(position[served][:, None], position[maps_sorted][None, :], config.road_length)
-    last = state.last_assignments
-    prev = [last[i].paths if i in last else () for i in ids]
-    attach_counts: dict[int, int] = {}
-    if blockchain:
-        # the transmission term alone bounds the delay from below, so a
-        # MAP failing it can never be admitted; float64 arithmetic on the
-        # grid rounds exactly as alpha_trans does on one distance
-        keep = alpha_trans(dmat, config) * dmat < config.delay_threshold
-        kept_maps = np.array(maps_sorted)[keep.nonzero()[1]]
-        pairs = list(zip(dmat[keep].tolist(), kept_maps.tolist()))
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        cands = [pairs[a:b] for a, b in zip([0] + ends, ends)]
-        # every vehicle re-books its paths before any grows new ones
-        held = [
-            retain_paths(i, p, c, make_link_stats, attach_counts, config)
-            for i, p, c in zip(ids, prev, cands)
-        ]
-        found = [
-            grow_paths(i, h, c, make_link_stats, attach_counts, config)
-            for i, h, c in zip(ids, held, cands)
-        ]
-    else:
-        found = [
-            baseline_paths(
-                config.strategy, i, round_index,
-                row, maps_sorted, make_link_stats, attach_counts, rng, config,
-            )
-            for i, row in zip(ids, dmat.tolist())
-        ]
+    dmat = ring_distance(position[served][:, None], position[maps][None, :], config.road_length)
+    prev = state.link_map[served]
+    r, c, d, rank = attach(config, round_index, rng, n, served, maps, dmat, prev)
+
+    # each vehicle's links, in probe order, into its row of the link arrays
+    width = config.max_paths
+    link_map = np.full((n, width), -1, dtype=np.int64)
+    link_dist = np.zeros((n, width))
+    link_rank = np.zeros((n, width), dtype=np.int64)
+    who, slot = served[r], occurrence(r)
+    link_map[who, slot], link_dist[who, slot], link_rank[who, slot] = maps[c], d, rank
 
     # the first round is a cold start, joining then is not a handover
     if round_index == 0:
-        handovers = [0] * len(ids)
+        handovers = np.zeros(len(served), dtype=np.int64)
     else:
-        handovers = [count_handovers(p, pa.paths) for p, pa in zip(prev, found)]
-    low_sinr = [any(s.sinr < config.sinr_threshold for s in pa.stats) for pa in found]
-    attached = [bool(pa.paths) for pa in found]
-    delays = [fsum(s.total_delay for s in pa.stats) / len(pa.stats) for pa in found if pa.paths]
+        handovers = count_handovers(prev, link_map[served])
+    sinr, delay = link_quality(d, config)
+    per_vehicle = np.bincount(r, minlength=len(served))
+    attached = per_vehicle > 0
+    low_sinr = np.zeros(len(served), dtype=bool)
+    low_sinr[r[sinr < config.sinr_threshold]] = True
+    if width <= 2:
+        # a sum of at most two positive floats is correctly rounded
+        # already, in either order, as fsum's is
+        sums = np.bincount(r, weights=delay, minlength=len(served))[attached]
+    else:
+        grid = np.zeros((len(served), width))
+        grid[r, slot] = delay
+        sums = np.array([fsum(row) for row in grid[attached].tolist()])
+    delays = (sums / per_vehicle[attached]).tolist()
 
     # the handover metric counts honest identities only; an unserved one
     # gained no path
@@ -208,7 +227,7 @@ def run_round(
     population = ~(state.is_clone | is_map)
     counts = counts[population]
     state.handover_total[population] += counts
-    n_attached = sum(attached)
+    n_attached = int(attached.sum())
     metrics = RoundMetrics(
         round_index=round_index,
         vehicle_count=n,
@@ -218,7 +237,7 @@ def run_round(
         max_handover=int(counts.max()) if len(counts) else 0,
         min_handover=int(counts.min()) if len(counts) else 0,
         avg_delay_s=fsum(delays) / len(delays) if delays else None,
-        disconnected=len(ids) - n_attached,
+        disconnected=len(served) - n_attached,
         attached=n_attached,
     )
 
@@ -239,7 +258,8 @@ def run_round(
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
             observed[clones] = True
     state.evidence = evidence
-    state.last_assignments = dict(zip(ids, found))
+    state.served, state.link_config = served, config
+    state.link_map, state.link_dist, state.link_rank = link_map, link_dist, link_rank
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -251,6 +271,113 @@ def run_round(
     excluded = tuple(np.flatnonzero(flagged).tolist())
     event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table))
     return state, metrics, event
+
+
+def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat, prev):
+    """The round's links as (rows, cols, dist, rank) arrays, in probe order.
+
+    Row v is identity served[v] of n, column j is MAP maps[j] (ascending),
+    dmat is their distance grid and prev[v] row v's previous MAPs, -1
+    padded. A link's rank is the share count it was admitted at. Each pass
+    speculates that bandwidth admits every probe a probe at the MAP's count
+    when the pass starts would admit, and is settled against the scalar
+    pass (see mapsim.pathing).
+    """
+    limits = config.limits
+    shares = np.zeros(len(maps), dtype=np.int64)
+
+    def scalar(run):
+        """A settle repair: rows through run(rows, idents, candidates, tally),
+        a scalar pass giving each row's new LinkStats, at exact counts."""
+
+        def rerun(rows):
+            sub = dmat[rows] < limits.delay
+            at, cols = np.nonzero(sub)
+            pairs = list(zip(dmat[rows[at], cols].tolist(), maps[cols].tolist()))
+            ends = np.cumsum(sub.sum(axis=1)).tolist()
+            cands = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+            used = np.unique(cols)
+            tally = dict(zip(maps[used].tolist(), shares[used].tolist()))
+            found = run(rows, served[rows].tolist(), cands, tally)
+            links = [(v, s.map_ident, s.distance) for v, new in zip(rows.tolist(), found) for s in new]
+            shares[used] = list(tally.values())
+            r, m, d = zip(*links) if links else ((), (), ())
+            return np.array(r, dtype=np.int64), np.searchsorted(maps, m), np.array(d, dtype=float)
+
+        return rerun
+
+    if config.strategy == BLOCKCHAIN:
+        # every vehicle re-books its paths before any grows new ones;
+        # retention speculates every previous MAP still elected that a
+        # first probe would admit
+        col_of = np.full(n + 1, -1)  # an empty slot's -1 reads the last entry
+        col_of[maps] = np.arange(len(maps))
+        pcol = col_of[prev]
+        rows, cols = np.nonzero(pcol >= 0)
+        cols = pcol[rows, cols]
+        dist = dmat[rows, cols]
+        keep = dist < limits.limit(1)
+        rows, cols, dist = rows[keep], cols[keep], dist[keep]
+
+        def retain(rows, ids, cands, tally):
+            for i, had, c in zip(ids, prev[rows].tolist(), cands):
+                yield retain_paths(i, [m for m in had if m >= 0], c, make_link_stats, tally, config)
+
+        hr, hc, hd = held = settle(rows, cols, dist, shares, limits, scalar(retain))
+
+        # growth speculates the nearest open MAPs by (distance, ident) that
+        # a probe at the retained count would admit; counts only grow
+        free = config.max_paths - np.bincount(hr, minlength=len(served))
+        width = int(free.max(initial=0)) if len(maps) else 0
+        open_d = np.where(dmat < limits.at(shares + 1), dmat, np.inf)
+        open_d[hr, hc] = np.inf
+        span = np.arange(len(served))
+        pick = np.empty((len(served), width), dtype=np.int64)
+        pick_d = np.empty((len(served), width))
+        for t in range(width):
+            pick[:, t] = j = open_d.argmin(axis=1)
+            pick_d[:, t] = open_d[span, j]
+            open_d[span, j] = np.inf
+        rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[:, None]))
+
+        held_links = []  # (map, distance, rank) of each held link, on the first repair
+
+        def grow(rows, ids, cands, tally):
+            if not held_links:
+                held_links.extend(zip(maps[hc].tolist(), hd.tolist(), (occurrence(hc) + 1).tolist()))
+            lo, hi = np.searchsorted(hr, rows).tolist(), np.searchsorted(hr, rows + 1).tolist()
+            for i, a, b, c in zip(ids, lo, hi, cands):
+                mine = [make_link_stats(m, d, config, k) for m, d, k in held_links[a:b]]
+                stats = grow_paths(i, mine, c, make_link_stats, tally, config).stats
+                yield [s for s in stats if s not in mine]
+
+        grown = settle(rows, pick[rows, t], pick_d[rows, t], shares, limits, scalar(grow))
+        rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown)) if len(hr) else grown
+    else:
+        # single path policies; only sequence-based admits, and speculates
+        # the links a first probe would admit
+        rows = np.arange(len(served)) if len(maps) else np.zeros(0, dtype=np.int64)
+        if config.strategy == "independent-random":
+            cols = rng.integers(0, len(maps), size=len(rows)) if len(rows) else rows
+        elif config.strategy == "distance-based":
+            cols = dmat.argmin(axis=1) if len(rows) else rows
+        else:
+            cols = (served[rows] + round_index) % max(1, len(maps))
+        dist = dmat[rows, cols]
+        if config.strategy == "sequence-based":
+
+            def rotate(rows, ids, cands, tally):
+                roster = maps.tolist()
+                for i, row in zip(ids, dmat[rows].tolist()):
+                    yield baseline_paths(
+                        config.strategy, i, round_index, row, roster, make_link_stats, tally, rng, config
+                    ).stats
+
+            keep = dist < limits.limit(1)
+            rows, cols, dist = settle(rows[keep], cols[keep], dist[keep], shares, limits, scalar(rotate))
+    # links are listed in probe order, so a link's rank is one more than the
+    # earlier links on its MAP
+    return rows, cols, dist, occurrence(cols) + 1
 
 
 def build_summary(

@@ -18,10 +18,15 @@ COMPARE_METRICS = (
 _PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2", "#b279a2")
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
+def _mean_std(values: Sequence[float | None]) -> tuple[float | None, float | None]:
+    """Mean and standard deviation over the runs that define the metric.
+
+    A metric no run defines, such as the delay of an empty fleet, stays
+    None rather than reading as zero.
+    """
     vals = [float(v) for v in values if v is not None]
     if not vals:
-        return 0.0, 0.0
+        return None, None
     if len(vals) == 1:
         return vals[0], 0.0
     return fmean(vals), stdev(vals)
@@ -73,7 +78,8 @@ def write_comparison_csv(path: Any, rows: list[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([row["strategy"]] + [repr(float(row[c])) for c in columns[1:]])
+            cells = (row[c] for c in columns[1:])
+            writer.writerow([row["strategy"]] + ["" if v is None else repr(float(v)) for v in cells])
 
 
 def write_comparison_svg(path: Any, rows: list[dict]) -> None:
@@ -81,7 +87,8 @@ def write_comparison_svg(path: Any, rows: list[dict]) -> None:
 
     Hand assembled SVG keeps the output dependency free and byte stable.
     Bars carry data-metric / data-strategy / data-value attributes so the
-    numbers can be scraped back out of the file.
+    numbers can be scraped back out of the file. A metric no run defined
+    has no bar.
     """
     width, height = 960, 540
     margin_left, margin_top, margin_bottom = 60, 70, 90
@@ -100,11 +107,13 @@ def write_comparison_svg(path: Any, rows: list[dict]) -> None:
         f'font-size="18">Strategy comparison (per metric, normalised)</text>',
     ]
     for gi, metric in enumerate(groups):
-        values = [float(row[f"{metric}_mean"]) for row in rows]
-        top = max(abs(v) for v in values) or 1.0
+        values = [row[f"{metric}_mean"] for row in rows]
+        top = max((abs(v) for v in values if v is not None), default=0.0) or 1.0
         gx = margin_left + gi * group_w
-        for si, row in enumerate(rows):
-            v = float(row[f"{metric}_mean"])
+        for si, (row, v) in enumerate(zip(rows, values)):
+            if v is None:
+                continue
+            v = float(v)
             h = plot_h * abs(v) / top
             x = gx + group_w * 0.1 + si * bar_w
             y = margin_top + plot_h - h

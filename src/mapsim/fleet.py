@@ -20,9 +20,18 @@ class Vehicle:
 
 
 def ring_distance(a, b, road_length: float):
-    """Shorter-arc separation between positions on the ring, elementwise on arrays."""
-    gap = np.abs(a - b) % road_length
-    return np.minimum(gap, road_length - gap)
+    """Shorter-arc separation between positions on the ring, elementwise on arrays.
+
+    Positions must lie in [0, road_length], as make_fleet and step_positions
+    leave them, so the gap |a - b| is at most road_length. Past half the
+    ring the shorter arc is road_length - gap, which is exact there
+    (Sterbenz), so this is min(gap, road_length - gap) bit for bit; it is
+    taken in place, as one large grid allocation.
+    """
+    gap = np.asarray(a - b, dtype=np.float64)
+    np.abs(gap, out=gap)
+    np.subtract(road_length, gap, out=gap, where=gap > road_length / 2)
+    return gap[()]
 
 
 def make_fleet(config: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

@@ -1,25 +1,45 @@
-"""Per vehicle path admission under delay and bandwidth bounds.
+"""Path admission under delay and bandwidth bounds.
 
-Attachment runs in two passes over the whole fleet each round: first every
-vehicle re-books the paths it already holds, then remaining slots are filled
-nearest first, stopping at the first link over the delay bound. Incumbents
-therefore never lose a slot to a newcomer, which is what keeps handover
-counts low.
+Attachment runs in two passes over the served vehicles each round, in
+identity order: first every vehicle re-books the paths it already holds,
+then remaining slots are filled nearest first among the MAPs under the delay
+bound. Incumbents therefore never lose a slot to a newcomer, which is what
+keeps handover counts low.
 
-Link distances arrive with the candidates, from the engine's one distance
-grid; `probe` is `radio.make_link_stats`, called with those distances.
+The model has no co-channel interference, so a link's delay and SNR depend
+on its length alone and its bandwidth on its length and share count, and
+none of them improves as either grows. Every admission test is therefore a
+comparison `d < limit` against a threshold distance that depends only on
+the config (`AdmissionLimits`, cached as `SimConfig.limits`), found once by
+bisection with the scalar predicate itself.
 
-The model has no co-channel interference, so path delay never falls as
-distance grows; the nearest-first scan relies on that to stop early.
+The engine runs each pass as array operations over its client x MAP
+distance grid. It speculates that bandwidth admits every probe that a probe
+at the MAP's count when the pass starts would admit, since counts only
+grow. `settle` then checks each speculated link at its probe rank, the share
+count it would be probed at. The first vehicle holding a link at or over its
+limit is re-run through the scalar pass (`retain_paths`, `grow_paths`,
+`baseline_paths`) at exact attach counts, the speculation is checked again
+from the next vehicle, and after a few repairs the rest of the pass runs
+scalar. The scalar passes are the definition the array passes reproduce.
+The engine keeps the admitted links as identities x max_paths arrays of
+MAP, distance and rank; `count_handovers` works on rows of them.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .config import SimConfig
-from .radio import LinkStats
+from .radio import LinkStats, make_link_stats
+
+# repairs a pass makes before it runs its remaining vehicles scalar
+REPAIR_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -33,9 +53,164 @@ def admits(stats: LinkStats, config: SimConfig) -> bool:
     return stats.total_delay < config.delay_threshold and stats.bandwidth >= config.bandwidth_min
 
 
-def count_handovers(prev: Iterable[int], new: Iterable[int]) -> int:
-    """Paths held now that were not held before."""
-    return len(set(new) - set(prev))
+def count_handovers(prev, new):
+    """Paths held now that were not held before.
+
+    prev and new hold MAP identities, -1 in an empty slot; on two rows of
+    arrays the count is per row.
+    """
+    prev, new = np.asarray(prev), np.asarray(new)
+    held = (new[..., :, None] == prev[..., None, :]).any(axis=-1)
+    return ((new >= 0) & ~held).sum(axis=-1)
+
+
+def threshold(passes: Callable[[float], bool], reach: float) -> float:
+    """Least distance in [0, reach] at which `passes` fails; inf if none does.
+
+    `passes` must hold below some distance and fail from it on. Then, for
+    every d in [0, reach], `d < threshold(passes, reach)` equals passes(d).
+    Non-negative float64s order as their bit patterns do, so this bisects
+    over the bit patterns, calling the scalar predicate itself.
+    """
+    if passes(reach):
+        return math.inf
+    if not passes(0.0):
+        return 0.0
+    lo, hi = 0, _bits(reach)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(_float(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _float(hi)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class AdmissionLimits:
+    """Threshold distances of one config's admission rule.
+
+    No ring distance exceeds half the road length, so the limits are exact
+    on [0, road_length / 2]. `delay` bounds the link delay alone;
+    `limit(count)` bounds a probe at that share count, delay and bandwidth
+    together. Share-count limits are found as they are first needed.
+    """
+
+    def __init__(self, config: SimConfig) -> None:
+        self.config = config
+        self.reach = config.road_length / 2
+        # table[c] is the limit at share count c; table[0] bounds the delay alone
+        self.table = [
+            threshold(lambda d: make_link_stats(0, d, config).total_delay < config.delay_threshold, self.reach)
+        ]
+
+    @property
+    def delay(self) -> float:
+        return self.table[0]
+
+    def limit(self, count: int) -> float:
+        """Distance under which a probe at this share count is admitted."""
+        while len(self.table) <= count and self.table[-1] > 0.0:
+            self.table.append(self._next_limit())
+        return self.table[min(count, len(self.table) - 1)]
+
+    def _next_limit(self) -> float:
+        cfg, count, bound = self.config, len(self.table), self.table[-1]
+
+        def passes(d: float) -> bool:
+            return admits(make_link_stats(0, d, cfg, count), cfg)
+
+        # limits never rise with the share count, so the last one bounds this
+        # one, and a probe that passes just under it passes everywhere below
+        if bound == math.inf:
+            return threshold(passes, self.reach)
+        return bound if passes(math.nextafter(bound, 0.0)) else threshold(passes, bound)
+
+    def at(self, counts: np.ndarray) -> np.ndarray:
+        """limit() of every element of an array of share counts."""
+        self.limit(int(counts.max(initial=0)))
+        table = np.array(self.table)
+        return table[np.minimum(counts, len(table) - 1)]
+
+
+def occurrence(keys: np.ndarray) -> np.ndarray:
+    """Each element's position among the earlier elements with its key."""
+    if len(keys) < 64:
+        # a handful of keys costs less to count than to sort
+        seen: dict[int, int] = {}
+        out = []
+        for k in keys.tolist():
+            out.append(seen.get(k, 0))
+            seen[k] = out[-1] + 1
+        return np.array(out, dtype=np.int64)
+    span = np.arange(len(keys))
+    # unique composite keys sort the same with or without stability
+    order = np.argsort(keys * len(keys) + span)
+    ranked = keys[order]
+    out = np.empty_like(span)
+    out[order] = span - np.searchsorted(ranked, ranked)
+    return out
+
+
+def settle(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    dist: np.ndarray,
+    counts: np.ndarray,
+    limits: AdmissionLimits,
+    rerun: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, ...]:
+    """Admit one pass's speculated links, repairing the rows it got wrong.
+
+    rows (ascending), cols and dist are the links each row would take if
+    every probe it makes passed; counts[col] is each MAP's attach count
+    before the pass and is updated in place. A link's probe rank is its
+    MAP's count plus the earlier links on it, plus one. Rows before the
+    first link at or over the limit at its rank were speculated right; that
+    row goes through rerun(array of rows), the scalar pass at exact counts,
+    which updates counts and returns the admitted (rows, cols, dist). After
+    REPAIR_BUDGET repairs the remaining rows go through rerun together.
+
+    Returns the admitted links as (rows, cols, dist), rows ascending.
+    """
+    if not len(rows):
+        return rows, cols, dist
+    top = counts + np.bincount(cols, minlength=len(counts))
+    # limits never rise with the share count, so links all under the limit
+    # at the largest final count are under it at their own ranks
+    if dist.max() < limits.limit(int(top.max())):
+        counts[:] = top
+        return rows, cols, dist
+    parts = []
+    rank = counts[cols] + occurrence(cols) + 1
+    budget = REPAIR_BUDGET
+    while True:
+        bad = np.flatnonzero(dist >= limits.at(rank))
+        stop = int(np.searchsorted(rows, rows[bad[0]])) if len(bad) else len(rows)
+        counts += np.bincount(cols[:stop], minlength=len(counts))
+        parts.append((rows[:stop], cols[:stop], dist[:stop]))
+        if stop == len(rows):
+            break
+        if not budget:
+            parts.append(rerun(np.unique(rows[stop:])))
+            break
+        after = int(np.searchsorted(rows, rows[stop], side="right"))
+        fixed = rerun(rows[stop : stop + 1])
+        parts.append(fixed)
+        # later links see the row's actual links in place of its speculated ones
+        shift = np.bincount(cols[stop:after], minlength=len(counts))
+        shift -= np.bincount(fixed[1], minlength=len(counts))
+        rows, cols, dist = rows[after:], cols[after:], dist[after:]
+        rank = rank[after:] - shift[cols]
+        budget -= 1
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def retain_paths(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SimConfig
 
 
@@ -65,3 +67,16 @@ def make_link_stats(
         bandwidth=link_bandwidth(sinr, attached_count, config),
         total_delay=path_delay(distance, sinr, config),
     )
+
+
+def link_quality(distance: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """SNR and path delay of many links, equal to compute_sinr and path_delay bit for bit.
+
+    numpy's power differs from libm's pow in the last place on some
+    distances, so the path-loss gain is taken link by link with Python's `**`.
+    """
+    exp = -config.path_loss_exp
+    gain = np.array([d ** exp for d in np.maximum(distance, 1.0).tolist()])
+    sinr = config.tx_power * gain / config.noise_power
+    quality = config.b0 * np.maximum(1.0, config.sinr_threshold / sinr)
+    return sinr, alpha_trans(distance, config) * distance + quality / sinr

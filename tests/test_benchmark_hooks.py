@@ -18,6 +18,7 @@ import pytest
 
 from mapsim.config import SimConfig
 from mapsim.engine import initial_state, run_round
+from mapsim.fleet import ring_distance
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -78,3 +79,29 @@ def test_state_surface_the_benchmark_reads():
         assert TRACER._flagged(state) == set(np.flatnonzero(state.flagged).tolist())
         assert len(state.fleet) == len(state.position)
     assert state.flagged.any()
+
+
+def test_assignment_surface_the_benchmark_reads():
+    # worker.check_assignments reads paths, stats, map_ident, total_delay
+    # and bandwidth from state.last_assignments, a view over the link
+    # arrays; at b_cap 0.16 bandwidth turns probes away
+    cfg = SimConfig(road_length=2000.0, total_time=100.0, b_cap=0.16, delay_threshold=30.0, rng_seed=5)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    turned_away = 0
+    for r in range(cfg.rounds()):
+        state, _, _ = run_round(state, r, cfg, rng)
+        assignments = state.last_assignments
+        assert set(assignments) == set(state.served.tolist())
+        for v, pa in assignments.items():
+            assert pa.vehicle == v and len(pa.paths) <= cfg.max_paths
+            assert pa.paths == tuple(s.map_ident for s in pa.stats)
+            for s in pa.stats:
+                assert s.total_delay < cfg.delay_threshold
+                assert s.bandwidth >= cfg.bandwidth_min
+            if len(pa.paths) < cfg.max_paths:
+                # a free slot next to a MAP under the delay bound
+                d = ring_distance(state.position[v], state.position[state.current_maps], cfg.road_length)
+                open_maps = set(np.array(state.current_maps)[d < cfg.limits.delay].tolist())
+                turned_away += len(open_maps - set(pa.paths))
+    assert turned_away

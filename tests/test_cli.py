@@ -193,6 +193,42 @@ def test_compare_rejects_bad_seed_list(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_compare_rejects_duplicate_entries(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    base = ["compare", "--config", str(cfg), "--out", str(out)]
+    for flag, value in (("--seeds", "1,1"), ("--seeds", "1, 2,1"),
+                        ("--strategies", "distance-based,distance-based")):
+        rest = ["--seeds", "1"] if flag == "--strategies" else []
+        rc = main(base + rest + [flag, value])
+        assert rc == 2, value
+        err = capsys.readouterr().err
+        assert f"{flag} {value!r}" in err and "twice" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_compare_leaves_undefined_metrics_empty(tmp_path, capsys):
+    # an empty fleet has no delay and no one to disconnect in any run
+    cfg = write_config(tmp_path, vehicle_density=0.0, total_time=50.0)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", str(cfg), "--seeds", "1,2", "--out", str(out)]
+    assert main(argv + ["--strategies", "blockchain-multipath"]) == 0
+    stdout = capsys.readouterr().out
+    assert "avg_delay_s=n/a" in stdout and "disconnection_rate=n/a" in stdout
+    assert "avg_handover=0±0" in stdout
+
+    with open(out / "comparison.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    for metric in ("avg_delay_s", "disconnection_rate"):
+        assert row[f"{metric}_mean"] == row[f"{metric}_std"] == ""
+    assert float(row["avg_handover_mean"]) == 0.0
+
+    svg = (out / "comparison.svg").read_text()
+    drawn = set(re.findall(r'data-metric="([^"]+)"', svg))
+    assert drawn == {"avg_handover", "max_handover", "min_handover", "zero_handover_vehicles"}
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -23,6 +23,32 @@ def test_ring_distance_symmetric_and_bounded(a, b):
     assert 0.0 <= d <= 5000.0
 
 
+def modulo_ring_distance(a, b, road_length):
+    """The ring distance as first written, reduced modulo the ring."""
+    gap = np.abs(a - b) % road_length
+    return np.minimum(gap, road_length - gap)
+
+
+@given(
+    road_length=st.one_of(st.floats(1e-3, 1e9), st.sampled_from([1.0, 3.0, 10000.0])),
+    data=st.data(),
+)
+def test_ring_distance_equals_the_modulo_formula_on_the_ring(road_length, data):
+    # ring_distance drops the modulo for positions in [0, road_length]; the
+    # ends and half the ring are the edge cases
+    edges = [0.0, road_length / 2, road_length, np.nextafter(road_length / 2, 0.0)]
+    point = st.one_of(st.floats(0.0, road_length), st.sampled_from(edges))
+    a = np.array(data.draw(st.lists(point, min_size=1, max_size=20)))
+    b = np.array(data.draw(st.lists(point, min_size=len(a), max_size=len(a))))
+    want = modulo_ring_distance(a, b, road_length)
+    got = ring_distance(a, b, road_length)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    grid = ring_distance(a[:, None], b[None, :], road_length)
+    assert np.array_equal(grid, modulo_ring_distance(a[:, None], b[None, :], road_length))
+    scalar = ring_distance(float(a[0]), float(b[0]), road_length)
+    assert scalar.hex() == want[0].hex()
+
+
 def test_step_wraps_around():
     stepped = step_positions(np.array([9990.0, 10.0]), np.array([20.0, 20.0]), 10.0, 10000.0)
     assert stepped.tolist() == [190.0, 210.0]

@@ -1,8 +1,13 @@
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapsim.config import SimConfig
+import mapsim.engine as engine
+from mapsim.config import STRATEGIES, SimConfig
 from mapsim.fleet import ring_distance
 from mapsim.pathing import (
     PathAssignment,
@@ -10,9 +15,11 @@ from mapsim.pathing import (
     baseline_paths,
     count_handovers,
     grow_paths,
+    occurrence,
     retain_paths,
+    threshold,
 )
-from mapsim.radio import make_link_stats
+from mapsim.radio import alpha_trans, make_link_stats
 
 CFG = SimConfig()
 
@@ -253,3 +260,178 @@ def test_unknown_strategy_rejected():
     dists = distances_for(CFG, pos, 0, [10])
     with pytest.raises(ValueError):
         baseline_paths("psychic", 0, 0, dists, [10], make_link_stats, {}, None, CFG)
+
+
+# threshold admission, speculation and repair
+
+
+@given(
+    road_length=st.floats(10.0, 20000.0),
+    b_cap=st.floats(0.01, 4.0),
+    bandwidth_min=st.floats(0.0, 4.0),
+    delay_threshold=st.floats(0.5, 60.0),
+    a0=st.floats(0.0, 1.0),
+    b0=st.floats(0.0, 20.0),
+    path_loss_exp=st.floats(1.0, 6.0),
+    counts=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+)
+def test_cached_limits_match_the_scalar_predicate(
+    road_length, b_cap, bandwidth_min, delay_threshold, a0, b0, path_loss_exp, counts
+):
+    cfg = CFG.replace(
+        road_length=road_length, b_cap=b_cap, bandwidth_min=bandwidth_min,
+        delay_threshold=delay_threshold, a0=a0, b0=b0, path_loss_exp=path_loss_exp,
+    )
+    limits = cfg.limits
+    assert cfg.limits is limits
+
+    def check(limit, passes):
+        # d < limit must equal passes(d) at the limit and at the float below it
+        if limit == math.inf:
+            assert passes(limits.reach)
+            return
+        assert 0.0 <= limit <= limits.reach
+        assert not passes(limit)
+        if limit > 0.0:
+            assert passes(math.nextafter(limit, 0.0))
+
+    check(limits.delay, lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold)
+    for count in counts:
+        check(limits.limit(count), lambda d: admits(make_link_stats(0, d, cfg, count), cfg))
+    # never rising with the share count is what the one-check fast path uses
+    table = limits.at(np.arange(1, max(counts) + 1))
+    assert (table[1:] <= table[:-1]).all()
+    assert table[0] <= limits.delay
+
+
+def test_threshold_bisects_bit_patterns():
+    assert threshold(lambda d: d < 1.5, 10.0) == 1.5
+    assert threshold(lambda d: d <= 1.5, 10.0) == math.nextafter(1.5, math.inf)
+    assert threshold(lambda d: True, 10.0) == math.inf
+    assert threshold(lambda d: False, 10.0) == 0.0
+
+
+@given(st.lists(st.integers(0, 6), max_size=200))
+def test_occurrence_counts_earlier_equal_keys(keys):
+    want = [keys[:i].count(k) for i, k in enumerate(keys)]
+    assert occurrence(np.array(keys, dtype=np.int64)).tolist() == want
+
+
+def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
+    """The per-vehicle passes as the engine ran them before the array passes.
+
+    Returns {ident: [(map, distance, rank), ...] nearest first} for every
+    served identity, rank being the share count a link was admitted at,
+    and how many probes bandwidth turned away.
+    """
+    ids, roster = served.tolist(), maps.tolist()
+    counts, ranks, rejected = {}, {}, [0]
+
+    def probe(m, d, cfg, share):
+        stats = make_link_stats(m, d, cfg, share)
+        rejected[0] += stats.total_delay < cfg.delay_threshold and stats.bandwidth < cfg.bandwidth_min
+        return stats
+
+    def record(i, stats, old=()):
+        for s in stats:
+            if s not in old:
+                ranks[i, s.map_ident] = counts[s.map_ident]
+
+    if config.strategy == "blockchain-multipath":
+        keep = (alpha_trans(dmat, config) * dmat < config.delay_threshold).tolist()
+        cands = [[(d, m) for d, m, k in zip(row, roster, ok) if k] for row, ok in zip(dmat.tolist(), keep)]
+        prev_paths = [[m for m in row if m >= 0] for row in prev.tolist()]
+        held = []
+        for i, p, c in zip(ids, prev_paths, cands):
+            held.append(retain_paths(i, p, c, probe, counts, config))
+            record(i, held[-1])
+        found = []
+        for i, h, c in zip(ids, held, cands):
+            found.append(grow_paths(i, h, c, probe, counts, config))
+            record(i, found[-1].stats, h)
+    else:
+        found = []
+        for i, row in zip(ids, dmat.tolist()):
+            found.append(baseline_paths(config.strategy, i, round_index, row, roster, probe, counts, rng, config))
+            record(i, found[-1].stats)
+    links = {i: [(s.map_ident, s.distance, ranks[i, s.map_ident]) for s in pa.stats] for i, pa in zip(ids, found)}
+    return links, rejected[0]
+
+
+def array_attach(config, round_index, rng, served, maps, dmat, prev, n):
+    rows, cols, dist, rank = engine.attach(config, round_index, rng, n, served, maps, dmat, prev)
+    links = {i: [] for i in served.tolist()}
+    for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
+                             key=lambda x: (x[0], x[2], maps[x[1]])):
+        links[int(served[v])].append((int(maps[c]), d, k))
+    return links
+
+
+@st.composite
+def attach_inputs(draw):
+    """A dense ring with scarce bandwidth, and previous links to retain."""
+    n = draw(st.integers(2, 80))
+    road_length = draw(st.floats(300.0, 3000.0))
+    cfg = SimConfig(
+        road_length=road_length,
+        b_cap=draw(st.floats(0.05, 1.0)),
+        delay_threshold=draw(st.floats(10.0, 60.0)),
+        max_paths=draw(st.integers(1, 4)),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # on a coarse grid, so that distances tie
+        position = rng.integers(0, int(road_length) // 25, n) * 25.0
+    else:
+        position = rng.uniform(0.0, road_length, n)
+    k = draw(st.integers(0, n - 1))
+    maps = np.sort(rng.choice(n, k, replace=False))
+    served = np.setdiff1d(np.arange(n), maps)
+    dmat = ring_distance(position[served][:, None], position[maps][None, :], road_length)
+    width = draw(st.integers(0, cfg.max_paths))
+    prev = np.full((len(served), width), -1)
+    for row, d in zip(prev, dmat):
+        # mostly near MAPs still elected, sometimes one that is not
+        near = maps[np.argsort(d, kind="stable")[: 2 * width]]
+        pool = near if len(near) and rng.random() < 0.8 else np.arange(n)
+        held = rng.choice(pool, min(len(pool), rng.integers(0, width + 1)), replace=False)
+        row[: len(held)] = held
+    return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, dmat, prev, n
+
+
+def test_array_attach_matches_the_scalar_passes(monkeypatch):
+    # the scalar passes run in the engine only to repair a speculation
+    seen = Counter()
+    for name in ("retain_paths", "grow_paths", "baseline_paths"):
+        scalar = getattr(engine, name)
+
+        def counted(*args, _scalar=scalar, _name=name):
+            seen[_name] += 1
+            return _scalar(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+
+    # a fixed example sequence, so that the repairs it asserts always run
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(attach_inputs())
+    def check(inputs):
+        cfg, round_index, seed, served, maps, dmat, prev, n = inputs
+        want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
+        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev, n)
+        assert got == want
+        seen["rejected"] += rejected
+
+    check()
+    # bandwidth turned probes away, so the speculation was wrong and repaired
+    assert seen["rejected"] > 0
+    assert seen["retain_paths"] and seen["grow_paths"] and seen["baseline_paths"]
+
+
+@given(seed=st.integers(0, 2**32 - 1), high=st.integers(1, 10**6), size=st.integers(0, 300))
+def test_batched_integers_equal_scalar_draws(seed, high, size):
+    # independent-random draws every vehicle's roster index in one call; it
+    # must consume the stream as one call per vehicle did
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert batched.integers(0, high, size=size).tolist() == [int(scalar.integers(0, high)) for _ in range(size)]
+    assert batched.random() == scalar.random()

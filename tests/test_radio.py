@@ -5,7 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mapsim.config import SimConfig
-from mapsim.radio import alpha_sinr, compute_sinr, link_bandwidth, make_link_stats, path_delay
+import numpy as np
+
+from mapsim.radio import (
+    alpha_sinr,
+    compute_sinr,
+    link_bandwidth,
+    link_quality,
+    make_link_stats,
+    path_delay,
+)
 
 CFG = SimConfig()
 
@@ -119,3 +128,38 @@ def test_link_delay_never_falls_with_distance(
     delay = [make_link_stats(1, d, cfg).total_delay for d in (lo, math.nextafter(lo, math.inf), hi)]
     assert delay[0] <= delay[1]
     assert delay[0] <= delay[2]
+
+
+radio_configs = st.builds(
+    CFG.replace,
+    a0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    d_c=st.floats(1.0, 5000.0),
+    b0=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    b_cap=st.floats(0.01, 10.0),
+    path_loss_exp=st.floats(1.0, 6.0),
+    tx_power=st.floats(1e-3, 100.0),
+    noise_power=st.floats(1e-16, 1e-9),
+    sinr_threshold=st.floats(0.1, 1000.0),
+)
+
+
+@given(cfg=radio_configs, d1=distances, d2=distances, n1=st.integers(1, 200), n2=st.integers(1, 200))
+def test_snr_and_bandwidth_never_improve_with_distance_or_sharing(cfg, d1, d2, n1, n2):
+    # admission and low-SNR evidence compare a distance against thresholds
+    # (mapsim.pathing.AdmissionLimits); that is only exact while these hold
+    lo, hi = sorted((d1, d2))
+    few, many = sorted((n1, n2))
+    for near, far in ((lo, math.nextafter(lo, math.inf)), (lo, hi)):
+        assert compute_sinr(far, cfg) <= compute_sinr(near, cfg)
+        assert make_link_stats(1, far, cfg, few).bandwidth <= make_link_stats(1, near, cfg, few).bandwidth
+    assert make_link_stats(1, lo, cfg, many).bandwidth <= make_link_stats(1, lo, cfg, few).bandwidth
+    assert make_link_stats(1, lo, cfg, few + 1).bandwidth <= make_link_stats(1, lo, cfg, few).bandwidth
+
+
+@given(cfg=radio_configs, d=st.lists(distances, max_size=30))
+def test_link_quality_equals_the_scalar_formulas(cfg, d):
+    sinr, delay = link_quality(np.array(d, dtype=float), cfg)
+    want_sinr = [compute_sinr(x, cfg) for x in d]
+    want_delay = [path_delay(x, s, cfg) for x, s in zip(d, want_sinr)]
+    assert [x.hex() for x in sinr.tolist()] == [x.hex() for x in want_sinr]
+    assert [x.hex() for x in delay.tolist()] == [x.hex() for x in want_delay]
