@@ -6,6 +6,12 @@ Canonical block digest input, in order:
   big endian u32 payload length,
   payload bytes (compact JSON, sorted keys),
   32 byte previous digest.
+
+ledger.json is a JSON array with one object per block, in chain order:
+"digest" and "prev_hash" as 64 lowercase hex digits, "index", "payload" (the
+decoded payload) and "round". Keys are sorted at every level, the indent is
+2 spaces and a newline ends the file, so an empty ledger is "[]\\n". These are
+the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
 """
 
 from __future__ import annotations
@@ -14,22 +20,43 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 GENESIS_HASH = bytes(32)
+_ROW_KEYS = ("index", "round", "payload", "prev_hash", "digest")
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_pack_indices = struct.Struct("<QQ").pack
 
 
 def canonical_payload(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _compact(obj).encode("utf-8")
 
 
 def block_digest(index: int, round_index: int, payload: bytes, prev_hash: bytes) -> bytes:
-    head = (
-        struct.pack("<Q", index)
-        + struct.pack("<Q", round_index)
-        + struct.pack(">I", len(payload))
-    )
+    head = _pack_indices(index, round_index) + len(payload).to_bytes(4, "big")
     return hashlib.sha256(head + payload + prev_hash).digest()
+
+
+def indented(obj: Any, pad: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) with `pad` after every newline,
+    for any JSON-decoded obj."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if not obj or type(obj) not in (list, dict):
+        return _compact(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(obj) is dict:
+        items = [encode_basestring_ascii(k) + ": " + indented(obj[k], inner) for k in sorted(obj)]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if set(map(type, obj)) == {int}:  # plain ints, no bools: one join
+        body = sep.join(map(int.__repr__, obj))
+    else:
+        body = sep.join([indented(v, inner) for v in obj])
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 @dataclass(frozen=True)
@@ -102,31 +129,39 @@ class Ledger:
 
     def to_json(self, path: Any) -> None:
         rows = [
-            {
-                "index": b.index,
-                "round": b.round_index,
-                "payload": b.payload_obj(),
-                "prev_hash": b.prev_hash.hex(),
-                "digest": b.digest.hex(),
-            }
+            f'  {{\n    "digest": "{b.digest.hex()}",\n    "index": {b.index},\n'
+            f'    "payload": {indented(b.payload_obj(), "    ")},\n'
+            f'    "prev_hash": "{b.prev_hash.hex()}",\n    "round": {b.round_index}\n  }}'
             for b in self.blocks
         ]
+        text = "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
 
     @classmethod
     def from_json(cls, path: Any) -> "Ledger":
+        """Load ledger.json; ValueError names the first malformed row and field."""
         with open(path, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-        blocks = [
-            Block(
-                index=int(r["index"]),
-                round_index=int(r["round"]),
-                payload=canonical_payload(r["payload"]),
-                prev_hash=bytes.fromhex(r["prev_hash"]),
-                digest=bytes.fromhex(r["digest"]),
-            )
-            for r in rows
-        ]
-        return cls(blocks)
+        if type(rows) is not list:
+            raise ValueError("ledger is not a JSON array of blocks")
+        return cls([_row_block(i, row) for i, row in enumerate(rows)])
+
+
+def _row_block(i: int, row: Any) -> Block:
+    """Block of ledger.json row i, or ValueError naming the row and field."""
+    if type(row) is not dict:
+        raise ValueError(f"row {i} is not an object")
+    for key in _ROW_KEYS:
+        if key not in row:
+            raise ValueError(f"row {i} has no {key!r}")
+    for key in ("index", "round"):
+        if type(row[key]) is not int or not 0 <= row[key] < 1 << 64:
+            raise ValueError(f"row {i} {key!r} is not an unsigned 64-bit integer")
+    hashes = []
+    for key in ("prev_hash", "digest"):
+        try:
+            hashes.append(bytes.fromhex(row[key]))
+        except (TypeError, ValueError):
+            raise ValueError(f"row {i} {key!r} is not a hex string") from None
+    return Block(row["index"], row["round"], canonical_payload(row["payload"]), *hashes)

@@ -1,8 +1,8 @@
 """File outputs for a run: per round CSV, summary JSON, ledger JSON.
 
-Float cells are written with repr so a parse round-trips to the identical
-value; None becomes an empty cell. Summary JSON is sorted and stable so
-identical runs produce identical bytes. Wall clock time deliberately stays
+csv.writer writes float cells with repr, so a parse round-trips to the
+identical value, and None as an empty cell. Summary JSON is sorted and stable
+so identical runs produce identical bytes. Wall clock time deliberately stays
 out of the files.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -34,20 +35,11 @@ ROUND_COLUMNS = (
 )
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_rounds_csv(path: Any, rounds: list[RoundMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([column for column, _, _ in ROUND_COLUMNS])
-        for m in rounds:
-            writer.writerow([_cell(getattr(m, name)) for _, name, _ in ROUND_COLUMNS])
+        writer.writerows(map(attrgetter(*[name for _, name, _ in ROUND_COLUMNS]), rounds))
 
 
 def read_rounds_csv(path: Any) -> list[dict[str, Any]]:

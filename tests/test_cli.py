@@ -111,6 +111,19 @@ def test_verify_ledger_missing_file(tmp_path, capsys):
     assert "unreadable" in capsys.readouterr().err
 
 
+def test_verify_ledger_names_a_malformed_row(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    path = out / "ledger.json"
+    rows = json.loads(path.read_text())
+    del rows[2]["round"]
+    path.write_text(json.dumps(rows))
+    capsys.readouterr()
+    rc = main(["verify-ledger", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "ledger unreadable: row 2 has no 'round'\n"
+
+
 def test_compare_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"

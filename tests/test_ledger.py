@@ -4,7 +4,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mapsim.ledger import (
@@ -14,6 +14,7 @@ from mapsim.ledger import (
     block_digest,
     canonical_payload,
     chain_break,
+    indented,
     verify_chain,
 )
 
@@ -35,6 +36,13 @@ def test_digest_matches_independent_reconstruction():
         + prev
     ).digest()
     assert block_digest(7, 3, payload, prev) == expected
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.binary(max_size=300))
+def test_digest_header_matches_struct_packing(index, round_index, payload):
+    prev = bytes(range(32))
+    head = struct.pack("<Q", index) + struct.pack("<Q", round_index) + struct.pack(">I", len(payload))
+    assert block_digest(index, round_index, payload, prev) == hashlib.sha256(head + payload + prev).digest()
 
 
 def test_canonical_payload_sorts_keys():
@@ -206,3 +214,96 @@ def test_arbitrary_payloads_chain(payloads):
     assert led.verify()
     assert chain_break(led.blocks) is None
     assert len(led) == len(payloads)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _stdlib_to_json(ledger, path):
+    """The ledger.json writer as it was: the stdlib encoder's indent path."""
+    rows = [
+        {
+            "index": b.index,
+            "round": b.round_index,
+            "payload": b.payload_obj(),
+            "prev_hash": b.prev_hash.hex(),
+            "digest": b.digest.hex(),
+        }
+        for b in ledger.blocks
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(1, 2**40), JSON_VALUES), max_size=5))
+@example([])
+@example([(1, [-0.0, 1e300, float("nan"), float("inf"), -float("inf")])])
+@example([(1, {"big": 2**80, "neg": -(2**70), "flags": [True, False, None], "ints": [3, -1, 0], "mixed": [1, True, 0, False]})])
+@example([(1, {"": [], "é\u2028": {}, "q\"\\\n\x00": [[], {}, [{}]], "\U0001f600": "tab\there"})])
+@example([(2**40, {"elected": [0, 13], "excluded": [], "input_digest": "ab" * 32, "round": 5})])
+def test_to_json_bytes_equal_the_stdlib_encoder(tmp_path, steps):
+    led = Ledger()
+    round_index = 0
+    for gap, payload in steps:
+        round_index += gap
+        led.append(round_index, payload)
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    led.to_json(ours)
+    _stdlib_to_json(led, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert Ledger.from_json(ours).blocks == led.blocks
+    # payload_obj() keys arrive sorted; the raw payloads' need not
+    for _, value in steps:
+        assert indented(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _bad_row(key, value):
+    def edit(rows):
+        rows[1][key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(rows):
+        del rows[1][key]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[0], "ledger is not a JSON array of blocks"),
+        (lambda rows: {"blocks": rows}, "ledger is not a JSON array of blocks"),
+        (lambda rows: rows.__setitem__(1, "block"), "row 1 is not an object"),
+        (lambda rows: rows.__setitem__(1, [0, 1]), "row 1 is not an object"),
+        (_drop("index"), "row 1 has no 'index'"),
+        (_drop("round"), "row 1 has no 'round'"),
+        (_drop("payload"), "row 1 has no 'payload'"),
+        (_drop("prev_hash"), "row 1 has no 'prev_hash'"),
+        (_drop("digest"), "row 1 has no 'digest'"),
+        (_bad_row("index", "1"), "row 1 'index' is not an unsigned 64-bit integer"),
+        (_bad_row("index", 1.0), "row 1 'index' is not an unsigned 64-bit integer"),
+        (_bad_row("index", True), "row 1 'index' is not an unsigned 64-bit integer"),
+        (_bad_row("round", None), "row 1 'round' is not an unsigned 64-bit integer"),
+        (_bad_row("round", -1), "row 1 'round' is not an unsigned 64-bit integer"),
+        (_bad_row("round", 2**64), "row 1 'round' is not an unsigned 64-bit integer"),
+        (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not a hex string"),
+        (_bad_row("digest", 7), "row 1 'digest' is not a hex string"),
+        (_bad_row("digest", None), "row 1 'digest' is not a hex string"),
+    ],
+)
+def test_from_json_names_the_bad_row_and_field(tmp_path, edit, message):
+    path = tmp_path / "ledger.json"
+    _chain(3).to_json(path)
+    rows = json.loads(path.read_text())
+    edited = edit(rows)
+    path.write_text(json.dumps(rows if edited is None else edited))
+    with pytest.raises(ValueError) as info:
+        Ledger.from_json(path)
+    assert str(info.value) == message

@@ -1,10 +1,13 @@
+import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mapsim.config import SimConfig
-from mapsim.engine import run_simulation
-from mapsim.report import read_rounds_csv, write_rounds_csv, write_run, write_summary_json
+from mapsim.engine import RoundMetrics, run_simulation
+from mapsim.report import ROUND_COLUMNS, read_rounds_csv, write_rounds_csv, write_run, write_summary_json
 
 CFG = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=9)
 
@@ -27,6 +30,56 @@ def test_csv_round_trip_exact(tmp_path):
             "avg_delay_s": m.avg_delay_s,
             "disconnected": m.disconnected,
         }
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _cell_rounds_csv(path, rounds):
+    """The rounds.csv writer as it was: one formatted string per cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([column for column, _, _ in ROUND_COLUMNS])
+        for m in rounds:
+            writer.writerow([_cell(getattr(m, name)) for _, name, _ in ROUND_COLUMNS])
+
+
+COUNTS = st.integers(0, 2**70)
+ROUND_METRICS = st.builds(
+    RoundMetrics,
+    round_index=COUNTS,
+    vehicle_count=COUNTS,
+    elected_maps=COUNTS,
+    flagged_count=COUNTS,
+    avg_handover=st.floats(),
+    max_handover=COUNTS,
+    min_handover=COUNTS,
+    avg_delay_s=st.none() | st.floats(),
+    disconnected=COUNTS,
+    attached=COUNTS,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(ROUND_METRICS, max_size=6))
+@example([])
+@example(
+    [
+        RoundMetrics(0, 10**30, 1, 0, -0.0, 2**64, 0, None, 3, 7),
+        RoundMetrics(1, 5, 2, 1, 1e-07, 3, 1, -0.0, 0, 2),
+        RoundMetrics(2, 5, 2, 1, 0.1 + 0.2, 3, 1, 1e-07, 0, 2),
+    ]
+)
+def test_csv_bytes_equal_the_per_cell_writer(tmp_path, rounds):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_rounds_csv(ours, rounds)
+    _cell_rounds_csv(theirs, rounds)
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_csv_only_delay_cell_may_be_empty(tmp_path):
