@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 GENESIS_HASH = bytes(32)
-_ROW_KEYS = ("index", "round", "payload", "prev_hash", "digest")
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _pack_indices = struct.Struct("<QQ").pack
 
@@ -152,7 +151,7 @@ def _row_block(i: int, row: Any) -> Block:
     """Block of ledger.json row i, or ValueError naming the row and field."""
     if type(row) is not dict:
         raise ValueError(f"row {i} is not an object")
-    for key in _ROW_KEYS:
+    for key in ("index", "round", "payload", "prev_hash", "digest"):
         if key not in row:
             raise ValueError(f"row {i} has no {key!r}")
     for key in ("index", "round"):
