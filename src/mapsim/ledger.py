@@ -51,11 +51,7 @@ def indented(obj: Any, pad: str) -> str:
     if type(obj) is dict:
         items = [encode_basestring_ascii(k) + ": " + indented(obj[k], inner) for k in sorted(obj)]
         return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
-    if set(map(type, obj)) == {int}:  # plain ints, no bools: one join
-        body = sep.join(map(int.__repr__, obj))
-    else:
-        body = sep.join([indented(v, inner) for v in obj])
-    return "[\n" + inner + body + "\n" + pad + "]"
+    return "[\n" + inner + sep.join([indented(v, inner) for v in obj]) + "\n" + pad + "]"
 
 
 @dataclass(frozen=True)
