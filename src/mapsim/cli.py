@@ -63,6 +63,16 @@ def _load_config(path: Path | None) -> SimConfig:
     return SimConfig.from_json(path)
 
 
+def _make_out(out: Path) -> bool:
+    """Create the output directory, or say on stderr why --out cannot be one."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"bad --out {str(out)!r}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     overrides = {}
     if args.seed is not None:
@@ -73,6 +83,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = _load_config(args.config).replace(**overrides)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if not _make_out(args.out):
         return 2
     report = run_simulation(cfg)
     out = write_run(args.out, report)
@@ -108,6 +120,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(set(strategies)) < len(strategies):
         print(f"bad --strategies {args.strategies!r}: a strategy is listed twice", file=sys.stderr)
         return 2
+    if not _make_out(args.out):
+        return 2
     result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(
@@ -135,7 +149,12 @@ def _cmd_verify_ledger(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("MAPSIM_LOG_LEVEL", "WARNING"))
+    level = os.environ.get("MAPSIM_LOG_LEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        known = "CRITICAL, ERROR, WARNING, INFO, DEBUG"
+        print(f"bad MAPSIM_LOG_LEVEL {level!r}: choose from {known}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     if args.command == "simulate":
         return _cmd_simulate(args)

@@ -171,14 +171,9 @@ def run_round(
     table = selection_probabilities(roster[~flagged])
     k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
     prev_maps = state.current_maps
-    if blockchain and config.incumbent_retention:
-        retained = sorted(m for m in prev_maps if not flagged[m])
-        in_pool = ~flagged
-        in_pool[retained] = False
-        pool = selection_probabilities(roster[in_pool])
-        elected = retained + select_maps(pool, max(0, k - len(retained)), rng)
-    else:
-        elected = select_maps(table, k, rng)
+    retention = blockchain and config.incumbent_retention
+    retained = sorted(m for m in prev_maps if not flagged[m]) if retention else []
+    elected = retained + select_maps(table, k - len(retained), rng, retained)
     state.current_maps = elected
     is_map = np.zeros(n, dtype=bool)
     is_map[elected] = True

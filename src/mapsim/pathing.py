@@ -142,14 +142,6 @@ class AdmissionLimits:
 
 def occurrence(keys: np.ndarray) -> np.ndarray:
     """Each element's position among the earlier elements with its key."""
-    if len(keys) < 64:
-        # a handful of keys costs less to count than to sort
-        seen: dict[int, int] = {}
-        out = []
-        for k in keys.tolist():
-            out.append(seen.get(k, 0))
-            seen[k] = out[-1] + 1
-        return np.array(out, dtype=np.int64)
     span = np.arange(len(keys))
     # unique composite keys sort the same with or without stability
     order = np.argsort(keys * len(keys) + span)

@@ -38,19 +38,24 @@ def selection_probabilities(entries, trust_threshold: float = 0.0) -> CandidateT
     return CandidateTable(idents, loads, trust, weights, probabilities)
 
 
-def select_maps(table: CandidateTable, k: int, rng) -> list[int]:
-    """Draw up to k distinct winners, renormalising after each draw.
+def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
+    """Draw up to k distinct winners, none in taken, renormalising after each draw.
 
     rng needs only a random() method returning a uniform variate in
     [0, 1); one is consumed per winner. Weights must be nonnegative. Each
     draw scans the sequential running sums of the remaining weights, the
-    same floats whatever the platform or Python version; a winner's weight
-    is zeroed, which leaves every running sum of the others unchanged.
+    same floats whatever the platform or Python version. Zeroing a taken
+    row's or a winner's weight leaves every other running sum unchanged, so
+    the draws equal those from the table without the taken rows; idents in
+    taken but not in the table are ignored.
     """
-    weights = table.weights.copy()
-    remaining = np.ones(len(weights), dtype=bool)
+    if k <= 0:
+        # most rounds under retention draw no one; skip the np.isin mask
+        return []
+    remaining = ~np.isin(table.idents, taken)
+    weights = np.where(remaining, table.weights, 0.0)
     winners: list[int] = []
-    for _ in range(min(k, len(weights))):
+    for _ in range(min(k, int(remaining.sum()))):
         acc = np.cumsum(weights)
         total = acc[-1]
         if total <= 0:

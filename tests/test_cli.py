@@ -1,7 +1,11 @@
 """End-to-end checks for the command line interface."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,47 @@ def test_bad_invocations_exit_nonzero(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_rejected_before_running(tmp_path, capsys, monkeypatch, command, under):
+    def no_run(*_args):
+        raise AssertionError("ran a simulation")
+
+    monkeypatch.setattr("mapsim.cli.run_simulation", no_run)
+    monkeypatch.setattr("mapsim.cli.run_comparison", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # an existing file, or a path below one
+    out = blocker / "out" if under else blocker
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out)]
+    assert main(argv + (["--seeds", "1"] if command == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad --out {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("level", ["bogus", "", "10"])
+def test_bad_log_level_rejected(tmp_path, capsys, monkeypatch, level):
+    monkeypatch.setenv("MAPSIM_LOG_LEVEL", level)
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad MAPSIM_LOG_LEVEL {level!r}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_log_level_names_accepted_in_any_case(tmp_path):
+    # a fresh interpreter, since pytest's own log handlers make
+    # logging.basicConfig a no-op in this one
+    cfg = write_config(tmp_path, total_time=20.0)
+    argv = [sys.executable, "-m", "mapsim.cli", "simulate", "--config", str(cfg)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for level, debug in (("debug", True), ("Info", False)):
+        env = {**os.environ, "PYTHONPATH": src, "MAPSIM_LOG_LEVEL": level}
+        done = subprocess.run(argv + ["--out", str(tmp_path / level)], env=env,
+                              capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+        assert ("DEBUG:mapsim:round 0: elected" in done.stderr) == debug

@@ -286,6 +286,13 @@ def test_ledger_covers_every_round():
     assert report.ledger.verify()
     rounds = [b.round_index for b in report.ledger.blocks]
     assert rounds == list(range(SMALL.rounds()))
+    # the previous block's MAPs not excluded now are elected first, and the
+    # draw fills the remaining seats from everyone else
+    blocks = [block.payload_obj() for block in report.ledger.blocks]
+    for prev, block in zip(blocks, blocks[1:]):
+        retained = sorted(set(prev["elected"]) - set(block["excluded"]))
+        assert block["elected"][: len(retained)] == retained
+        assert not set(block["elected"][len(retained):]) & set(prev["elected"])
 
 
 def test_zero_round_run():

@@ -132,13 +132,14 @@ def test_table_digest_sensitive_to_trust():
     assert table_digest(a) != table_digest(b)
 
 
-def scalar_select(idents, weights, k, rng):
+def scalar_select(idents, weights, k, rng, taken=()):
     """The per-entry scan select_maps replaced, kept as its oracle.
 
     Totals are summed with an explicit loop: builtin sum() of floats is
     compensated on Python >= 3.12 and would differ from a sequential scan.
+    Rows whose ident is taken are never in the pool.
     """
-    pool = list(range(len(weights)))
+    pool = [i for i in range(len(weights)) if idents[i] not in taken]
     winners = []
     for _ in range(min(k, len(pool))):
         total = 0.0
@@ -178,18 +179,33 @@ PAIRWISE_TRAP = [
 ]
 
 
-@example(rows=PAIRWISE_TRAP, k=1, draws=[1.0 - 2.0**-53] * 30)
+# the last row is taken, so a draw rounding up to the total must fall back
+# to the last row still in the pool
+LAST_TAKEN = [(3, 5e-324), (2, 5e-324), (4, 60.0)]
+
+
+@example(rows=PAIRWISE_TRAP, k=1, draws=[1.0 - 2.0**-53] * 30, taken=[])
+@example(rows=PAIRWISE_TRAP, k=3, draws=[1.0 - 2.0**-53] * 30, taken=[2, 18])
+@example(rows=LAST_TAKEN, k=2, draws=[1.0 - 2.0**-53] * 30, taken=[2])
+@example(rows=[(4, 100.0), (1, 90.0), (3, 80.0)], k=2, draws=[0.5] * 30, taken=[1, 99])
 @given(
     rows=st.lists(st.tuples(st.integers(1, 8), TRUSTS), max_size=25),
-    k=st.integers(0, 30),
+    k=st.integers(-2, 30),
     draws=st.lists(UNIFORMS, min_size=30, max_size=30),
+    taken=st.lists(st.integers(0, 30), unique=True, max_size=10),
 )
-def test_select_maps_matches_scalar_scan(rows, k, draws):
+def test_select_maps_matches_scalar_scan(rows, k, draws, taken):
     entries = [(i, load, trust) for i, (load, trust) in enumerate(rows)]
     table = selection_probabilities(entries, trust_threshold=-1.0)
     weights = [load * trust for _, load, trust in entries]
     assert table.weights.tolist() == weights
-    want = scalar_select(list(range(len(rows))), weights, k, StubRng(draws))
-    got = select_maps(table, k, StubRng(draws))
+    want = scalar_select(list(range(len(rows))), weights, k, StubRng(draws), taken)
+    rng = StubRng(draws)
+    got = select_maps(table, k, rng, taken)
     assert got == want
     assert all(type(ident) is int for ident in got)
+    # the same draws, and as many uniforms, as from the table without the taken rows
+    pool_rng = StubRng(draws)
+    pool = selection_probabilities([e for e in entries if e[0] not in taken], trust_threshold=-1.0)
+    assert select_maps(pool, k, pool_rng) == got
+    assert len(pool_rng.values) == len(rng.values)
