@@ -121,6 +121,8 @@ def _validate(cfg: SimConfig) -> None:
         elif f.type == "int":
             ok = isinstance(value, Integral) and not isinstance(value, bool)
             _require(ok, f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "bool":
+            _require(isinstance(value, bool), f"{f.name} must be true or false, got {value!r}")
     _require(cfg.road_length > 0, "road_length must be positive")
     _require(cfg.vehicle_density >= 0, "vehicle_density must be non-negative")
     _require(0 <= cfg.speed_min <= cfg.speed_max, "speeds must satisfy 0 <= speed_min <= speed_max")

@@ -71,11 +71,11 @@ class SimState:
     position, speed and score are float64 arrays, load int64 and flagged
     bool. A new state has zero handover totals and no evidence, MAPs or paths.
     `evidence` holds the next trust pass's (handovers, low SNR, connected,
-    observed) arrays. The last round's links are identities x max_paths
-    arrays in probe order: `link_map` (the MAP, -1 in an empty slot),
-    `link_dist` and `link_rank`, the share count the link was admitted at;
-    `served` lists the identities that round offered paths to and
-    `link_config` is the config it ran under. `fleet`,
+    observed) arrays. The last round's links are identities x
+    min(max_paths, MAP count) arrays in probe order: `link_map` (the MAP,
+    -1 in an empty slot), `link_dist` and `link_rank`, the share count the
+    link was admitted at; `served` lists the identities that round offered
+    paths to and `link_config` is the config it ran under. `fleet`,
     `trust` and `last_assignments` are read-only record views, built on
     demand, for the tests and the benchmark's worker and tracer.
     """
@@ -187,8 +187,9 @@ def run_round(
     prev = state.link_map[served]
     r, c, d, rank = attach(config, round_index, rng, n, served, maps, dmat, prev)
 
-    # each vehicle's links, in probe order, into its row of the link arrays
-    width = config.max_paths
+    # each vehicle's links, in probe order, into its row of the link arrays;
+    # a vehicle holds each MAP at most once
+    width = min(config.max_paths, len(maps))
     link_map = np.full((n, width), -1, dtype=np.int64)
     link_dist = np.zeros((n, width))
     link_rank = np.zeros((n, width), dtype=np.int64)
@@ -275,15 +276,16 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
     dmat is their distance grid and prev[v] row v's previous MAPs, -1
     padded. A link's rank is the share count it was admitted at. Each pass
     speculates that bandwidth admits every probe a probe at the MAP's count
-    when the pass starts would admit, and is settled against the scalar
-    pass (see mapsim.pathing).
+    when the pass starts would admit. settle keeps the rows before the first
+    wrong one and hands that row and all later ones to the scalar pass in
+    one call (see mapsim.pathing).
     """
     limits = config.limits
     shares = np.zeros(len(maps), dtype=np.int64)
 
     def scalar(run):
-        """A settle repair: rows through run(rows, idents, candidates, tally),
-        a scalar pass giving each row's new LinkStats, at exact counts."""
+        """settle's hand-off: rows through run(rows, idents, candidates,
+        tally), a scalar pass giving each row's new LinkStats, at exact counts."""
 
         def rerun(rows):
             sub = dmat[rows] < limits.delay
@@ -291,11 +293,10 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
             pairs = list(zip(dmat[rows[at], cols].tolist(), maps[cols].tolist()))
             ends = np.cumsum(sub.sum(axis=1)).tolist()
             cands = [pairs[a:b] for a, b in zip([0] + ends, ends)]
-            used = np.unique(cols)
-            tally = dict(zip(maps[used].tolist(), shares[used].tolist()))
+            tally = dict(zip(maps.tolist(), shares.tolist()))
             found = run(rows, served[rows].tolist(), cands, tally)
             links = [(v, s.map_ident, s.distance) for v, new in zip(rows.tolist(), found) for s in new]
-            shares[used] = list(tally.values())
+            shares[:] = list(tally.values())
             r, m, d = zip(*links) if links else ((), (), ())
             return np.array(r, dtype=np.int64), np.searchsorted(maps, m), np.array(d, dtype=float)
 
@@ -322,8 +323,9 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
 
         # growth speculates the nearest open MAPs by (distance, ident) that
         # a probe at the retained count would admit; counts only grow
-        free = config.max_paths - np.bincount(hr, minlength=len(served))
-        width = int(free.max(initial=0)) if len(maps) else 0
+        # a vehicle holds each MAP at most once, so len(maps) caps its slots
+        free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
+        width = int(free.max(initial=0))
         open_d = np.where(dmat < limits.at(shares + 1), dmat, np.inf)
         open_d[hr, hc] = np.inf
         span = np.arange(len(served))
@@ -335,11 +337,9 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
             open_d[span, j] = np.inf
         rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[:, None]))
 
-        held_links = []  # (map, distance, rank) of each held link, on the first repair
-
         def grow(rows, ids, cands, tally):
-            if not held_links:
-                held_links.extend(zip(maps[hc].tolist(), hd.tolist(), (occurrence(hc) + 1).tolist()))
+            # (map, distance, rank) of each held link
+            held_links = list(zip(maps[hc].tolist(), hd.tolist(), (occurrence(hc) + 1).tolist()))
             lo, hi = np.searchsorted(hr, rows).tolist(), np.searchsorted(hr, rows + 1).tolist()
             for i, a, b, c in zip(ids, lo, hi, cands):
                 mine = [make_link_stats(m, d, config, k) for m, d, k in held_links[a:b]]

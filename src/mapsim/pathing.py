@@ -17,13 +17,13 @@ The engine runs each pass as array operations over its client x MAP
 distance grid. It speculates that bandwidth admits every probe that a probe
 at the MAP's count when the pass starts would admit, since counts only
 grow. `settle` then checks each speculated link at its probe rank, the share
-count it would be probed at. The first vehicle holding a link at or over its
-limit is re-run through the scalar pass (`retain_paths`, `grow_paths`,
-`baseline_paths`) at exact attach counts, the speculation is checked again
-from the next vehicle, and after a few repairs the rest of the pass runs
-scalar. The scalar passes are the definition the array passes reproduce.
-The engine keeps the admitted links as identities x max_paths arrays of
-MAP, distance and rank; `count_handovers` works on rows of them.
+count it would be probed at. The vehicles before the first one holding a
+link at or over its limit keep their speculated links; that vehicle and
+every later one go through the scalar pass (`retain_paths`, `grow_paths`,
+`baseline_paths`) together, at exact attach counts. The scalar passes are
+the definition the array passes reproduce. The engine keeps the admitted
+links as identities x min(max_paths, MAP count) arrays of MAP, distance and
+rank; `count_handovers` works on rows of them.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ import numpy as np
 
 from .config import SimConfig
 from .radio import LinkStats, make_link_stats
-
-# repairs a pass makes before it runs its remaining vehicles scalar
-REPAIR_BUDGET = 4
 
 
 @dataclass(frozen=True)
@@ -159,16 +156,16 @@ def settle(
     limits: AdmissionLimits,
     rerun: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, ...]:
-    """Admit one pass's speculated links, repairing the rows it got wrong.
+    """Admit one pass's speculated links, handing the rows it got wrong to rerun.
 
     rows (ascending), cols and dist are the links each row would take if
     every probe it makes passed; counts[col] is each MAP's attach count
     before the pass and is updated in place. A link's probe rank is its
     MAP's count plus the earlier links on it, plus one. Rows before the
-    first link at or over the limit at its rank were speculated right; that
-    row goes through rerun(array of rows), the scalar pass at exact counts,
-    which updates counts and returns the admitted (rows, cols, dist). After
-    REPAIR_BUDGET repairs the remaining rows go through rerun together.
+    first link at or over the limit at its rank were speculated right. That
+    row and every later one go through one rerun(array of rows) call, the
+    scalar pass at exact counts, which updates counts and returns the
+    admitted (rows, cols, dist).
 
     Returns the admitted links as (rows, cols, dist), rows ascending.
     """
@@ -180,29 +177,15 @@ def settle(
     if dist.max() < limits.limit(int(top.max())):
         counts[:] = top
         return rows, cols, dist
-    parts = []
     rank = counts[cols] + occurrence(cols) + 1
-    budget = REPAIR_BUDGET
-    while True:
-        bad = np.flatnonzero(dist >= limits.at(rank))
-        stop = int(np.searchsorted(rows, rows[bad[0]])) if len(bad) else len(rows)
-        counts += np.bincount(cols[:stop], minlength=len(counts))
-        parts.append((rows[:stop], cols[:stop], dist[:stop]))
-        if stop == len(rows):
-            break
-        if not budget:
-            parts.append(rerun(np.unique(rows[stop:])))
-            break
-        after = int(np.searchsorted(rows, rows[stop], side="right"))
-        fixed = rerun(rows[stop : stop + 1])
-        parts.append(fixed)
-        # later links see the row's actual links in place of its speculated ones
-        shift = np.bincount(cols[stop:after], minlength=len(counts))
-        shift -= np.bincount(fixed[1], minlength=len(counts))
-        rows, cols, dist = rows[after:], cols[after:], dist[after:]
-        rank = rank[after:] - shift[cols]
-        budget -= 1
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    bad = np.flatnonzero(dist >= limits.at(rank))
+    if not len(bad):
+        counts[:] = top
+        return rows, cols, dist
+    stop = int(np.searchsorted(rows, rows[bad[0]]))
+    counts += np.bincount(cols[:stop], minlength=len(counts))
+    fixed = rerun(np.unique(rows[stop:]))
+    return tuple(np.concatenate(pair) for pair in zip((rows[:stop], cols[:stop], dist[:stop]), fixed))
 
 
 def retain_paths(

@@ -52,7 +52,8 @@ def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
     if k <= 0:
         # most rounds under retention draw no one; skip the np.isin mask
         return []
-    remaining = ~np.isin(table.idents, taken)
+    # every baseline round draws with nothing taken
+    remaining = ~np.isin(table.idents, taken) if len(taken) else np.ones(len(table.idents), dtype=bool)
     weights = np.where(remaining, table.weights, 0.0)
     winners: list[int] = []
     for _ in range(min(k, int(remaining.sum()))):

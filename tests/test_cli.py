@@ -56,12 +56,21 @@ def test_simulate_seed_and_strategy_override(tmp_path):
     assert summary["flagged_count"] == 0
 
 
-def test_simulate_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data, why",
+    [
+        ({"road_length": -1.0}, "road_length must be positive"),
+        ({"incumbent_retention": "false"}, "incumbent_retention must be true or false, got 'false'"),
+    ],
+    ids=["negative-length", "string-flag"],
+)
+def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"road_length": -1.0}))
+    cfg.write_text(json.dumps(data))
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and why in err
 
 
 def test_simulate_rejects_unbounded_round_count(tmp_path, capsys):

@@ -52,6 +52,8 @@ def test_partial_round_does_not_run():
         {"rng_seed": 1.5},
         {"rng_seed": -1},
         {"b_cap": "2"},
+        {"incumbent_retention": "false"},
+        {"incumbent_retention": 1},
         {"dt": 1e-300},
         {"total_time": 1e308, "dt": 1e-10},
         {"total_time": 1e7 + 10.0},
@@ -185,6 +187,7 @@ def invalid_changes(draw, cfg):
             st.fixed_dictionaries({"trust_threshold": st.floats(100.0, exclude_min=True)}),
             st.fixed_dictionaries({"sybil_clones": st.integers(max_value=-1) | st.booleans()}),
             st.fixed_dictionaries({"rng_seed": st.integers(max_value=-1)}),
+            st.fixed_dictionaries({"incumbent_retention": st.integers() | st.text() | st.none()}),
             st.fixed_dictionaries({"strategy": st.text().filter(lambda s: s not in STRATEGIES)}),
         )
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapsim.config import SimConfig
+from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance
 from mapsim.radio import make_link_stats
@@ -346,6 +346,23 @@ def test_without_incumbent_retention():
         assert m.vehicle_count == (
             m.elected_maps + m.attached + m.disconnected + m.flagged_count
         )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_max_paths_past_the_identity_count_runs_as_that_count(tmp_path, strategy):
+    # a vehicle holds each MAP at most once, so no slot past the MAP count
+    # is ever filled; the link arrays must not be sized by max_paths alone
+    cfg = SMALL.replace(strategy=strategy)
+    n = len(initial_state(cfg, np.random.default_rng(cfg.rng_seed)).position)
+
+    def digests(max_paths):
+        out = write_run(tmp_path / str(max_paths), run_simulation(cfg.replace(max_paths=max_paths)))
+        return [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rounds.csv", "summary.json", "ledger.json")]
+
+    want = digests(n)
+    assert digests(2**62) == want
+    assert digests(2**70) == want
 
 
 # sha256 of (rounds.csv, summary.json, ledger.json) for SMALL under each

@@ -17,6 +17,7 @@ from mapsim.pathing import (
     grow_paths,
     occurrence,
     retain_paths,
+    settle,
     threshold,
 )
 from mapsim.radio import alpha_trans, make_link_stats
@@ -317,6 +318,37 @@ def test_occurrence_counts_earlier_equal_keys(keys):
     assert occurrence(np.array(keys, dtype=np.int64)).tolist() == want
 
 
+class FallingLimits:
+    """Admission limits that fall by one metre per share count."""
+
+    def limit(self, count):
+        return 10.0 - count
+
+    def at(self, counts):
+        return 10.0 - counts
+
+
+def test_settle_hands_the_first_wrong_row_and_all_later_ones_to_one_rerun():
+    # on MAP 0 row 2's link is probed at rank 3, over its limit of 7; row 5's
+    # link on MAP 1 is over its limit too, but row 2 already fails the pass
+    rows = np.array([0, 1, 1, 2, 2, 3, 5])
+    cols = np.array([0, 1, 0, 1, 0, 0, 1])
+    dist = np.array([1.0, 1.0, 1.0, 1.0, 7.5, 1.0, 9.5])
+    counts = np.zeros(2, dtype=np.int64)
+    calls = []
+
+    def rerun(rerows):
+        calls.append(rerows.tolist())
+        counts[1] += 1
+        return np.array([2]), np.array([1]), np.array([1.0])
+
+    got = settle(rows, cols, dist, counts, FallingLimits(), rerun)
+    assert calls == [[2, 3, 5]]
+    # rows 0 and 1 keep their speculated links, then come rerun's
+    assert [a.tolist() for a in got] == [[0, 1, 1, 2], [0, 1, 0, 1], [1.0] * 4]
+    assert counts.tolist() == [2, 2]
+
+
 def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     """The per-vehicle passes as the engine ran them before the array passes.
 
@@ -412,6 +444,20 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
 
         monkeypatch.setattr(engine, name, counted)
 
+    def settle_once(*args):
+        *head, rerun = args
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return rerun(rows)
+
+        out = settle(*head, counted)
+        seen["most_reruns"] = max(seen["most_reruns"], len(calls))
+        return out
+
+    monkeypatch.setattr(engine, "settle", settle_once)
+
     # a fixed example sequence, so that the repairs it asserts always run
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(attach_inputs())
@@ -426,6 +472,8 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # bandwidth turned probes away, so the speculation was wrong and repaired
     assert seen["rejected"] > 0
     assert seen["retain_paths"] and seen["grow_paths"] and seen["baseline_paths"]
+    # each pass hands its wrong rows to the scalar pass in one call
+    assert seen["most_reruns"] == 1
 
 
 @given(seed=st.integers(0, 2**32 - 1), high=st.integers(1, 10**6), size=st.integers(0, 300))
