@@ -24,7 +24,7 @@ from .pathing import (
     settle,
 )
 from .radio import link_quality, make_link_stats
-from .selection import select_maps, selection_probabilities, table_digest
+from .selection import RowText, select_maps, selection_probabilities, table_digest
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
 
 BLOCKCHAIN = "blockchain-multipath"
@@ -75,7 +75,9 @@ class SimState:
     min(max_paths, MAP count) arrays in probe order: `link_map` (the MAP,
     -1 in an empty slot), `link_dist` and `link_rank`, the share count the
     link was admitted at; `served` lists the identities that round offered
-    paths to and `link_config` is the config it ran under. `fleet`,
+    paths to and `link_config` is the config it ran under. `row_text` is
+    the RowText cache table_digest encodes the election rows through;
+    scores must be finite, as its encoding needs. `fleet`,
     `trust` and `last_assignments` are read-only record views, built on
     demand, for the tests and the benchmark's worker and tracer.
     """
@@ -92,6 +94,8 @@ class SimState:
         n = len(self.position)
         if any(len(a) != n for a in (self.speed, self.load, self.score, self.flagged)):
             raise ValueError("position, speed, load, score and flagged must have equal lengths")
+        if not np.isfinite(self.score).all():
+            raise ValueError("score must be finite")
         self.attacker_ids, self.clone_ids = list(self.attacker_ids), list(self.clone_ids)
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
         self.handover_total = np.zeros(n, dtype=np.int64)
@@ -102,6 +106,7 @@ class SimState:
         self.link_dist = np.zeros((n, 0))
         self.link_rank = np.zeros((n, 0), dtype=np.int64)
         self.link_config: SimConfig | None = None
+        self.row_text = RowText(n)
 
     @property
     def fleet(self) -> tuple[Vehicle, ...]:
@@ -265,7 +270,7 @@ def run_round(
             metrics.attached, metrics.disconnected,
         )
     excluded = tuple(np.flatnonzero(flagged).tolist())
-    event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table))
+    event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table, state.row_text))
     return state, metrics, event
 
 

@@ -12,6 +12,11 @@ ledger.json is a JSON array with one object per block, in chain order:
 decoded payload) and "round". Keys are sorted at every level, the indent is
 2 spaces and a newline ends the file, so an empty ledger is "[]\\n". These are
 the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
+
+A payload's "input_digest" is the sha256 hex digest of the round's election
+table as compact JSON: one [ident, load, trust] row per unflagged identity
+with positive trust, in ident order, ints in decimal and trust as
+float.__repr__, e.g. [[0,4,100.0],[2,3,80.5]] (selection.table_digest).
 """
 
 from __future__ import annotations

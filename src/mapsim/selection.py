@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import canonical_payload
-
 
 @dataclass(frozen=True, eq=False)
 class CandidateTable:
@@ -55,24 +53,48 @@ def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
     # every baseline round draws with nothing taken
     remaining = ~np.isin(table.idents, taken) if len(taken) else np.ones(len(table.idents), dtype=bool)
     weights = np.where(remaining, table.weights, 0.0)
+    idents = table.idents.tolist()
+    # cumsum's running sums, into one buffer, without np.cumsum's dispatch
+    acc, accumulate = np.empty_like(weights), np.add.accumulate
     winners: list[int] = []
     for _ in range(min(k, int(remaining.sum()))):
-        acc = np.cumsum(weights)
-        total = acc[-1]
+        accumulate(weights, out=acc)
+        total = acc.item(-1)
         if total <= 0:
             break
-        u = rng.random() * total
-        pick = int(np.searchsorted(acc, u, side="right"))
+        pick = int(acc.searchsorted(rng.random() * total, "right"))
         if pick == len(acc):
             # u reached the total through rounding; the last remaining wins
             pick = int(np.flatnonzero(remaining)[-1])
-        winners.append(int(table.idents[pick]))
+        winners.append(idents[pick])
         weights[pick] = 0.0
         remaining[pick] = False
     return winners
 
 
-def table_digest(table: CandidateTable) -> str:
-    """Digest of the election input, for the audit trail."""
-    rows = list(zip(table.idents.tolist(), table.loads.tolist(), table.trust.tolist()))
-    return hashlib.sha256(canonical_payload(rows)).hexdigest()
+class RowText:
+    """table_digest's row text for idents 0..n-1, with the load and trust bits it encodes."""
+
+    def __init__(self, n: int) -> None:
+        self.rows = np.full(n, "", dtype=object)
+        self.load = np.zeros(n, dtype=np.int64)
+        self.trust_bits = np.full(n, -1, dtype=np.int64)  # a NaN, never a table's trust
+
+
+def table_digest(table: CandidateTable, text: RowText) -> str:
+    """sha256 of the ident-sorted table as compact JSON [ident, load, trust] rows.
+
+    The bytes of json.dumps(rows, separators=(",", ":")) for finite trust.
+    Only rows whose load or trust bits differ from text's are encoded anew.
+    """
+    ids, loads, trust, slot = table.idents, table.loads, table.trust, table.idents
+    if len(ids) and not 0 <= ids[0] <= ids[-1] < len(text.rows):
+        # idents outside the cache go through a throwaway one, by table row
+        text, slot = RowText(len(ids)), np.arange(len(ids))
+    bits = trust.view(np.int64)
+    stale = np.flatnonzero((text.load[slot] != loads) | (text.trust_bits[slot] != bits))
+    if len(stale):
+        at, new = slot[stale], zip(ids[stale].tolist(), loads[stale].tolist(), trust[stale].tolist())
+        text.rows[at] = [f"[{i},{n},{t!r}]" for i, n, t in new]
+        text.load[at], text.trust_bits[at] = loads[stale], bits[stale]
+    return hashlib.sha256(("[" + ",".join(text.rows[slot].tolist()) + "]").encode()).hexdigest()

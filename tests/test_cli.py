@@ -61,8 +61,9 @@ def test_simulate_seed_and_strategy_override(tmp_path):
     [
         ({"road_length": -1.0}, "road_length must be positive"),
         ({"incumbent_retention": "false"}, "incumbent_retention must be true or false, got 'false'"),
+        ({"load_max": 2**60}, f"load_max must be at most 2**53, got {2**60}"),
     ],
-    ids=["negative-length", "string-flag"],
+    ids=["negative-length", "string-flag", "inexact-load"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):
     cfg = tmp_path / "cfg.json"

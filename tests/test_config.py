@@ -71,6 +71,14 @@ def test_validation_rejects(changes):
         SimConfig(**changes)
 
 
+@pytest.mark.parametrize("load_max", [2**53 + 1, 2**60, 2**63 - 1, 2**63, 2**64])
+def test_load_max_past_exact_float64_is_rejected(load_max):
+    # loads pass through the float64 election roster
+    with pytest.raises(ValueError, match=rf"load_max must be at most 2\*\*53, got {load_max}"):
+        SimConfig(load_max=load_max)
+    assert SimConfig(load_max=2**53).load_max == 2**53
+
+
 def test_round_bound_is_inclusive():
     assert SimConfig(total_time=1e7).rounds() == MAX_ROUNDS
 
@@ -187,6 +195,7 @@ def invalid_changes(draw, cfg):
             st.fixed_dictionaries({"trust_threshold": st.floats(100.0, exclude_min=True)}),
             st.fixed_dictionaries({"sybil_clones": st.integers(max_value=-1) | st.booleans()}),
             st.fixed_dictionaries({"rng_seed": st.integers(max_value=-1)}),
+            st.fixed_dictionaries({"load_max": st.integers(min_value=2**53 + 1)}),
             st.fixed_dictionaries({"incumbent_retention": st.integers() | st.text() | st.none()}),
             st.fixed_dictionaries({"strategy": st.text().filter(lambda s: s not in STRATEGIES)}),
         )

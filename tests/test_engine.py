@@ -150,6 +150,15 @@ def test_state_rejects_ragged_arrays(short):
         SimState(**columns)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_scores(bad):
+    # table_digest writes trust as float.__repr__, which is JSON only for finite floats
+    score = np.full(3, 100.0)
+    score[1] = bad
+    with pytest.raises(ValueError, match="score must be finite"):
+        SimState(np.zeros(3), np.full(3, 20.0), np.ones(3, dtype=np.int64), score, np.zeros(3, dtype=bool))
+
+
 def test_record_views_are_read_only():
     _, state = golden_setup()
     with pytest.raises(TypeError):
@@ -293,6 +302,73 @@ def test_ledger_covers_every_round():
         retained = sorted(set(prev["elected"]) - set(block["excluded"]))
         assert block["elected"][: len(retained)] == retained
         assert not set(block["elected"][len(retained):]) & set(prev["elected"])
+
+
+def oracle_digest(state):
+    """sha256 of the stdlib-encoded [ident, load, trust] rows the round
+    elected from: the unflagged identities with positive trust, by ident."""
+    rows = [
+        [i, load, trust]
+        for i, (load, trust, flagged) in enumerate(
+            zip(state.load.tolist(), state.score.tolist(), state.flagged.tolist())
+        )
+        if not flagged and trust > 0
+    ]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+DIGEST_CONFIGS = {
+    "default": {},
+    "fractional-penalties": dict(
+        trust_initial=73.3, handover_penalty=7.7, low_sinr_penalty=4.1, stability_reward=1.3
+    ),
+    "sybil-0.3": dict(sybil_fraction=0.3),
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("changes", DIGEST_CONFIGS.values(), ids=list(DIGEST_CONFIGS))
+def test_input_digest_hashes_the_round_table(strategy, changes):
+    cfg = SimConfig(strategy=strategy, rng_seed=3, **changes)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    for r in range(cfg.rounds()):
+        state, _, event = run_round(state, r, cfg, rng)
+        assert event.input_digest == oracle_digest(state), r
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_input_digest_follows_rewritten_state(strategy):
+    # scores moved by one ulp and loads by one, in place between rounds,
+    # must reach the digest; update_trust may re-clamp a moved score
+    cfg = SMALL.replace(strategy=strategy)
+    rng, edits = np.random.default_rng(cfg.rng_seed), np.random.default_rng(11)
+    state = initial_state(cfg, rng)
+    n = len(state.position)
+    for r in range(cfg.rounds()):
+        state, _, event = run_round(state, r, cfg, rng)
+        assert event.input_digest == oracle_digest(state), r
+        some = edits.choice(n, size=4, replace=False)
+        state.score[some[:2]] = np.nextafter(state.score[some[:2]], 0.0)
+        state.load[some[2:]] += 1
+
+
+def test_election_table_loads_are_exact_at_the_largest_load_max(monkeypatch):
+    cfg = SMALL.replace(load_max=2**53)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    assert state.load.max() > 2**52 and (state.load % 2).any()
+    tables = []
+
+    def capture(*args, **kwargs):
+        tables.append(selection_probabilities(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr("mapsim.engine.selection_probabilities", capture)
+    for r in range(cfg.rounds()):
+        state, _, event = run_round(state, r, cfg, rng)
+        assert tables[-1].loads.tolist() == state.load[tables[-1].idents].tolist()
+        assert event.input_digest == oracle_digest(state)
 
 
 def test_zero_round_run():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mapsim.selection import select_maps, selection_probabilities, table_digest
+from mapsim.selection import CandidateTable, RowText, select_maps, selection_probabilities, table_digest
 
 
 class StubRng:
@@ -120,8 +120,8 @@ def test_table_digest_matches_plain_sha256():
     expected = hashlib.sha256(
         json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    assert table_digest(table) == expected
-    assert table_digest(table) == (
+    assert table_digest(table, RowText(4)) == expected
+    assert table_digest(table, RowText(4)) == (
         "41b8032728ac0193dcd16e672750a39e3a444f6df7234c3ff750fd6db558de68"
     )
 
@@ -129,7 +129,56 @@ def test_table_digest_matches_plain_sha256():
 def test_table_digest_sensitive_to_trust():
     a = selection_probabilities([(0, 1, 60.0)])
     b = selection_probabilities([(0, 1, 61.0)])
-    assert table_digest(a) != table_digest(b)
+    assert table_digest(a, RowText(1)) != table_digest(b, RowText(1))
+
+
+def stdlib_digest(table):
+    """table_digest before its row cache, kept as its oracle."""
+    rows = list(zip(table.idents.tolist(), table.loads.tolist(), table.trust.tolist()))
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+# a table with an ident past the cache's 40 goes through a throwaway cache;
+# 2**53 is the largest load or ident the float64 table holds exactly
+IDENTS = st.one_of(st.integers(0, 39), st.sampled_from([40, 2**40, 2**53]))
+LOADS = st.one_of(st.integers(1, 8), st.integers(1, 2**53))
+POSITIVE_TRUSTS = st.one_of(
+    st.floats(5e-324, 1.7976931348623157e308, allow_subnormal=True),
+    st.sampled_from([5e-324, 1e-05, 1e16, 100.0]),
+)
+
+
+@example(rows={}, pick=0)
+@example(rows={3: (1, 1.7976931348623157e308)}, pick=0)
+@example(rows={0: (2**53, 5e-324), 7: (1, 1e-05), 39: (3, 1e16)}, pick=1)
+@given(
+    rows=st.dictionaries(IDENTS, st.tuples(LOADS, POSITIVE_TRUSTS), max_size=30),
+    pick=st.integers(0, 29),
+)
+def test_table_digest_matches_stdlib_encoding(rows, pick):
+    text = RowText(40)
+
+    def check(rows):
+        # the digest reads only idents, loads and trust
+        idents = sorted(rows)
+        loads = np.array([rows[i][0] for i in idents], dtype=np.int64)
+        trust = np.array([rows[i][1] for i in idents], dtype=np.float64)
+        table = CandidateTable(np.array(idents, dtype=np.int64), loads, trust, None, None)
+        got = table_digest(table, text)
+        assert got == stdlib_digest(table)
+        return got
+
+    check(rows)
+    assert check({}) == hashlib.sha256(b"[]").hexdigest()
+    if not rows:
+        return
+    ident = sorted(rows)[pick % len(rows)]
+    load, trust = rows[ident]
+    # one ulp of trust, then another load, then the row leaves and returns
+    check({**rows, ident: (load, float(np.nextafter(trust, 0.0)))})
+    check({**rows, ident: (load - 1 if load > 1 else 2, trust)})
+    check({i: row for i, row in rows.items() if i != ident})
+    check(rows)
 
 
 def scalar_select(idents, weights, k, rng, taken=()):
