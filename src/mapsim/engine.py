@@ -14,15 +14,9 @@ import numpy as np
 from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
-from .pathing import (
-    PathAssignment,
-    baseline_paths,
-    count_handovers,
-    grow_paths,
-    occurrence,
-    retain_paths,
-    settle,
-)
+from .pathing import PathAssignment, count_handovers, occurrence, resolve
+# not called here; the benchmark's tracer wraps the scalar passes on this module
+from .pathing import baseline_paths, grow_paths, retain_paths  # noqa: F401
 from .radio import link_quality, make_link_stats
 from .selection import RowText, select_maps, selection_probabilities, table_digest
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
@@ -72,14 +66,14 @@ class SimState:
     bool. A new state has zero handover totals and no evidence, MAPs or paths.
     `evidence` holds the next trust pass's (handovers, low SNR, connected,
     observed) arrays. The last round's links are identities x
-    min(max_paths, MAP count) arrays in probe order: `link_map` (the MAP,
-    -1 in an empty slot), `link_dist` and `link_rank`, the share count the
-    link was admitted at; `served` lists the identities that round offered
-    paths to and `link_config` is the config it ran under. `row_text` is
-    the RowText cache table_digest encodes the election rows through;
-    scores must be finite, as its encoding needs. `fleet`,
-    `trust` and `last_assignments` are read-only record views, built on
-    demand, for the tests and the benchmark's worker and tracer.
+    min(max_paths, MAP count) arrays, in admission order: `link_map` (the
+    MAP, -1 in an empty slot), `link_dist` and `link_rank`, the share count
+    the link was admitted at; `served` lists the identities that round
+    offered paths to and `link_config` is the config it ran under.
+    `row_text` is the RowText cache table_digest encodes the election rows
+    through; scores must be finite, as its encoding needs. `fleet`, `trust`
+    and `last_assignments` are read-only record views, built on demand, for
+    the tests and the benchmark's worker and tracer.
     """
 
     position: np.ndarray
@@ -280,82 +274,57 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
     Row v is identity served[v] of n, column j is MAP maps[j] (ascending),
     dmat is their distance grid and prev[v] row v's previous MAPs, -1
     padded. A link's rank is the share count it was admitted at. Each pass
-    speculates that bandwidth admits every probe a probe at the MAP's count
-    when the pass starts would admit. settle keeps the rows before the first
-    wrong one and hands that row and all later ones to the scalar pass in
-    one call (see mapsim.pathing).
+    speculates the links a probe at each MAP's current count would admit
+    and resolve admits them at exact counts (see mapsim.pathing).
     """
     limits = config.limits
     shares = np.zeros(len(maps), dtype=np.int64)
 
-    def scalar(run):
-        """settle's hand-off: rows through run(rows, idents, candidates,
-        tally), a scalar pass giving each row's new LinkStats, at exact counts."""
+    def admitted(rows, cols, dist):
+        """Speculation over fixed candidate links, rows ascending."""
 
-        def rerun(rows):
-            sub = dmat[rows] < limits.delay
-            at, cols = np.nonzero(sub)
-            pairs = list(zip(dmat[rows[at], cols].tolist(), maps[cols].tolist()))
-            ends = np.cumsum(sub.sum(axis=1)).tolist()
-            cands = [pairs[a:b] for a, b in zip([0] + ends, ends)]
-            tally = dict(zip(maps.tolist(), shares.tolist()))
-            found = run(rows, served[rows].tolist(), cands, tally)
-            links = [(v, s.map_ident, s.distance) for v, new in zip(rows.tolist(), found) for s in new]
-            shares[:] = list(tally.values())
-            r, m, d = zip(*links) if links else ((), (), ())
-            return np.array(r, dtype=np.int64), np.searchsorted(maps, m), np.array(d, dtype=float)
+        def speculate(start):
+            at = np.searchsorted(rows, start)
+            r, c, d = rows[at:], cols[at:], dist[at:]
+            keep = d < limits.at(shares[c] + 1)
+            return r[keep], c[keep], d[keep]
 
-        return rerun
+        return speculate
 
     if config.strategy == BLOCKCHAIN:
-        # every vehicle re-books its paths before any grows new ones;
-        # retention speculates every previous MAP still elected that a
-        # first probe would admit
+        # every vehicle re-books its paths before any grows new ones; the
+        # candidates are its previous MAPs still elected
         col_of = np.full(n + 1, -1)  # an empty slot's -1 reads the last entry
         col_of[maps] = np.arange(len(maps))
         pcol = col_of[prev]
         rows, cols = np.nonzero(pcol >= 0)
         cols = pcol[rows, cols]
-        dist = dmat[rows, cols]
-        keep = dist < limits.limit(1)
-        rows, cols, dist = rows[keep], cols[keep], dist[keep]
+        hr, hc, _ = held = resolve(admitted(rows, cols, dmat[rows, cols]), shares, limits)
 
-        def retain(rows, ids, cands, tally):
-            for i, had, c in zip(ids, prev[rows].tolist(), cands):
-                yield retain_paths(i, [m for m in had if m >= 0], c, make_link_stats, tally, config)
-
-        hr, hc, hd = held = settle(rows, cols, dist, shares, limits, scalar(retain))
-
-        # growth speculates the nearest open MAPs by (distance, ident) that
-        # a probe at the retained count would admit; counts only grow
-        # a vehicle holds each MAP at most once, so len(maps) caps its slots
+        # growth takes the nearest open MAPs by (distance, ident); a vehicle
+        # holds each MAP at most once, so len(maps) caps its slots
         free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
         width = int(free.max(initial=0))
-        open_d = np.where(dmat < limits.at(shares + 1), dmat, np.inf)
-        open_d[hr, hc] = np.inf
-        span = np.arange(len(served))
-        pick = np.empty((len(served), width), dtype=np.int64)
-        pick_d = np.empty((len(served), width))
-        for t in range(width):
-            pick[:, t] = j = open_d.argmin(axis=1)
-            pick_d[:, t] = open_d[span, j]
-            open_d[span, j] = np.inf
-        rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[:, None]))
 
-        def grow(rows, ids, cands, tally):
-            # (map, distance, rank) of each held link
-            held_links = list(zip(maps[hc].tolist(), hd.tolist(), (occurrence(hc) + 1).tolist()))
-            lo, hi = np.searchsorted(hr, rows).tolist(), np.searchsorted(hr, rows + 1).tolist()
-            for i, a, b, c in zip(ids, lo, hi, cands):
-                mine = [make_link_stats(m, d, config, k) for m, d, k in held_links[a:b]]
-                stats = grow_paths(i, mine, c, make_link_stats, tally, config).stats
-                yield [s for s in stats if s not in mine]
+        def grow(start):
+            view = dmat[start:]
+            open_d = np.where(view < limits.at(shares + 1), view, np.inf)
+            at = np.searchsorted(hr, start)
+            open_d[hr[at:] - start, hc[at:]] = np.inf
+            span = np.arange(len(view))
+            pick = np.empty((len(view), width), dtype=np.int64)
+            pick_d = np.empty((len(view), width))
+            for t in range(width):
+                pick[:, t] = j = open_d.argmin(axis=1)
+                pick_d[:, t] = open_d[span, j]
+                open_d[span, j] = np.inf
+            rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[start:, None]))
+            return rows + start, pick[rows, t], pick_d[rows, t]
 
-        grown = settle(rows, pick[rows, t], pick_d[rows, t], shares, limits, scalar(grow))
-        rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown)) if len(hr) else grown
+        grown = resolve(grow, shares, limits)
+        rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown))
     else:
-        # single path policies; only sequence-based admits, and speculates
-        # the links a first probe would admit
+        # single path policies; only sequence-based admits
         rows = np.arange(len(served)) if len(maps) else np.zeros(0, dtype=np.int64)
         if config.strategy == "independent-random":
             cols = rng.integers(0, len(maps), size=len(rows)) if len(rows) else rows
@@ -365,16 +334,7 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
             cols = (served[rows] + round_index) % max(1, len(maps))
         dist = dmat[rows, cols]
         if config.strategy == "sequence-based":
-
-            def rotate(rows, ids, cands, tally):
-                roster = maps.tolist()
-                for i, row in zip(ids, dmat[rows].tolist()):
-                    yield baseline_paths(
-                        config.strategy, i, round_index, row, roster, make_link_stats, tally, rng, config
-                    ).stats
-
-            keep = dist < limits.limit(1)
-            rows, cols, dist = settle(rows[keep], cols[keep], dist[keep], shares, limits, scalar(rotate))
+            rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
     # links are listed in probe order, so a link's rank is one more than the
     # earlier links on its MAP
     return rows, cols, dist, occurrence(cols) + 1

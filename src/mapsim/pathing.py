@@ -14,16 +14,18 @@ the config (`AdmissionLimits`, cached as `SimConfig.limits`), found once by
 bisection with the scalar predicate itself.
 
 The engine runs each pass as array operations over its client x MAP
-distance grid. It speculates that bandwidth admits every probe that a probe
-at the MAP's count when the pass starts would admit, since counts only
-grow. `settle` then checks each speculated link at its probe rank, the share
-count it would be probed at. The vehicles before the first one holding a
-link at or over its limit keep their speculated links; that vehicle and
-every later one go through the scalar pass (`retain_paths`, `grow_paths`,
-`baseline_paths`) together, at exact attach counts. The scalar passes are
-the definition the array passes reproduce. The engine keeps the admitted
-links as identities x min(max_paths, MAP count) arrays of MAP, distance and
-rank; `count_handovers` works on rows of them.
+distance grid. A speculation takes the links the remaining vehicles would
+take if every probe ran at its MAP's current count. Counts only grow, so
+it errs only by admitting a probe the exact count turns away, and its
+first vehicle, which holds each MAP at most once, is always right.
+`resolve` checks each speculated link at its probe rank, the share count
+it would be probed at, admits the vehicles before the first one holding a
+link at or over its limit and speculates again from that one on. The
+scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
+reference definition the tests hold the array passes to; the engine does
+not call them. The engine keeps the admitted links as identities x
+min(max_paths, MAP count) arrays of MAP, distance and rank;
+`count_handovers` works on rows of them.
 """
 
 from __future__ import annotations
@@ -133,8 +135,7 @@ class AdmissionLimits:
     def at(self, counts: np.ndarray) -> np.ndarray:
         """limit() of every element of an array of share counts."""
         self.limit(int(counts.max(initial=0)))
-        table = np.array(self.table)
-        return table[np.minimum(counts, len(table) - 1)]
+        return np.array(self.table).take(counts, mode="clip")
 
 
 def occurrence(keys: np.ndarray) -> np.ndarray:
@@ -148,44 +149,43 @@ def occurrence(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def settle(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    dist: np.ndarray,
+def resolve(
+    speculate: Callable[[int], tuple[np.ndarray, ...]],
     counts: np.ndarray,
     limits: AdmissionLimits,
-    rerun: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, ...]:
-    """Admit one pass's speculated links, handing the rows it got wrong to rerun.
+    """Admit one pass's links at exact share counts.
 
-    rows (ascending), cols and dist are the links each row would take if
-    every probe it makes passed; counts[col] is each MAP's attach count
-    before the pass and is updated in place. A link's probe rank is its
-    MAP's count plus the earlier links on it, plus one. Rows before the
-    first link at or over the limit at its rank were speculated right. That
-    row and every later one go through one rerun(array of rows) call, the
-    scalar pass at exact counts, which updates counts and returns the
-    admitted (rows, cols, dist).
+    counts[col] is each MAP's attach count, updated in place as rows are
+    admitted. speculate(start) returns the links (rows ascending, cols,
+    dist) that rows start onward would take if each probe ran at its MAP's
+    current count. A link's probe rank is its MAP's count plus the earlier
+    links on it, plus one. The rows before the first link at or over the
+    limit at its rank are admitted and speculation restarts from that row,
+    which is then right, so each iteration admits at least one row.
 
     Returns the admitted links as (rows, cols, dist), rows ascending.
     """
-    if not len(rows):
-        return rows, cols, dist
-    top = counts + np.bincount(cols, minlength=len(counts))
-    # limits never rise with the share count, so links all under the limit
-    # at the largest final count are under it at their own ranks
-    if dist.max() < limits.limit(int(top.max())):
+    parts, start = [], 0
+    while True:
+        rows, cols, dist = links = speculate(start)
+        if not len(rows):
+            break
+        top = counts + np.bincount(cols, minlength=len(counts))
+        # limits never rise with the share count, so links all under the
+        # limit at the largest final count are under it at their own ranks
+        if dist.max() >= limits.limit(int(top.max())):
+            rank = counts[cols] + occurrence(cols) + 1
+            bad = np.flatnonzero(dist >= limits.at(rank))
+            if len(bad):
+                start = int(rows[bad[0]])
+                stop = int(np.searchsorted(rows, start))
+                counts += np.bincount(cols[:stop], minlength=len(counts))
+                parts.append((rows[:stop], cols[:stop], dist[:stop]))
+                continue
         counts[:] = top
-        return rows, cols, dist
-    rank = counts[cols] + occurrence(cols) + 1
-    bad = np.flatnonzero(dist >= limits.at(rank))
-    if not len(bad):
-        counts[:] = top
-        return rows, cols, dist
-    stop = int(np.searchsorted(rows, rows[bad[0]]))
-    counts += np.bincount(cols[:stop], minlength=len(counts))
-    fixed = rerun(np.unique(rows[stop:]))
-    return tuple(np.concatenate(pair) for pair in zip((rows[:stop], cols[:stop], dist[:stop]), fixed))
+        break
+    return tuple(np.concatenate(pair) for pair in zip(*parts, links)) if parts else links
 
 
 def retain_paths(

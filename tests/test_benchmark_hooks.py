@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mapsim.engine as engine
+import mapsim.pathing as pathing
 from mapsim.config import SimConfig
 from mapsim.engine import initial_state, run_round
 from mapsim.fleet import ring_distance
@@ -32,15 +34,28 @@ def load_tracer():
 
 TRACER = load_tracer()
 SPANS = TRACER.SPANS
+# spans on the scalar passes, which are the reference definition of attach
+# and which the engine imports but does not call
+SCALAR_PASSES = ("pathing.retain_paths", "pathing.grow_paths", "pathing.baseline_paths")
 
 
 def names_looked_up(module):
-    """Global names read by the module's functions, nested ones included."""
+    """Global names read by the module's functions, nested ones included,
+    and by the methods and property getters of the classes it defines."""
+
+    def own(obj):
+        return getattr(obj, "__module__", None) == module.__name__
+
+    members = list(vars(module).values())
+    for cls in [obj for obj in members if isinstance(obj, type) and own(obj)]:
+        members.extend(vars(cls).values())
     found = set()
-    stack = [
-        obj.__code__ for obj in vars(module).values()
-        if isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__
-    ]
+    stack = []
+    for obj in members:
+        if isinstance(obj, property):
+            obj = obj.fget
+        if isinstance(obj, types.FunctionType) and own(obj):
+            stack.append(obj.__code__)
     while stack:
         code = stack.pop()
         found.update(code.co_names)
@@ -59,10 +74,32 @@ def test_span_target_resolves_to_a_callable(span, module_name, attr):
     if isinstance(raw, classmethod):
         raw = raw.__func__
     assert callable(raw), span
-    if module_name == "mapsim.engine" and raw.__module__ != module_name:
+    if span in SCALAR_PASSES:
+        # still the reference passes, and no engine code reaches them, so the
+        # tracer's span on each stays at zero calls
+        assert raw is getattr(pathing, attr), span
+        assert attr not in names_looked_up(module), span
+    elif module_name == "mapsim.engine" and raw.__module__ != module_name:
         # a collaborator patched where the engine imported it only takes
         # effect if the engine looks the name up at call time
         assert attr in names_looked_up(module), span
+
+
+def test_scalar_passes_are_spans_of_the_tracer():
+    assert set(SCALAR_PASSES) <= {name for name, _, _ in SPANS}
+
+
+@pytest.mark.parametrize("strategy", ["blockchain-multipath", "sequence-based"])
+def test_traced_rounds_call_no_scalar_pass(strategy):
+    # at b_cap 0.16 attach passes leave the all-clear fast path and resolve
+    # re-speculates; the scalar passes still never run
+    cfg = SimConfig(road_length=2000.0, total_time=100.0, b_cap=0.16, delay_threshold=30.0,
+                    rng_seed=5, strategy=strategy)
+    recorder = TRACER.Recorder()
+    with recorder.installed():
+        engine.run_simulation(cfg)
+    assert recorder.calls[recorder.code["engine.run_round"]] == cfg.rounds()
+    assert [recorder.calls[recorder.code[name]] for name in SCALAR_PASSES] == [0, 0, 0]
 
 
 def test_state_surface_the_benchmark_reads():

@@ -496,3 +496,63 @@ def test_artifact_bytes_pinned(tmp_path, strategy, seed):
         for name in ("rounds.csv", "summary.json", "ledger.json")
     )
     assert got == ARTIFACT_SHA256[strategy, seed]
+
+
+# the same digests for SMALL with scarce bandwidth: one attachment to a MAP
+# 300 m away earns 1.80 Mbps and a second would miss the 1 Mbps floor, so
+# attach's speculations go wrong and pathing.resolve speculates again about
+# twice a round (never at SMALL's own bandwidth). As above, a mismatch means
+# the run's results changed.
+SCARCE = SMALL.replace(b_cap=0.16, delay_threshold=30.0)
+SCARCE_ARTIFACT_SHA256 = {
+    ("blockchain-multipath", 1): (
+        "14f8eb069e7b69d55bfa8148ec65378d817f14f30dbbef3201463193cdd1e4e4",
+        "a46c30b0755febed48155bab3c157ff463706332cc0066faa9515fae9beb6fbe",
+        "e3cb9bd82be449e3849fd332290865f13c68d444933fbe3ccc6ddea8700ff1f2",
+    ),
+    ("blockchain-multipath", 2): (
+        "fc07a2e100ce4541f9e03b1468bbbaa3ea1f3860172c0fb522611f998e20ac6b",
+        "cc40f93303ffe7e62752fd24729841592069706c787df037560f431e5ca49697",
+        "31d12019ffd98ea940d7a5c9682934c1bd285ced3aa0197f6e9f2b1df5f9c9e3",
+    ),
+    ("distance-based", 1): (
+        "5a624c7d6de5bf110948797c6cdc3ffa1152dbad084de5b0659e7ea12db1504f",
+        "3998320324cac2f43a9cc3b9e146f595951d59002ef74dc8974b4c47a1c99fcb",
+        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
+    ),
+    ("distance-based", 2): (
+        "62f7da2f0d4637e68e384314f070998a3f4d5ac9c53704378083c27eb53f6c39",
+        "a4a974cb27bdc2ba0d946bfc7d90db029e7257fafc8e7b818e139d17a6fe880c",
+        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
+    ),
+    ("independent-random", 1): (
+        "eb714f1b58a8c8fff343d6f90ec598e6a9b93643353c752b13118b275168b143",
+        "ce88f72eec40a9e406eba6262a39f8136193cbd9a571c31daff4004087076817",
+        "8d8777a331f24f5c07361cefe077d2579d126e786ff950c7c8824acf84934799",
+    ),
+    ("independent-random", 2): (
+        "84717b76416d0803449231597bd514d9304e326fb1222c2149a7d3d7272b771f",
+        "660cff7e091c7ddffd56fdcbe88406f1a03b6e94a2bd794455d52e4b1fc98a3b",
+        "471ce9520d6071b76c8b0fc32cdab5e8bf16958335ea11a499fcef5ccb1aceaf",
+    ),
+    ("sequence-based", 1): (
+        "a2a1905cf429bc534a3a97804a98eb7268fbc1c024977e9b1dd8d40a951591ce",
+        "7bf0ff641a99078d603d63744439dfa057dfcc0437205dcf210b25cae1a7f803",
+        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
+    ),
+    ("sequence-based", 2): (
+        "565ad68ea07b805ccab4c6e00d1c33a9c6c18406102394016757520f94da00f0",
+        "2116854d4ef28080fac6dca97e8b6674a8a2a3eff312cce779d3684d3cbe24ba",
+        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, seed", sorted(SCARCE_ARTIFACT_SHA256))
+def test_scarce_bandwidth_artifact_bytes_pinned(tmp_path, strategy, seed):
+    out = write_run(tmp_path, run_simulation(SCARCE.replace(strategy=strategy, rng_seed=seed)))
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("rounds.csv", "summary.json", "ledger.json")
+    )
+    assert got == SCARCE_ARTIFACT_SHA256[strategy, seed]

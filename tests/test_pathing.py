@@ -16,8 +16,8 @@ from mapsim.pathing import (
     count_handovers,
     grow_paths,
     occurrence,
+    resolve,
     retain_paths,
-    settle,
     threshold,
 )
 from mapsim.radio import alpha_trans, make_link_stats
@@ -263,7 +263,7 @@ def test_unknown_strategy_rejected():
         baseline_paths("psychic", 0, 0, dists, [10], make_link_stats, {}, None, CFG)
 
 
-# threshold admission, speculation and repair
+# threshold admission, speculation at current counts and the resolve loop
 
 
 @given(
@@ -328,7 +328,7 @@ class FallingLimits:
         return 10.0 - counts
 
 
-def test_settle_hands_the_first_wrong_row_and_all_later_ones_to_one_rerun():
+def test_resolve_admits_the_rows_before_the_first_wrong_one_and_speculates_again():
     # on MAP 0 row 2's link is probed at rank 3, over its limit of 7; row 5's
     # link on MAP 1 is over its limit too, but row 2 already fails the pass
     rows = np.array([0, 1, 1, 2, 2, 3, 5])
@@ -337,16 +337,19 @@ def test_settle_hands_the_first_wrong_row_and_all_later_ones_to_one_rerun():
     counts = np.zeros(2, dtype=np.int64)
     calls = []
 
-    def rerun(rerows):
-        calls.append(rerows.tolist())
-        counts[1] += 1
-        return np.array([2]), np.array([1]), np.array([1.0])
+    def speculate(start):
+        calls.append((start, counts.tolist()))
+        if start == 0:
+            return rows, cols, dist
+        # from row 2 at counts [2, 1]: row 2 takes MAP 1 only, row 3 MAP 0
+        return np.array([2, 3]), np.array([1, 0]), np.array([1.0, 1.0])
 
-    got = settle(rows, cols, dist, counts, FallingLimits(), rerun)
-    assert calls == [[2, 3, 5]]
-    # rows 0 and 1 keep their speculated links, then come rerun's
-    assert [a.tolist() for a in got] == [[0, 1, 1, 2], [0, 1, 0, 1], [1.0] * 4]
-    assert counts.tolist() == [2, 2]
+    got = resolve(speculate, counts, FallingLimits())
+    # rows 0 and 1 keep their speculated links; speculation restarts at row
+    # 2 and sees their counts
+    assert calls == [(0, [0, 0]), (2, [2, 1])]
+    assert [a.tolist() for a in got] == [[0, 1, 1, 2, 3], [0, 1, 0, 1, 0], [1.0] * 5]
+    assert counts.tolist() == [3, 2]
 
 
 def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
@@ -433,47 +436,50 @@ def attach_inputs(draw):
 
 
 def test_array_attach_matches_the_scalar_passes(monkeypatch):
-    # the scalar passes run in the engine only to repair a speculation
-    seen = Counter()
-    for name in ("retain_paths", "grow_paths", "baseline_paths"):
-        scalar = getattr(engine, name)
+    # each resolve call records its pass and its speculations as (start,
+    # rows, cols); `passes` names the passes the next attach resolves
+    seen, loops, passes = Counter(), [], []
 
-        def counted(*args, _scalar=scalar, _name=name):
-            seen[_name] += 1
-            return _scalar(*args)
-
-        monkeypatch.setattr(engine, name, counted)
-
-    def settle_once(*args):
-        *head, rerun = args
+    def recorded(speculate, counts, limits):
         calls = []
+        loops.append((passes.pop(0), calls))
 
-        def counted(rows):
-            calls.append(rows)
-            return rerun(rows)
+        def spy(start):
+            rows, cols, dist = out = speculate(start)
+            calls.append((start, rows.tolist(), cols.tolist()))
+            return out
 
-        out = settle(*head, counted)
-        seen["most_reruns"] = max(seen["most_reruns"], len(calls))
-        return out
+        return resolve(spy, counts, limits)
 
-    monkeypatch.setattr(engine, "settle", settle_once)
+    monkeypatch.setattr(engine, "resolve", recorded)
 
-    # a fixed example sequence, so that the repairs it asserts always run
+    # a fixed example sequence, so that the re-speculations it asserts
+    # always run
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(attach_inputs())
     def check(inputs):
         cfg, round_index, seed, served, maps, dmat, prev, n = inputs
+        passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
         want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
         got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev, n)
         assert got == want
+        assert passes == []
         seen["rejected"] += rejected
 
     check()
-    # bandwidth turned probes away, so the speculation was wrong and repaired
+    # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
-    assert seen["retain_paths"] and seen["grow_paths"] and seen["baseline_paths"]
-    # each pass hands its wrong rows to the scalar pass in one call
-    assert seen["most_reruns"] == 1
+    assert {name for name, calls in loops if len(calls) > 1} == {"retain", "grow", "rotate"}
+    for _, calls in loops:
+        for start, rows, cols in calls:
+            # a row holds each MAP at most once, which keeps a speculation's
+            # first row right
+            assert rows == sorted(rows) and all(r >= start for r in rows)
+            assert len(set(zip(rows, cols))) == len(rows)
+        # every iteration admits at least the first row it speculated, so
+        # the loop ends; only the last speculation may come back empty
+        for (_, rows, _), (start, _, _) in zip(calls, calls[1:]):
+            assert rows and start > rows[0]
 
 
 @given(seed=st.integers(0, 2**32 - 1), high=st.integers(1, 10**6), size=st.integers(0, 300))
