@@ -157,7 +157,7 @@ def _validate(cfg: SimConfig) -> None:
     _require(0 <= cfg.sybil_handover_prob <= 1, "sybil_handover_prob must lie in [0, 1]")
     _require(0 <= cfg.sybil_low_sinr_prob <= 1, "sybil_low_sinr_prob must lie in [0, 1]")
     _require(cfg.load_max >= 1, "load_max must be at least 1")
-    # loads reach the election table through a float64 roster, exact up to 2**53
+    # the election weighs load x trust in float64, which holds loads exactly only up to 2**53
     _require(cfg.load_max <= 2**53, f"load_max must be at most 2**53, got {cfg.load_max}")
     _require(cfg.rng_seed >= 0, "rng_seed must be non-negative")
     _require(cfg.strategy in STRATEGIES, f"strategy must be one of {list(STRATEGIES)}")

@@ -64,16 +64,17 @@ class SimState:
 
     position, speed and score are float64 arrays, load int64 and flagged
     bool. A new state has zero handover totals and no evidence, MAPs or paths.
-    `evidence` holds the next trust pass's (handovers, low SNR, connected,
-    observed) arrays. The last round's links are identities x
-    min(max_paths, MAP count) arrays, in admission order: `link_map` (the
-    MAP, -1 in an empty slot), `link_dist` and `link_rank`, the share count
-    the link was admitted at; `served` lists the identities that round
-    offered paths to and `link_config` is the config it ran under.
-    `row_text` is the RowText cache table_digest encodes the election rows
-    through; scores must be finite, as its encoding needs. `fleet`, `trust`
-    and `last_assignments` are read-only record views, built on demand, for
-    the tests and the benchmark's worker and tracer.
+    `evidence` holds the next trust pass's (handovers, low SNR, connected)
+    arrays, which a blockchain round sets for each unflagged identity. The
+    last round's links are identities x min(max_paths, MAP count) arrays, in
+    admission order: `link_map` (the MAP, -1 in an empty slot), `link_dist`
+    and `link_rank`, the share count the link was admitted at; `served`
+    lists the identities that round offered paths to and `link_config` is
+    the config it ran under. `row_text` is the RowText cache table_digest
+    encodes the election rows through; scores must be finite, as its
+    encoding needs. `fleet`, `trust` and `last_assignments` are read-only
+    record views, built on demand, for the tests and the benchmark's worker
+    and tracer.
     """
 
     position: np.ndarray
@@ -88,9 +89,17 @@ class SimState:
         n = len(self.position)
         if any(len(a) != n for a in (self.speed, self.load, self.score, self.flagged)):
             raise ValueError("position, speed, load, score and flagged must have equal lengths")
-        if not np.isfinite(self.score).all():
-            raise ValueError("score must be finite")
+        if self.flagged.dtype != bool:
+            raise ValueError(f"flagged must be a bool array, got {self.flagged.dtype}")
+        if not np.issubdtype(self.load.dtype, np.integer):
+            raise ValueError(f"load must be an integer array, got {self.load.dtype}")
+        if self.score.dtype != np.float64 or not np.isfinite(self.score).all():
+            raise ValueError("score must be finite and float64")
         self.attacker_ids, self.clone_ids = list(self.attacker_ids), list(self.clone_ids)
+        for name, ids in (("attacker_ids", self.attacker_ids), ("clone_ids", self.clone_ids)):
+            whole = all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in ids)
+            if not whole or len(set(ids)) != len(ids) or not all(0 <= i < n for i in ids):
+                raise ValueError(f"{name} must list distinct identities in 0..{n - 1}")
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
         self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
@@ -125,8 +134,8 @@ class SimState:
 
 
 def no_evidence(n: int) -> tuple[np.ndarray, ...]:
-    """Handovers, low SNR, connected and observed for n identities, all unset."""
-    return (np.zeros(n, dtype=np.int64),) + tuple(np.zeros(n, dtype=bool) for _ in range(3))
+    """Handovers, low SNR and connected for n identities, all unset, as unobserved ones keep them."""
+    return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -161,13 +170,12 @@ def run_round(
     was_flagged = state.flagged
     if blockchain:
         state.score, state.flagged = update_trust(
-            state.score, state.flagged, *state.evidence[:3], config
+            state.score, state.flagged, *state.evidence, config
         )
     flagged = state.flagged
 
-    # election over the unflagged roster of (ident, load, trust) rows
-    roster = np.column_stack((np.arange(n), state.load, state.score))
-    table = selection_probabilities(roster[~flagged])
+    # election over the unflagged identities
+    table = selection_probabilities(state.load, state.score, ~flagged)
     k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
     prev_maps = state.current_maps
     retention = blockchain and config.incumbent_retention
@@ -239,10 +247,9 @@ def run_round(
     # evidence for the next trust pass
     evidence = no_evidence(n)
     if blockchain:
-        obs_h, obs_low, obs_conn, observed = evidence
-        obs_conn[elected] = observed[elected] = True
+        obs_h, obs_low, obs_conn = evidence
+        obs_conn[elected] = True
         obs_h[served], obs_low[served], obs_conn[served] = handovers, low_sinr, attached
-        observed[served] = True
         if state.clone_ids:
             # two draws per clone every round, handover then weak link, in
             # clone order, flagged or not, so the stream stays stable
@@ -251,7 +258,6 @@ def run_round(
             clones = np.array(state.clone_ids)[live]
             obs_h[clones] += (draws[0::2] < config.sybil_handover_prob)[live]
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
-            observed[clones] = True
     state.evidence = evidence
     state.served, state.link_config = served, config
     state.link_map, state.link_dist, state.link_rank = link_map, link_dist, link_rank

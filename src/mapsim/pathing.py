@@ -97,9 +97,9 @@ class AdmissionLimits:
     """Threshold distances of one config's admission rule.
 
     No ring distance exceeds half the road length, so the limits are exact
-    on [0, road_length / 2]. `delay` bounds the link delay alone;
-    `limit(count)` bounds a probe at that share count, delay and bandwidth
-    together. Share-count limits are found as they are first needed.
+    on [0, road_length / 2]. `limit(count)` bounds a probe at that share
+    count, delay and bandwidth together; `limit(0)` bounds the link delay
+    alone. Share-count limits are found as they are first needed.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -109,10 +109,6 @@ class AdmissionLimits:
         self.table = [
             threshold(lambda d: make_link_stats(0, d, config).total_delay < config.delay_threshold, self.reach)
         ]
-
-    @property
-    def delay(self) -> float:
-        return self.table[0]
 
     def limit(self, count: int) -> float:
         """Distance under which a probe at this share count is admitted."""

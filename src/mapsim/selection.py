@@ -10,7 +10,7 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class CandidateTable:
-    """Election input after filtering, ident-sorted, as parallel arrays."""
+    """Election input, ascending by ident, as parallel arrays."""
 
     idents: np.ndarray
     loads: np.ndarray
@@ -19,18 +19,16 @@ class CandidateTable:
     probabilities: np.ndarray
 
 
-def selection_probabilities(entries, trust_threshold: float = 0.0) -> CandidateTable:
-    """Weight each candidate by load times trust and normalise.
+def selection_probabilities(load, score, eligible) -> CandidateTable:
+    """Weight each eligible identity with positive trust by load times trust and normalise.
 
-    entries are (ident, load, trust) rows: an n x 3 array or any sequence
-    of triples. Candidates at or below trust_threshold never make the
-    table. The total is the sequential sum, as select_maps' scan adds it up.
+    load (integers), score (floats) and eligible (bool) are indexed by
+    identity, so the table's idents ascend without a sort. The total is the
+    sequential sum, as select_maps' scan adds it up.
     """
-    rows = np.asarray(entries, dtype=np.float64).reshape(-1, 3)
-    rows = rows[rows[:, 2] > trust_threshold]
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    idents, loads, trust = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
-    weights = rows[:, 1] * trust
+    idents = np.flatnonzero(eligible & (score > 0))
+    loads, trust = load[idents], score[idents]
+    weights = loads * trust
     total = np.cumsum(weights)[-1] if len(weights) else 0.0
     probabilities = weights / total if total > 0 else np.zeros_like(weights)
     return CandidateTable(idents, loads, trust, weights, probabilities)
@@ -85,16 +83,14 @@ def table_digest(table: CandidateTable, text: RowText) -> str:
     """sha256 of the ident-sorted table as compact JSON [ident, load, trust] rows.
 
     The bytes of json.dumps(rows, separators=(",", ":")) for finite trust.
+    text must cover every ident, as a state's RowText covers its identities.
     Only rows whose load or trust bits differ from text's are encoded anew.
     """
-    ids, loads, trust, slot = table.idents, table.loads, table.trust, table.idents
-    if len(ids) and not 0 <= ids[0] <= ids[-1] < len(text.rows):
-        # idents outside the cache go through a throwaway one, by table row
-        text, slot = RowText(len(ids)), np.arange(len(ids))
+    ids, loads, trust = table.idents, table.loads, table.trust
     bits = trust.view(np.int64)
-    stale = np.flatnonzero((text.load[slot] != loads) | (text.trust_bits[slot] != bits))
+    stale = np.flatnonzero((text.load[ids] != loads) | (text.trust_bits[ids] != bits))
     if len(stale):
-        at, new = slot[stale], zip(ids[stale].tolist(), loads[stale].tolist(), trust[stale].tolist())
+        at, new = ids[stale], zip(ids[stale].tolist(), loads[stale].tolist(), trust[stale].tolist())
         text.rows[at] = [f"[{i},{n},{t!r}]" for i, n, t in new]
         text.load[at], text.trust_bits[at] = loads[stale], bits[stale]
-    return hashlib.sha256(("[" + ",".join(text.rows[slot].tolist()) + "]").encode()).hexdigest()
+    return hashlib.sha256(("[" + ",".join(text.rows[ids].tolist()) + "]").encode()).hexdigest()

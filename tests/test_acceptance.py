@@ -151,13 +151,20 @@ def test_criterion_05_ledger_tamper_evidence():
         assert not verify_chain(tampered), (b, offset, xor)
 
 
+def elect_all(rows):
+    """Election table of identities 0..n-1, all eligible, from (load, trust) rows."""
+    load = np.array([load for load, _ in rows], dtype=np.int64)
+    score = np.array([trust for _, trust in rows], dtype=np.float64)
+    return selection_probabilities(load, score, np.ones(len(rows), dtype=bool))
+
+
 def test_criterion_06_selection_probability_law():
-    table = selection_probabilities([(0, 2, 100.0), (1, 2, 50.0), (2, 1, 50.0)])
+    table = elect_all([(2, 100.0), (2, 50.0), (1, 50.0)])
     hand = (0.5714285714285714, 0.2857142857142857, 0.14285714285714285)
     for got, want in zip(table.probabilities, hand):
         assert abs(got - want) <= 1e-12
 
-    golden = selection_probabilities([(0, 4, 100.0), (1, 1, 90.0), (2, 3, 80.0), (3, 2, 60.0)])
+    golden = elect_all([(4, 100.0), (1, 90.0), (3, 80.0), (2, 60.0)])
     fixture = json.loads((DATA / "golden_round.json").read_text())
     for got, want in zip(golden.probabilities, fixture["expected"]["probabilities"]):
         assert abs(got - want) <= 1e-12
@@ -165,20 +172,14 @@ def test_criterion_06_selection_probability_law():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(1, 41))
-        entries = [
-            (i, int(rng.integers(1, 5)), float(rng.uniform(1.0, 100.0))) for i in range(n)
-        ]
-        t = selection_probabilities(entries)
+        rows = [(int(rng.integers(1, 5)), float(rng.uniform(1.0, 100.0))) for _ in range(n)]
+        t = elect_all(rows)
         assert abs(sum(t.probabilities) - 1.0) <= 1e-9
 
-    base = [(i, 1 + i % 4, 10.0 * (i + 1)) for i in range(8)]
-    reference = selection_probabilities(base).probabilities
-    scaled_loads = selection_probabilities(
-        [(i, load * 3, trust) for i, load, trust in base]
-    ).probabilities
-    scaled_trust = selection_probabilities(
-        [(i, load, trust * 2.5) for i, load, trust in base]
-    ).probabilities
+    base = [(1 + i % 4, 10.0 * (i + 1)) for i in range(8)]
+    reference = elect_all(base).probabilities
+    scaled_loads = elect_all([(load * 3, trust) for load, trust in base]).probabilities
+    scaled_trust = elect_all([(load, trust * 2.5) for load, trust in base]).probabilities
     for variant in (scaled_loads, scaled_trust):
         for got, want in zip(variant, reference):
             assert abs(got - want) <= 1e-12
@@ -201,18 +202,17 @@ def _inclusion_by_enumeration(weights: list[float], k: int) -> list[float]:
 
 
 def test_criterion_07_sampling_oracle():
-    entries = [(0, 4, 100.0), (1, 1, 90.0), (2, 3, 80.0), (3, 2, 60.0), (4, 1, 50.0)]
-    table = selection_probabilities(entries)
+    table = elect_all([(4, 100.0), (1, 90.0), (3, 80.0), (2, 60.0), (1, 50.0)])
     expected = _inclusion_by_enumeration(list(table.weights), 2)
 
     draws = 100_000
     rng = np.random.default_rng(12345)
-    counts = {ident: 0 for ident, _, _ in entries}
+    counts = {ident: 0 for ident in range(5)}
     for _ in range(draws):
         for ident in select_maps(table, 2, rng):
             counts[ident] += 1
 
-    for i, (ident, _, _) in enumerate(entries):
+    for i, ident in enumerate(table.idents.tolist()):
         p = expected[i]
         sigma = math.sqrt(p * (1.0 - p) / draws)
         observed = counts[ident] / draws
@@ -243,9 +243,11 @@ def test_criterion_09_golden_round_trace():
     state, metrics, event = run_round(state, 0, cfg, StubRng([doc["stub_draw"]]))
 
     eligible = np.flatnonzero(~state.flagged).tolist()
-    table = selection_probabilities([(i, int(loads[i]), state.score[i]) for i in eligible])
+    table = selection_probabilities(loads, state.score, ~state.flagged)
+    assert table.idents.tolist() == eligible
     stats_of = {i: pa.stats for i, pa in state.last_assignments.items()}
-    handovers, low_sinr, connected, observed = (column.tolist() for column in state.evidence)
+    # a blockchain round observes every unflagged identity
+    handovers, low_sinr, connected = (column.tolist() for column in state.evidence)
 
     def stat_block(s):
         return {
@@ -276,8 +278,7 @@ def test_criterion_09_golden_round_trace():
             "vehicle_count": metrics.vehicle_count,
         },
         "pending_obs": {
-            str(i): [handovers[i], low_sinr[i], connected[i]]
-            for i in range(len(observed)) if observed[i]
+            str(i): [handovers[i], low_sinr[i], connected[i]] for i in eligible
         },
         "positions": {str(i): p for i, p in enumerate(state.position.tolist())},
         "probabilities": list(table.probabilities),

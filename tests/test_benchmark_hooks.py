@@ -139,6 +139,6 @@ def test_assignment_surface_the_benchmark_reads():
             if len(pa.paths) < cfg.max_paths:
                 # a free slot next to a MAP under the delay bound
                 d = ring_distance(state.position[v], state.position[state.current_maps], cfg.road_length)
-                open_maps = set(np.array(state.current_maps)[d < cfg.limits.delay].tolist())
+                open_maps = set(np.array(state.current_maps)[d < cfg.limits.limit(0)].tolist())
                 turned_away += len(open_maps - set(pa.paths))
     assert turned_away

@@ -40,11 +40,12 @@ def golden_setup():
 
 
 def observations(state):
-    """The next trust pass's evidence of each observed identity."""
-    handovers, low_sinr, connected, observed = (column.tolist() for column in state.evidence)
+    """The next trust pass's evidence of each identity a blockchain round
+    observes: every unflagged one."""
+    handovers, low_sinr, connected = (column.tolist() for column in state.evidence)
     return {
         i: (handovers[i], low_sinr[i], connected[i])
-        for i in range(len(observed)) if observed[i]
+        for i in np.flatnonzero(~state.flagged).tolist()
     }
 
 
@@ -84,8 +85,9 @@ def test_golden_round_replay():
 def test_golden_election_table():
     cfg, state = golden_setup()
     exp = FIXTURE["expected"]
-    rows = [(i, state.load[i], state.score[i]) for i in exp["eligible"]]
-    table = selection_probabilities(rows)
+    eligible = np.isin(np.arange(len(state.load)), exp["eligible"])
+    table = selection_probabilities(state.load, state.score, eligible)
+    assert table.idents.tolist() == exp["eligible"]
     assert list(table.weights) == exp["weights"]
     assert list(table.probabilities) == exp["probabilities"]
 
@@ -106,7 +108,7 @@ def test_golden_link_stats():
 def test_golden_trust_step_after_round():
     cfg, state = golden_setup()
     state, _, _ = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
-    score, _ = update_trust(state.score, state.flagged, *state.evidence[:3], cfg)
+    score, _ = update_trust(state.score, state.flagged, *state.evidence, cfg)
     after = {i: score[i] for i in observations(state)}
     assert after == {0: 100.0, 1: 92.0, 2: 82.0, 3: 62.0}
 
@@ -135,19 +137,55 @@ def test_identity_is_the_array_index(density, sybil_fraction, sybil_clones, seed
     assert set(state.attacker_ids) <= set(range(honest))
 
 
-@pytest.mark.parametrize("short", ["position", "speed", "load", "score", "flagged"])
-def test_state_rejects_ragged_arrays(short):
-    columns = {
+def three_identities():
+    return {
         "position": np.array([0.0, 10.0, 20.0]),
         "speed": np.full(3, 20.0),
         "load": np.ones(3, dtype=np.int64),
         "score": np.full(3, 100.0),
         "flagged": np.zeros(3, dtype=bool),
     }
+
+
+@pytest.mark.parametrize("short", ["position", "speed", "load", "score", "flagged"])
+def test_state_rejects_ragged_arrays(short):
+    columns = three_identities()
     SimState(**columns)
     columns[short] = columns[short][:2]
     with pytest.raises(ValueError, match="equal lengths"):
         SimState(**columns)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        # ~flagged of an int array indexes identity -1 for every zero
+        ("flagged", np.zeros(3, dtype=np.int64)),
+        # the table would write 1.7 into the digest text
+        ("load", np.array([1.0, 1.7, 2.0])),
+        # the table would write 100 for 100.0, float32 has no float64 bits
+        ("score", np.full(3, 100, dtype=np.int64)),
+        ("score", np.full(3, 100.0, dtype=np.float32)),
+        ("attacker_ids", [3]),
+        ("attacker_ids", [0, 0]),
+        # -1 gives the last identity clone draws while is_clone stays false
+        ("clone_ids", [-1]),
+        ("clone_ids", [9]),
+        ("clone_ids", [1, 1]),
+        ("clone_ids", [1.0]),
+        ("clone_ids", [True]),
+    ],
+    ids=[
+        "int-flagged", "float-load", "int-score", "float32-score", "attacker-past-n",
+        "attacker-twice", "clone-negative", "clone-past-n", "clone-twice", "clone-float",
+        "clone-bool",
+    ],
+)
+def test_state_rejects_malformed_arrays(field, bad):
+    columns = three_identities()
+    SimState(**columns, attacker_ids=np.array([0]), clone_ids=[np.int64(1), 2])
+    with pytest.raises(ValueError, match=field):
+        SimState(**{**columns, field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -353,11 +391,8 @@ def test_input_digest_follows_rewritten_state(strategy):
         state.load[some[2:]] += 1
 
 
-def test_election_table_loads_are_exact_at_the_largest_load_max(monkeypatch):
-    cfg = SMALL.replace(load_max=2**53)
-    rng = np.random.default_rng(cfg.rng_seed)
-    state = initial_state(cfg, rng)
-    assert state.load.max() > 2**52 and (state.load % 2).any()
+def capture_tables(monkeypatch):
+    """The list every election table run_round builds is appended to."""
     tables = []
 
     def capture(*args, **kwargs):
@@ -365,6 +400,65 @@ def test_election_table_loads_are_exact_at_the_largest_load_max(monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr("mapsim.engine.selection_probabilities", capture)
+    return tables
+
+
+TABLE_RUNS = [(s, {}) for s in STRATEGIES] + [(s, {"trust_initial": 0.0}) for s in STRATEGIES[1:]]
+
+
+@pytest.mark.parametrize(
+    "strategy, changes", TABLE_RUNS, ids=[f"{s}{'-trust0' if c else ''}" for s, c in TABLE_RUNS]
+)
+def test_election_table_holds_the_unflagged_positive_trust_identities(monkeypatch, strategy, changes):
+    # selection_probabilities takes its idents from the identity arrays
+    # themselves, so they need no sort
+    cfg = SMALL.replace(strategy=strategy, **changes)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    tables = capture_tables(monkeypatch)
+    for r in range(cfg.rounds()):
+        state, _, _ = run_round(state, r, cfg, rng)
+        assert len(tables) == r + 1
+        idents = tables[-1].idents
+        assert idents.tolist() == np.flatnonzero(~state.flagged & (state.score > 0)).tolist()
+        assert (np.diff(idents) > 0).all()
+    assert any(len(t.idents) for t in tables) == (not changes)
+
+
+@pytest.mark.parametrize("changes", [{}, {"sybil_fraction": 0.3}, {"trust_initial": 0.0}])
+def test_flagged_identities_carry_no_evidence(changes):
+    # the trust pass reads no mask of observed identities; a flagged one
+    # must hold no handovers, no low SNR and no connection
+    cfg = SMALL.replace(**changes)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    flagged_rounds = 0
+    for r in range(cfg.rounds()):
+        state, _, _ = run_round(state, r, cfg, rng)
+        handovers, low_sinr, connected = state.evidence
+        flagged = state.flagged
+        assert not handovers[flagged].any() and not low_sinr[flagged].any()
+        assert not connected[flagged].any()
+        flagged_rounds += bool(flagged.any())
+    assert flagged_rounds
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES[1:])
+def test_baselines_gather_no_evidence(strategy):
+    cfg = SMALL.replace(strategy=strategy)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    for r in range(cfg.rounds()):
+        state, _, _ = run_round(state, r, cfg, rng)
+        assert not any(column.any() for column in state.evidence)
+
+
+def test_election_table_loads_are_exact_at_the_largest_load_max(monkeypatch):
+    cfg = SMALL.replace(load_max=2**53)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    assert state.load.max() > 2**52 and (state.load % 2).any()
+    tables = capture_tables(monkeypatch)
     for r in range(cfg.rounds()):
         state, _, event = run_round(state, r, cfg, rng)
         assert tables[-1].loads.tolist() == state.load[tables[-1].idents].tolist()

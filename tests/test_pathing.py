@@ -296,13 +296,13 @@ def test_cached_limits_match_the_scalar_predicate(
         if limit > 0.0:
             assert passes(math.nextafter(limit, 0.0))
 
-    check(limits.delay, lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold)
+    check(limits.limit(0), lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold)
     for count in counts:
         check(limits.limit(count), lambda d: admits(make_link_stats(0, d, cfg, count), cfg))
     # never rising with the share count is what the one-check fast path uses
     table = limits.at(np.arange(1, max(counts) + 1))
     assert (table[1:] <= table[:-1]).all()
-    assert table[0] <= limits.delay
+    assert table[0] <= limits.limit(0)
 
 
 def test_threshold_bisects_bit_patterns():

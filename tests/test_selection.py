@@ -19,9 +19,18 @@ class StubRng:
         return self.values.pop(0)
 
 
+def table_of(rows, eligible=None):
+    """The election table of identities 0..n-1 with these (load, trust) rows."""
+    load = np.array([load for load, _ in rows], dtype=np.int64)
+    score = np.array([trust for _, trust in rows], dtype=np.float64)
+    if eligible is None:
+        eligible = np.ones(len(rows), dtype=bool)
+    return selection_probabilities(load, score, eligible)
+
+
 def test_probability_oracle():
     # loads 2,1,1 at trusts 100,100,50 weight to 200,100,50
-    table = selection_probabilities([(0, 2, 100.0), (1, 1, 100.0), (2, 1, 50.0)])
+    table = table_of([(2, 100.0), (1, 100.0), (1, 50.0)])
     assert table.weights.tolist() == [200.0, 100.0, 50.0]
     assert table.probabilities.tolist() == [
         0.5714285714285714,
@@ -30,24 +39,30 @@ def test_probability_oracle():
     ]
 
 
-def test_threshold_gates_candidates():
-    entries = [(0, 2, 80.0), (1, 4, 50.0), (2, 1, 0.0)]
-    table = selection_probabilities(entries, trust_threshold=50.0)
-    assert table.idents.tolist() == [0]
-    table = selection_probabilities(entries)
-    assert table.idents.tolist() == [0, 1]
+def test_eligibility_and_positive_trust_gate_candidates():
+    # zero trust never makes the table, the least positive trust does
+    rows = [(2, 80.0), (4, 50.0), (1, 0.0), (3, 5e-324)]
+    assert table_of(rows).idents.tolist() == [0, 1, 3]
+    table = table_of(rows, np.array([True, False, True, True]))
+    assert table.idents.tolist() == [0, 3]
+    assert table.weights.tolist() == [160.0, 1.5e-323]
+    assert table_of(rows, np.zeros(4, dtype=bool)).idents.tolist() == []
 
 
 def test_empty_table():
-    table = selection_probabilities([])
+    table = table_of([])
     assert table.idents.tolist() == []
+    assert table.weights.dtype == np.float64
     assert select_maps(table, 3, StubRng([0.5, 0.5, 0.5])) == []
 
 
-def test_entries_sorted_by_ident():
-    table = selection_probabilities([(5, 1, 60.0), (1, 1, 60.0)])
+def test_idents_ascend_and_skip_ineligible_identities():
+    rows = [(1, 60.0), (2, 60.0), (3, 60.0), (4, 0.0), (5, 60.0), (6, 60.0)]
+    table = table_of(rows, np.array([False, True, False, True, False, True]))
     assert table.idents.tolist() == [1, 5]
-    assert table.loads.tolist() == [1, 1]
+    assert table.loads.tolist() == [2, 6]
+    assert table.trust.tolist() == [60.0, 60.0]
+    assert table.idents.dtype == table.loads.dtype == np.int64
 
 
 @given(
@@ -59,32 +74,27 @@ def test_entries_sorted_by_ident():
     )
 )
 def test_probabilities_normalised_and_proportional(rows):
-    entries = [(i, load, trust) for i, (load, trust) in enumerate(rows)]
-    table = selection_probabilities(entries)
+    table = table_of(rows)
     assert sum(table.probabilities) == pytest.approx(1.0, rel=1e-9)
     total = sum(table.weights)
     for w, p in zip(table.weights, table.probabilities):
         assert p == pytest.approx(w / total, rel=1e-12)
 
 
-GOLDEN_ENTRIES = [
-    (0, 4, 100.0),
-    (1, 1, 90.0),
-    (2, 3, 80.0),
-    (3, 2, 60.0),
-]
+# (load, trust) of identities 0..3
+GOLDEN_ROWS = [(4, 100.0), (1, 90.0), (3, 80.0), (2, 60.0)]
 
 
 def test_single_draw_lands_by_cumulative_scan():
     # u = 0.6 against weights 400, 90, 240, 120 falls in the third band
-    table = selection_probabilities(GOLDEN_ENTRIES)
+    table = table_of(GOLDEN_ROWS)
     assert select_maps(table, 1, StubRng([0.6])) == [2]
     assert select_maps(table, 1, StubRng([0.0])) == [0]
     assert select_maps(table, 1, StubRng([0.99])) == [3]
 
 
 def test_draws_renormalise_without_replacement():
-    table = selection_probabilities(GOLDEN_ENTRIES)
+    table = table_of(GOLDEN_ROWS)
     # first draw takes ident 0; the second scans weights 90, 240, 120
     winners = select_maps(table, 2, StubRng([0.1, 0.5]))
     assert winners == [0, 2]
@@ -92,7 +102,7 @@ def test_draws_renormalise_without_replacement():
 
 
 def test_k_larger_than_pool_returns_everyone():
-    table = selection_probabilities(GOLDEN_ENTRIES)
+    table = table_of(GOLDEN_ROWS)
     winners = select_maps(table, 99, StubRng([0.2] * 4))
     assert sorted(winners) == [0, 1, 2, 3]
 
@@ -100,9 +110,7 @@ def test_k_larger_than_pool_returns_everyone():
 def test_statistical_inclusion_matches_enumeration():
     # exact inclusion odds for k=2 over weights 200,100,50, from enumeration
     expected = {0: 0.8952380952380952, 1: 0.7142857142857142, 2: 0.3904761904761905}
-    table = selection_probabilities(
-        [(0, 2, 100.0), (1, 1, 100.0), (2, 1, 50.0)]
-    )
+    table = table_of([(2, 100.0), (1, 100.0), (1, 50.0)])
     rng = np.random.default_rng(404)
     trials = 20000
     hits = {0: 0, 1: 0, 2: 0}
@@ -115,7 +123,7 @@ def test_statistical_inclusion_matches_enumeration():
 
 
 def test_table_digest_matches_plain_sha256():
-    table = selection_probabilities(GOLDEN_ENTRIES)
+    table = table_of(GOLDEN_ROWS)
     rows = [[0, 4, 100.0], [1, 1, 90.0], [2, 3, 80.0], [3, 2, 60.0]]
     expected = hashlib.sha256(
         json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
@@ -127,8 +135,8 @@ def test_table_digest_matches_plain_sha256():
 
 
 def test_table_digest_sensitive_to_trust():
-    a = selection_probabilities([(0, 1, 60.0)])
-    b = selection_probabilities([(0, 1, 61.0)])
+    a = table_of([(1, 60.0)])
+    b = table_of([(1, 61.0)])
     assert table_digest(a, RowText(1)) != table_digest(b, RowText(1))
 
 
@@ -138,9 +146,9 @@ def stdlib_digest(table):
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
-# a table with an ident past the cache's 40 goes through a throwaway cache;
-# 2**53 is the largest load or ident the float64 table holds exactly
-IDENTS = st.one_of(st.integers(0, 39), st.sampled_from([40, 2**40, 2**53]))
+# idents lie in the cache's 0..39, as a state's lie in its RowText; 2**53
+# is the largest load the config allows
+IDENTS = st.integers(0, 39)
 LOADS = st.one_of(st.integers(1, 8), st.integers(1, 2**53))
 POSITIVE_TRUSTS = st.one_of(
     st.floats(5e-324, 1.7976931348623157e308, allow_subnormal=True),
@@ -244,17 +252,28 @@ LAST_TAKEN = [(3, 5e-324), (2, 5e-324), (4, 60.0)]
     taken=st.lists(st.integers(0, 30), unique=True, max_size=10),
 )
 def test_select_maps_matches_scalar_scan(rows, k, draws, taken):
-    entries = [(i, load, trust) for i, (load, trust) in enumerate(rows)]
-    table = selection_probabilities(entries, trust_threshold=-1.0)
-    weights = [load * trust for _, load, trust in entries]
-    assert table.weights.tolist() == weights
-    want = scalar_select(list(range(len(rows))), weights, k, StubRng(draws), taken)
+    # zero trust never makes an election table, but select_maps must still
+    # scan past zero weights, so this table is built by hand
+    idents = np.arange(len(rows))
+    load = np.array([load for load, _ in rows], dtype=np.int64)
+    trust = np.array([trust for _, trust in rows], dtype=np.float64)
+    weights = [load * trust for load, trust in rows]
+    table = CandidateTable(idents, load, trust, np.array(weights, dtype=np.float64), None)
+    # the engine's table holds the positive-trust rows at the same weights
+    positive = table_of(rows)
+    assert positive.weights.tolist() == [w for w, (_, t) in zip(weights, rows) if t > 0]
+    want = scalar_select(idents.tolist(), weights, k, StubRng(draws), taken)
     rng = StubRng(draws)
     got = select_maps(table, k, rng, taken)
     assert got == want
     assert all(type(ident) is int for ident in got)
     # the same draws, and as many uniforms, as from the table without the taken rows
+    keep = ~np.isin(idents, taken)
+    pool = CandidateTable(idents[keep], load[keep], trust[keep], table.weights[keep], None)
     pool_rng = StubRng(draws)
-    pool = selection_probabilities([e for e in entries if e[0] not in taken], trust_threshold=-1.0)
     assert select_maps(pool, k, pool_rng) == got
     assert len(pool_rng.values) == len(rng.values)
+    # and on the engine's tables, taken rows draw as ineligible identities do
+    a, b = StubRng(draws), StubRng(draws)
+    assert select_maps(positive, k, a, taken) == select_maps(table_of(rows, keep), k, b)
+    assert len(a.values) == len(b.values)
