@@ -93,6 +93,10 @@ class SimState:
             raise ValueError(f"flagged must be a bool array, got {self.flagged.dtype}")
         if not np.issubdtype(self.load.dtype, np.integer):
             raise ValueError(f"load must be an integer array, got {self.load.dtype}")
+        # the election weighs load x trust, so a load under 1 can zero its
+        # total; SimConfig's load_max caps loads at 2**53 for the same reason
+        if len(self.load) and not (self.load.min() >= 1 and self.load.max() <= 2**53):
+            raise ValueError(f"load must lie in 1..2**53, got {self.load.min()}..{self.load.max()}")
         if self.score.dtype != np.float64 or not np.isfinite(self.score).all():
             raise ValueError("score must be finite and float64")
         self.attacker_ids, self.clone_ids = list(self.attacker_ids), list(self.clone_ids)
@@ -185,14 +189,12 @@ def run_round(
     is_map = np.zeros(n, dtype=bool)
     is_map[elected] = True
 
-    # path assignment; the one client x MAP distance grid is the only source
-    # of link distances
+    # path assignment; each pass takes the ring distances of the client x MAP
+    # pairs it reads from the positions
     maps = np.array(sorted(elected), dtype=np.int64)
     served = np.flatnonzero(~(is_map | flagged) if blockchain else ~is_map)
-    position = state.position
-    dmat = ring_distance(position[served][:, None], position[maps][None, :], config.road_length)
     prev = state.link_map[served]
-    r, c, d, rank = attach(config, round_index, rng, n, served, maps, dmat, prev)
+    r, c, d, rank = attach(config, round_index, rng, n, served, maps, state.position, prev)
 
     # each vehicle's links, in probe order, into its row of the link arrays;
     # a vehicle holds each MAP at most once
@@ -274,17 +276,28 @@ def run_round(
     return state, metrics, event
 
 
-def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat, prev):
+def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, position, prev):
     """The round's links as (rows, cols, dist, rank) arrays, in probe order.
 
     Row v is identity served[v] of n, column j is MAP maps[j] (ascending),
-    dmat is their distance grid and prev[v] row v's previous MAPs, -1
-    padded. A link's rank is the share count it was admitted at. Each pass
-    speculates the links a probe at each MAP's current count would admit
-    and resolve admits them at exact counts (see mapsim.pathing).
+    position is indexed by identity and prev[v] holds row v's previous
+    MAPs, -1 padded. A link's rank is the share count it was admitted at.
+    Each pass speculates the links a probe at each MAP's current count
+    would admit and resolve admits them at exact counts (see
+    mapsim.pathing). Link distances are ring distances of the pairs a pass
+    reads: growth builds a client x MAP grid over the vehicles with a free
+    slot after retention only, and distance-based over every vehicle, as
+    it reads each one's nearest MAP.
     """
     limits = config.limits
     shares = np.zeros(len(maps), dtype=np.int64)
+    client, relay = position[served], position[maps]
+
+    def between(rows, cols):
+        return ring_distance(client[rows], relay[cols], config.road_length)
+
+    def grid(rows):
+        return ring_distance(client[rows][:, None], relay[None, :], config.road_length)
 
     def admitted(rows, cols, dist):
         """Speculation over fixed candidate links, rows ascending."""
@@ -305,18 +318,23 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
         pcol = col_of[prev]
         rows, cols = np.nonzero(pcol >= 0)
         cols = pcol[rows, cols]
-        hr, hc, _ = held = resolve(admitted(rows, cols, dmat[rows, cols]), shares, limits)
+        hr, hc, _ = held = resolve(admitted(rows, cols, between(rows, cols)), shares, limits)
 
-        # growth takes the nearest open MAPs by (distance, ident); a vehicle
-        # holds each MAP at most once, so len(maps) caps its slots
+        # growth takes the nearest open MAPs by (distance, ident) for the
+        # vehicles with a free slot; a vehicle holds each MAP at most once,
+        # so len(maps) caps its slots, and its held MAPs are never open
         free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
+        grows = np.flatnonzero(free > 0)
+        dmat = grid(grows)
+        keep = free[hr] > 0
+        dmat[np.searchsorted(grows, hr[keep]), hc[keep]] = np.inf
+        free = free[grows]
         width = int(free.max(initial=0))
 
         def grow(start):
-            view = dmat[start:]
+            at = np.searchsorted(grows, start)
+            view = dmat[at:]
             open_d = np.where(view < limits.at(shares + 1), view, np.inf)
-            at = np.searchsorted(hr, start)
-            open_d[hr[at:] - start, hc[at:]] = np.inf
             span = np.arange(len(view))
             pick = np.empty((len(view), width), dtype=np.int64)
             pick_d = np.empty((len(view), width))
@@ -324,8 +342,8 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
                 pick[:, t] = j = open_d.argmin(axis=1)
                 pick_d[:, t] = open_d[span, j]
                 open_d[span, j] = np.inf
-            rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[start:, None]))
-            return rows + start, pick[rows, t], pick_d[rows, t]
+            rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[at:, None]))
+            return grows[rows + at], pick[rows, t], pick_d[rows, t]
 
         grown = resolve(grow, shares, limits)
         rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown))
@@ -335,10 +353,10 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, dmat,
         if config.strategy == "independent-random":
             cols = rng.integers(0, len(maps), size=len(rows)) if len(rows) else rows
         elif config.strategy == "distance-based":
-            cols = dmat.argmin(axis=1) if len(rows) else rows
+            cols = grid(rows).argmin(axis=1) if len(rows) else rows
         else:
             cols = (served[rows] + round_index) % max(1, len(maps))
-        dist = dmat[rows, cols]
+        dist = between(rows, cols)
         if config.strategy == "sequence-based":
             rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
     # links are listed in probe order, so a link's rank is one more than the

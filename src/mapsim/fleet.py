@@ -23,14 +23,15 @@ def ring_distance(a, b, road_length: float):
     """Shorter-arc separation between positions on the ring, elementwise on arrays.
 
     Positions must lie in [0, road_length], as make_fleet and step_positions
-    leave them, so the gap |a - b| is at most road_length. Past half the
-    ring the shorter arc is road_length - gap, which is exact there
-    (Sterbenz), so this is min(gap, road_length - gap) bit for bit; it is
-    taken in place, as one large grid allocation.
+    leave them, so the gap |a - b| is at most road_length and the shorter
+    arc is min(gap, road_length - gap), taken in place on the gap; past
+    half the ring road_length - gap is exact (Sterbenz). Each element
+    depends on its own pair alone, so the distances of index pairs equal
+    those elements of a broadcast grid bit for bit.
     """
     gap = np.asarray(a - b, dtype=np.float64)
     np.abs(gap, out=gap)
-    np.subtract(road_length, gap, out=gap, where=gap > road_length / 2)
+    np.minimum(gap, road_length - gap, out=gap)
     return gap[()]
 
 

@@ -13,11 +13,14 @@ comparison `d < limit` against a threshold distance that depends only on
 the config (`AdmissionLimits`, cached as `SimConfig.limits`), found once by
 bisection with the scalar predicate itself.
 
-The engine runs each pass as array operations over its client x MAP
-distance grid. A speculation takes the links the remaining vehicles would
-take if every probe ran at its MAP's current count. Counts only grow, so
-it errs only by admitting a probe the exact count turns away, and its
-first vehicle, which holds each MAP at most once, is always right.
+The engine runs each pass as array operations on the ring distances of
+the client x MAP pairs it reads: retention and the single path policies
+take their candidate pairs only, growth a grid over the vehicles with a
+free slot after retention, and distance-based a grid over every vehicle.
+A speculation takes the links the remaining vehicles would take if every
+probe ran at its MAP's current count. Counts only grow, so it errs only by
+admitting a probe the exact count turns away, and its first vehicle, which
+holds each MAP at most once, is always right.
 `resolve` checks each speculated link at its probe rank, the share count
 it would be probed at, admits the vehicles before the first one holding a
 link at or over its limit and speculates again from that one on. The
@@ -38,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import SimConfig
-from .radio import LinkStats, make_link_stats
+from .radio import LinkStats, compute_sinr, link_bandwidth, path_delay
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,12 @@ class AdmissionLimits:
     def __init__(self, config: SimConfig) -> None:
         self.config = config
         self.reach = config.road_length / 2
+
+        def in_time(d: float) -> bool:
+            return path_delay(d, compute_sinr(d, config), config) < config.delay_threshold
+
         # table[c] is the limit at share count c; table[0] bounds the delay alone
-        self.table = [
-            threshold(lambda d: make_link_stats(0, d, config).total_delay < config.delay_threshold, self.reach)
-        ]
+        self.table = [threshold(in_time, self.reach)]
 
     def limit(self, count: int) -> float:
         """Distance under which a probe at this share count is admitted."""
@@ -120,7 +125,12 @@ class AdmissionLimits:
         cfg, count, bound = self.config, len(self.table), self.table[-1]
 
         def passes(d: float) -> bool:
-            return admits(make_link_stats(0, d, cfg, count), cfg)
+            # admits() on make_link_stats(0, d, cfg, count), without the record
+            sinr = compute_sinr(d, cfg)
+            return (
+                path_delay(d, sinr, cfg) < cfg.delay_threshold
+                and link_bandwidth(sinr, count, cfg) >= cfg.bandwidth_min
+            )
 
         # limits never rise with the share count, so the last one bounds this
         # one, and a probe that passes just under it passes everywhere below

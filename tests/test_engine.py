@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapsim.engine as engine
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance
@@ -163,6 +164,11 @@ def test_state_rejects_ragged_arrays(short):
         ("flagged", np.zeros(3, dtype=np.int64)),
         # the table would write 1.7 into the digest text
         ("load", np.array([1.0, 1.7, 2.0])),
+        # a load under 1 can zero the election's total weight, so that no
+        # MAP is elected in any round
+        ("load", np.array([1, -5, 2])),
+        ("load", np.array([1, 0, 2])),
+        ("load", np.array([1, 2**53 + 1, 2])),
         # the table would write 100 for 100.0, float32 has no float64 bits
         ("score", np.full(3, 100, dtype=np.int64)),
         ("score", np.full(3, 100.0, dtype=np.float32)),
@@ -176,9 +182,9 @@ def test_state_rejects_ragged_arrays(short):
         ("clone_ids", [True]),
     ],
     ids=[
-        "int-flagged", "float-load", "int-score", "float32-score", "attacker-past-n",
-        "attacker-twice", "clone-negative", "clone-past-n", "clone-twice", "clone-float",
-        "clone-bool",
+        "int-flagged", "float-load", "negative-load", "zero-load", "load-past-2**53", "int-score",
+        "float32-score", "attacker-past-n", "attacker-twice", "clone-negative", "clone-past-n",
+        "clone-twice", "clone-float", "clone-bool",
     ],
 )
 def test_state_rejects_malformed_arrays(field, bad):
@@ -186,6 +192,13 @@ def test_state_rejects_malformed_arrays(field, bad):
     SimState(**columns, attacker_ids=np.array([0]), clone_ids=[np.int64(1), 2])
     with pytest.raises(ValueError, match=field):
         SimState(**{**columns, field: bad})
+
+
+def test_state_takes_loads_at_both_ends_of_the_config_range():
+    columns = three_identities()
+    state = SimState(**{**columns, "load": np.array([1, 2**53, 1])})
+    assert state.load.tolist() == [1, 2**53, 1]
+    SimState(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -296,8 +309,8 @@ def test_conservation_every_round(strategy):
     ["blockchain-multipath", "independent-random", "distance-based", "sequence-based"],
 )
 def test_link_distances_equal_ring_distance(strategy):
-    # link stats take their distances from the engine's grid; they must be
-    # the scalar ring distances bit for bit
+    # each attach pass takes the ring distances of the pairs it reads; they
+    # must be the scalar ring distances bit for bit
     cfg = SMALL.replace(strategy=strategy)
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_state(cfg, rng)
@@ -311,6 +324,37 @@ def test_link_distances_equal_ring_distance(strategy):
                 assert s.distance.hex() == d.hex()
                 checked += 1
     assert checked > 0
+
+
+def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
+    # criterion 11's 800-vehicle point; most vehicles keep every path they
+    # held, and growth builds the round's one client x MAP grid over the rest
+    cfg = SimConfig(vehicle_density=0.08, total_time=80.0, map_fraction=0.2, sybil_fraction=0.0, rng_seed=3)
+    grids = []
+
+    def measured(a, b, road_length):
+        out = ring_distance(a, b, road_length)
+        if np.ndim(out) == 2:
+            grids.append(a[:, 0].tolist())
+        return out
+
+    monkeypatch.setattr(engine, "ring_distance", measured)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    shares = []
+    for r in range(cfg.rounds()):
+        before = state.link_map
+        grids.clear()
+        state, _, _ = run_round(state, r, cfg, rng)
+        prev, now = before[state.served], state.link_map[state.served]
+        # counts only grow, so a previous MAP retention turned away is never
+        # grown back: the links held before and now are the retained ones
+        kept = ((now[:, :, None] == prev[:, None, :]).any(axis=2) & (now >= 0)).sum(axis=1)
+        free = now.shape[1] - kept > 0
+        assert grids == [state.position[state.served[free]].tolist()]
+        shares.append(free.mean())
+    assert shares[0] == 1.0
+    assert max(shares[1:]) < 0.25, shares
 
 
 def test_repeat_run_is_identical():

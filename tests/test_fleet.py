@@ -29,6 +29,13 @@ def modulo_ring_distance(a, b, road_length):
     return np.minimum(gap, road_length - gap)
 
 
+def masked_ring_distance(a, b, road_length):
+    """The ring distance as a subtract masked to the gaps past half the ring."""
+    gap = np.asarray(np.abs(a - b), dtype=np.float64)
+    np.subtract(road_length, gap, out=gap, where=gap > road_length / 2)
+    return gap
+
+
 @given(
     road_length=st.one_of(st.floats(1e-3, 1e9), st.sampled_from([1.0, 3.0, 10000.0])),
     data=st.data(),
@@ -43,10 +50,36 @@ def test_ring_distance_equals_the_modulo_formula_on_the_ring(road_length, data):
     want = modulo_ring_distance(a, b, road_length)
     got = ring_distance(a, b, road_length)
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    masked = masked_ring_distance(a, b, road_length)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in masked.tolist()]
     grid = ring_distance(a[:, None], b[None, :], road_length)
     assert np.array_equal(grid, modulo_ring_distance(a[:, None], b[None, :], road_length))
     scalar = ring_distance(float(a[0]), float(b[0]), road_length)
     assert scalar.hex() == want[0].hex()
+
+
+@given(
+    road_length=st.floats(1.0, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 60)),
+)
+def test_ring_distance_of_index_pairs_equals_the_grid(road_length, seed, shape):
+    # attach takes the distances of the client x MAP pairs it reads, not
+    # the whole grid; an element must not depend on the shape it is taken in
+    rng = np.random.default_rng(seed)
+    clients, maps, pairs = shape
+    a, b = rng.uniform(0.0, road_length, clients), rng.uniform(0.0, road_length, maps)
+    if seed % 2:
+        # eighths of the ring, so that gaps of exactly half the ring occur
+        a, b = (np.floor(x / road_length * 8) * (road_length / 8) for x in (a, b))
+    grid = ring_distance(a[:, None], b[None, :], road_length)
+    assert grid.shape == (clients, maps)
+    rows = rng.integers(0, clients, pairs if clients and maps else 0)
+    cols = rng.integers(0, maps, len(rows))
+    got = ring_distance(a[rows], b[cols], road_length)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in grid[rows, cols].tolist()]
+    sub = np.unique(rows)
+    assert np.array_equal(ring_distance(a[sub][:, None], b[None, :], road_length), grid[sub])
 
 
 def test_step_wraps_around():

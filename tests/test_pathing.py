@@ -305,6 +305,38 @@ def test_cached_limits_match_the_scalar_predicate(
     assert table[0] <= limits.limit(0)
 
 
+@given(
+    road_length=st.floats(10.0, 20000.0),
+    b_cap=st.floats(0.01, 4.0),
+    bandwidth_min=st.floats(0.0, 4.0),
+    delay_threshold=st.floats(0.5, 60.0),
+    a0=st.floats(0.0, 1.0),
+    b0=st.floats(0.0, 20.0),
+    path_loss_exp=st.floats(1.0, 6.0),
+    sinr_threshold=st.floats(0.1, 100.0),
+    top=st.integers(1, 40),
+)
+def test_limit_tables_equal_those_of_the_link_stats_predicate(
+    road_length, b_cap, bandwidth_min, delay_threshold, a0, b0, path_loss_exp, sinr_threshold, top
+):
+    # the limits bisect a predicate on the radio functions; it must draw the
+    # line where admits() on a LinkStats record does, at every share count
+    cfg = CFG.replace(
+        road_length=road_length, b_cap=b_cap, bandwidth_min=bandwidth_min, delay_threshold=delay_threshold,
+        a0=a0, b0=b0, path_loss_exp=path_loss_exp, sinr_threshold=sinr_threshold,
+    )
+    limits = cfg.limits
+
+    def oracle(count):
+        if count == 0:
+            return threshold(lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold, limits.reach)
+        return threshold(lambda d: admits(make_link_stats(0, d, cfg, count), cfg), limits.reach)
+
+    got = [limits.limit(count) for count in range(top + 1)]
+    assert got == [oracle(count) for count in range(top + 1)]
+    assert limits.table == got[: len(limits.table)]
+
+
 def test_threshold_bisects_bit_patterns():
     assert threshold(lambda d: d < 1.5, 10.0) == 1.5
     assert threshold(lambda d: d <= 1.5, 10.0) == math.nextafter(1.5, math.inf)
@@ -393,8 +425,8 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     return links, rejected[0]
 
 
-def array_attach(config, round_index, rng, served, maps, dmat, prev, n):
-    rows, cols, dist, rank = engine.attach(config, round_index, rng, n, served, maps, dmat, prev)
+def array_attach(config, round_index, rng, served, maps, position, prev, n):
+    rows, cols, dist, rank = engine.attach(config, round_index, rng, n, served, maps, position, prev)
     links = {i: [] for i in served.tolist()}
     for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
                              key=lambda x: (x[0], x[2], maps[x[1]])):
@@ -424,21 +456,28 @@ def attach_inputs(draw):
     maps = np.sort(rng.choice(n, k, replace=False))
     served = np.setdiff1d(np.arange(n), maps)
     dmat = ring_distance(position[served][:, None], position[maps][None, :], road_length)
-    width = draw(st.integers(0, cfg.max_paths))
+    full = draw(st.booleans())
+    width = cfg.max_paths if full else draw(st.integers(0, cfg.max_paths))
     prev = np.full((len(served), width), -1)
     for row, d in zip(prev, dmat):
-        # mostly near MAPs still elected, sometimes one that is not
         near = maps[np.argsort(d, kind="stable")[: 2 * width]]
-        pool = near if len(near) and rng.random() < 0.8 else np.arange(n)
-        held = rng.choice(pool, min(len(pool), rng.integers(0, width + 1)), replace=False)
+        if full and rng.random() < 0.7:
+            # a full row of its nearest MAPs, which retention may keep all
+            # of, leaving the vehicle out of growth
+            held = near[:width]
+        else:
+            # mostly near MAPs still elected, sometimes one that is not
+            pool = near if len(near) and rng.random() < 0.8 else np.arange(n)
+            held = rng.choice(pool, min(len(pool), rng.integers(0, width + 1)), replace=False)
         row[: len(held)] = held
-    return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, dmat, prev, n
+    return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev, n
 
 
 def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # each resolve call records its pass and its speculations as (start,
-    # rows, cols); `passes` names the passes the next attach resolves
-    seen, loops, passes = Counter(), [], []
+    # rows, cols); `passes` names the passes the next attach resolves;
+    # `grids` holds the row count of each client x MAP grid attach builds
+    seen, loops, passes, grids = Counter(), [], [], []
 
     def recorded(speculate, counts, limits):
         calls = []
@@ -451,24 +490,36 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
 
         return resolve(spy, counts, limits)
 
+    def measured(a, b, road_length):
+        out = ring_distance(a, b, road_length)
+        if np.ndim(out) == 2:
+            grids.append(len(out))
+        return out
+
     monkeypatch.setattr(engine, "resolve", recorded)
+    monkeypatch.setattr(engine, "ring_distance", measured)
 
     # a fixed example sequence, so that the re-speculations it asserts
     # always run
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(attach_inputs())
     def check(inputs):
-        cfg, round_index, seed, served, maps, dmat, prev, n = inputs
+        cfg, round_index, seed, served, maps, position, prev, n = inputs
         passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
+        dmat = ring_distance(position[served][:, None], position[maps][None, :], cfg.road_length)
         want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
-        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev, n)
+        grids.clear()
+        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev, n)
         assert got == want
         assert passes == []
         seen["rejected"] += rejected
+        # growth builds its grid over the vehicles retention left a free slot
+        seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[0] < len(served)
 
     check()
     # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
+    assert seen["partial growth"] > 0
     assert {name for name, calls in loops if len(calls) > 1} == {"retain", "grow", "rotate"}
     for _, calls in loops:
         for start, rows, cols in calls:
