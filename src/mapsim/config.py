@@ -139,6 +139,12 @@ def _validate(cfg: SimConfig) -> None:
     far_gain = max(cfg.road_length / 2, 1.0) ** (-cfg.path_loss_exp)
     far_snr = cfg.tx_power * far_gain / cfg.noise_power
     _require(far_snr > 0, "the SNR at half the road length underflows to zero")
+    # the gain is 1 within 1 m, so tx_power / noise_power is the largest SNR
+    # computed; an overflow to inf there would stop radio.link_quality mid-run
+    _require(
+        math.isfinite(cfg.tx_power / cfg.noise_power),
+        "the SNR within 1 m (tx_power / noise_power) overflows to infinity",
+    )
     _require(cfg.bandwidth_min >= 0, "bandwidth_min must be non-negative")
     _require(cfg.b_cap > 0, "b_cap must be positive")
     _require(cfg.delay_threshold > 0, "delay_threshold must be positive")

@@ -13,6 +13,12 @@ decoded payload) and "round". Keys are sorted at every level, the indent is
 2 spaces and a newline ends the file, so an empty ledger is "[]\\n". These are
 the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
 
+The writer decodes each payload with one call to the stdlib's C scanner
+(decode_json) and renders it with `indented`, which writes int lists and int
+dict values without a call per element. The reader takes each row's fields
+and makes one type and range check; only a row that fails it goes through
+the ordered field-by-field checks that name the first bad field.
+
 A payload's "input_digest" is the sha256 hex digest of the round's election
 table as compact JSON: one [ident, load, trust] row per unflagged identity
 with positive trust, in ident order, ints in decimal and trust as
@@ -31,6 +37,8 @@ from typing import Any
 GENESIS_HASH = bytes(32)
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _pack_indices = struct.Struct("<QQ").pack
+_scan_once = json.JSONDecoder().scan_once
+_U64 = 1 << 64
 
 
 def canonical_payload(obj: Any) -> bytes:
@@ -42,9 +50,20 @@ def block_digest(index: int, round_index: int, payload: bytes, prev_hash: bytes)
     return hashlib.sha256(head + payload + prev_hash).digest()
 
 
+def decode_json(text: str) -> Any:
+    """json.loads(text), with one C scanner call when the value spans the whole text."""
+    try:
+        obj, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    # surrounding whitespace, trailing data and malformed text take json.loads
+    # itself, so they decode or raise exactly as it does
+    return obj if end == len(text) else json.loads(text)
+
+
 def indented(obj: Any, pad: str) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with `pad` after every newline,
-    for any JSON-decoded obj."""
+    for obj built of str-keyed dicts, lists, str, int, float, bool and None."""
     if type(obj) is int:
         return int.__repr__(obj)
     if type(obj) is str:
@@ -54,8 +73,14 @@ def indented(obj: Any, pad: str) -> str:
     inner = pad + "  "
     sep = ",\n" + inner
     if type(obj) is dict:
-        items = [encode_basestring_ascii(k) + ": " + indented(obj[k], inner) for k in sorted(obj)]
+        items = [
+            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else indented(v, inner))
+            for k, v in sorted(obj.items())
+        ]
         return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    # bool is not int here, so true and false keep the recursive path
+    if {int} >= set(map(type, obj)):
+        return "[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + pad + "]"
     return "[\n" + inner + sep.join([indented(v, inner) for v in obj]) + "\n" + pad + "]"
 
 
@@ -68,7 +93,7 @@ class Block:
     digest: bytes
 
     def payload_obj(self) -> Any:
-        return json.loads(self.payload.decode("utf-8"))
+        return decode_json(self.payload.decode("utf-8"))
 
 
 def chain_break(blocks: list[Block]) -> tuple[int, str] | None:
@@ -150,18 +175,30 @@ class Ledger:
 
 def _row_block(i: int, row: Any) -> Block:
     """Block of ledger.json row i, or ValueError naming the row and field."""
+    try:
+        index, round_index, payload = row["index"], row["round"], row["payload"]
+        prev_hash, digest = bytes.fromhex(row["prev_hash"]), bytes.fromhex(row["digest"])
+    except (KeyError, TypeError, ValueError):
+        pass
+    else:
+        if type(index) is int and type(round_index) is int and 0 <= index < _U64 and 0 <= round_index < _U64:
+            return Block(index, round_index, canonical_payload(payload), prev_hash, digest)
+    raise ValueError(f"row {i} {_row_fault(row)}")
+
+
+def _row_fault(row: Any) -> str:
+    """The first field check, in order, that a row rejected by _row_block fails."""
     if type(row) is not dict:
-        raise ValueError(f"row {i} is not an object")
+        return "is not an object"
     for key in ("index", "round", "payload", "prev_hash", "digest"):
         if key not in row:
-            raise ValueError(f"row {i} has no {key!r}")
+            return f"has no {key!r}"
     for key in ("index", "round"):
-        if type(row[key]) is not int or not 0 <= row[key] < 1 << 64:
-            raise ValueError(f"row {i} {key!r} is not an unsigned 64-bit integer")
-    hashes = []
-    for key in ("prev_hash", "digest"):
-        try:
-            hashes.append(bytes.fromhex(row[key]))
-        except (TypeError, ValueError):
-            raise ValueError(f"row {i} {key!r} is not a hex string") from None
-    return Block(row["index"], row["round"], canonical_payload(row["payload"]), *hashes)
+        if type(row[key]) is not int or not 0 <= row[key] < _U64:
+            return f"{key!r} is not an unsigned 64-bit integer"
+    try:
+        bytes.fromhex(row["prev_hash"])
+    except (TypeError, ValueError):
+        return "'prev_hash' is not a hex string"
+    # _row_block rejected the row, so only the digest is left to fail
+    return "'digest' is not a hex string"

@@ -2,19 +2,20 @@
 
 csv.writer writes float cells with repr, so a parse round-trips to the
 identical value, and None as an empty cell. Summary JSON is sorted and stable
-so identical runs produce identical bytes. Wall clock time deliberately stays
-out of the files.
+so identical runs produce identical bytes: those of json.dump(summary,
+sort_keys=True, indent=2) plus a newline, rendered by ledger.indented as
+ledger.json is. Wall clock time deliberately stays out of the files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 from .engine import RoundMetrics, SimulationReport
+from .ledger import indented
 
 def _optional_float(cell: str) -> float | None:
     return float(cell) if cell else None
@@ -53,8 +54,7 @@ def read_rounds_csv(path: Any) -> list[dict[str, Any]]:
 
 def write_summary_json(path: Any, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(indented(summary, "") + "\n")
 
 
 def write_run(out_dir: Any, report: SimulationReport) -> Path:

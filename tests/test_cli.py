@@ -62,8 +62,12 @@ def test_simulate_seed_and_strategy_override(tmp_path):
         ({"road_length": -1.0}, "road_length must be positive"),
         ({"incumbent_retention": "false"}, "incumbent_retention must be true or false, got 'false'"),
         ({"load_max": 2**60}, f"load_max must be at most 2**53, got {2**60}"),
+        (
+            {"tx_power": 1e300, "noise_power": 1e-300, "total_time": 30.0},
+            "the SNR within 1 m (tx_power / noise_power) overflows to infinity",
+        ),
     ],
-    ids=["negative-length", "string-flag", "inexact-load"],
+    ids=["negative-length", "string-flag", "inexact-load", "near-snr-overflow"],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):
     cfg = tmp_path / "cfg.json"

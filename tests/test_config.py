@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapsim.config import MAX_ROUNDS, STRATEGIES, SimConfig, speed_to_mps
-from mapsim.engine import initial_state, run_round
+from mapsim.engine import initial_state, run_round, run_simulation
 
 
 def test_defaults_are_valid():
@@ -64,6 +65,8 @@ def test_partial_round_does_not_run():
             "strategy": "distance-based",
             "rng_seed": 1,
         },
+        # the SNR within 1 m, tx_power / noise_power, overflows to inf
+        {"tx_power": 1e300, "noise_power": 1e-300, "total_time": 30.0},
     ],
 )
 def test_validation_rejects(changes):
@@ -77,6 +80,36 @@ def test_load_max_past_exact_float64_is_rejected(load_max):
     with pytest.raises(ValueError, match=rf"load_max must be at most 2\*\*53, got {load_max}"):
         SimConfig(load_max=load_max)
     assert SimConfig(load_max=2**53).load_max == 2**53
+
+
+# accepted configs at the ends of their fields' ranges; fleets of millions
+# of identities (sybil_clones=10**6, or vehicle_density=1 on a 100 km road)
+# are left out as too slow for the suite
+EDGE_CONFIGS = [
+    {"road_length": 1e-300, "vehicle_density": 1e300},
+    {"speed_min": 1e300, "speed_max": 1e300},
+    {"path_loss_exp": 1e-300},
+    {"d_c": 1e-300},
+    *(
+        {name: 1e300}
+        for name in ("a0", "b0", "delay_threshold", "bandwidth_min", "handover_penalty", "stability_reward")
+    ),
+    *({name: value} for name in ("b_cap", "sinr_threshold") for value in (1e-300, 1e300)),
+    {"dt": 1e300, "total_time": 1e300},
+]
+
+
+@pytest.mark.parametrize("changes", EDGE_CONFIGS, ids=lambda c: ",".join(f"{k}={v:g}" for k, v in c.items()))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_edge_configs_run_without_warnings(changes, strategy):
+    cfg = SimConfig(**{"total_time": 30.0, **changes, "strategy": strategy})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_simulation(cfg)
+    assert 1 <= len(report.round_metrics) == cfg.rounds() <= 3
+    for m in report.round_metrics:
+        assert m.vehicle_count == m.elected_maps + m.attached + m.disconnected + m.flagged_count
+    assert report.ledger.verify()
 
 
 def test_round_bound_is_inclusive():

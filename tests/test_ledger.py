@@ -14,6 +14,7 @@ from mapsim.ledger import (
     block_digest,
     canonical_payload,
     chain_break,
+    decode_json,
     indented,
     verify_chain,
 )
@@ -241,6 +242,8 @@ def _stdlib_to_json(ledger, path):
 @example([(1, {"big": 2**80, "neg": -(2**70), "flags": [True, False, None], "ints": [3, -1, 0]})])
 @example([(1, {"": [], "é\u2028": {}, "q\"\\\n\x00": [[], {}, [{}]], "\U0001f600": "tab\there"})])
 @example([(2**40, {"elected": [0, 13], "excluded": [], "input_digest": "ab" * 32, "round": 5})])
+@example([(1, {"b": True, "i": -(2**70), "l": [True, False], "m": [1, True], "n": [2**65, -0, 7], "z": 0})])
+@example([(1, [[1, 2], [3.0, 4], [None, 5], {"x": [False]}])])
 def test_to_json_bytes_equal_the_stdlib_encoder(tmp_path, steps):
     led = Ledger()
     round_index = 0
@@ -257,6 +260,47 @@ def test_to_json_bytes_equal_the_stdlib_encoder(tmp_path, steps):
         assert indented(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
 
+@given(
+    JSON_VALUES,
+    st.sampled_from([None, 0, 2]),
+    st.sampled_from(["", " ", "\n\t\r "]),
+    st.sampled_from(["", " ", " \n"]),
+)
+def test_decode_json_equals_json_loads(value, indent, lead, trail):
+    separators = (",", ":") if indent is None else None
+    text = lead + json.dumps(value, indent=indent, separators=separators) + trail
+    # repr tells nan, -0.0, 1.0 from 1 and True from 1, and shows key order
+    assert repr(decode_json(text)) == repr(json.loads(text))
+
+
+def test_decode_json_takes_no_json_loads_call_on_a_whole_value(monkeypatch):
+    payload = canonical_payload({"elected": [0, 13], "round": 5, "x": [None, 1.5, "s"]})
+
+    def refuse(text):
+        raise AssertionError(f"json.loads({text!r})")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert decode_json(payload.decode("utf-8")) == {"elected": [0, 13], "round": 5, "x": [None, 1.5, "s"]}
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "payload", [b"[1", b"1 2", b"", b" ", b"\xff", b"{\"a\":1}x", b"\xef\xbb\xbf1", b"[1,]", b"nul"]
+)
+def test_malformed_payload_raises_as_json_loads(payload):
+    block = Block(0, 0, payload, GENESIS_HASH, bytes(32))
+    raised = _raised(block.payload_obj)
+    assert raised is not None
+    assert raised == _raised(lambda: json.loads(payload.decode("utf-8")))
+
+
 def _bad_row(key, value):
     def edit(rows):
         rows[1][key] = value
@@ -266,6 +310,13 @@ def _bad_row(key, value):
 def _drop(key):
     def edit(rows):
         del rows[1][key]
+    return edit
+
+
+def _both(*edits):
+    def edit(rows):
+        for e in edits:
+            e(rows)
     return edit
 
 
@@ -287,9 +338,18 @@ def _drop(key):
         (_bad_row("round", None), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("round", -1), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("round", 2**64), "row 1 'round' is not an unsigned 64-bit integer"),
+        (_bad_row("index", 2**64), "row 1 'index' is not an unsigned 64-bit integer"),
         (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not a hex string"),
         (_bad_row("digest", 7), "row 1 'digest' is not a hex string"),
         (_bad_row("digest", None), "row 1 'digest' is not a hex string"),
+        (_bad_row("digest", "abc"), "row 1 'digest' is not a hex string"),
+        (_both(_bad_row("index", "1"), _bad_row("prev_hash", "zz")), "row 1 'index' is not an unsigned 64-bit integer"),
+        (_both(_bad_row("round", -1), _drop("digest")), "row 1 has no 'digest'"),
+        (_both(_bad_row("prev_hash", 7), _bad_row("digest", "x")), "row 1 'prev_hash' is not a hex string"),
+        (
+            _both(_bad_row("digest", 7), lambda rows: rows.__setitem__(2, "block")),
+            "row 1 'digest' is not a hex string",
+        ),
     ],
 )
 def test_from_json_names_the_bad_row_and_field(tmp_path, edit, message):
@@ -301,3 +361,60 @@ def test_from_json_names_the_bad_row_and_field(tmp_path, edit, message):
     with pytest.raises(ValueError) as info:
         Ledger.from_json(path)
     assert str(info.value) == message
+
+
+def _ordered_row_block(i, row):
+    """The ledger.json row reader as it was: every field check, in order."""
+    if type(row) is not dict:
+        raise ValueError(f"row {i} is not an object")
+    for key in ("index", "round", "payload", "prev_hash", "digest"):
+        if key not in row:
+            raise ValueError(f"row {i} has no {key!r}")
+    for key in ("index", "round"):
+        if type(row[key]) is not int or not 0 <= row[key] < 1 << 64:
+            raise ValueError(f"row {i} {key!r} is not an unsigned 64-bit integer")
+    hashes = []
+    for key in ("prev_hash", "digest"):
+        try:
+            hashes.append(bytes.fromhex(row[key]))
+        except (TypeError, ValueError):
+            raise ValueError(f"row {i} {key!r} is not a hex string") from None
+    return Block(row["index"], row["round"], canonical_payload(row["payload"]), *hashes)
+
+
+FIELD_VALUES = {
+    "index": st.sampled_from([0, 1, 2**64 - 1, 2**64, -1, True, 1.0, "1", None]),
+    "round": st.sampled_from([0, 3, 2**64 - 1, 2**64, -1, False, 2.5, "0", []]),
+    "payload": JSON_VALUES,
+    "prev_hash": st.sampled_from(["00" * 32, "", "ab cd", "abc", "zz", 7, None, ["00"]]),
+    "digest": st.sampled_from(["ff" * 32, "", "0A", "g0", 0, None, {}]),
+}
+
+
+@st.composite
+def edited_rows(draw):
+    """A sound row with up to three fields replaced or dropped."""
+    row = {"index": 0, "round": 0, "payload": {}, "prev_hash": "00" * 32, "digest": "ff" * 32}
+    for key in draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=3)):
+        if draw(st.booleans()):
+            row[key] = draw(FIELD_VALUES[key])
+        else:
+            row.pop(key, None)
+    return row
+
+
+ROWS = st.lists(edited_rows() | st.sampled_from(["block", 0, None, [], [1, 2], 1.5]), max_size=4)
+
+
+@given(ROWS)
+@example([{"index": 0, "round": 0, "payload": {}, "prev_hash": "00", "digest": "11"}])
+@example([{"index": "0", "round": 0, "payload": {}, "prev_hash": "zz", "digest": "11"}])
+@example([{"index": 0, "round": -1, "payload": {}, "prev_hash": "00"}])
+def test_from_json_rows_read_as_the_ordered_checks(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "ledger.json"
+    path.write_text(json.dumps(rows))
+    ours = _raised(lambda: Ledger.from_json(path))
+    theirs = _raised(lambda: [_ordered_row_block(i, row) for i, row in enumerate(rows)])
+    assert ours == theirs
+    if ours is None:
+        assert Ledger.from_json(path).blocks == [_ordered_row_block(i, row) for i, row in enumerate(rows)]

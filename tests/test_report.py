@@ -128,6 +128,14 @@ def test_summary_json_stable_bytes(tmp_path):
     assert list(data) == sorted(data)
 
 
+def test_summary_json_bytes_equal_json_dump(tmp_path):
+    extra = {"avg_delay_s": None, "nan": float("nan"), "inf": -float("inf"), "neg_zero": -0.0, "flag": True}
+    summary = {**run_simulation(CFG).summary, **extra}
+    path = tmp_path / "summary.json"
+    write_summary_json(path, summary)
+    assert path.read_text(encoding="utf-8") == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
 def test_write_run_emits_artifacts(tmp_path):
     report = run_simulation(CFG)
     out = tmp_path / "run"
