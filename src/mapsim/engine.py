@@ -189,12 +189,12 @@ def run_round(
     is_map = np.zeros(n, dtype=bool)
     is_map[elected] = True
 
-    # path assignment; each pass takes the ring distances of the client x MAP
-    # pairs it reads from the positions
+    # path assignment to the unflagged non-MAPs, as comparison policies never
+    # flag; each pass takes the ring distances of its client x MAP pairs
     maps = np.array(sorted(elected), dtype=np.int64)
-    served = np.flatnonzero(~(is_map | flagged) if blockchain else ~is_map)
+    served = np.flatnonzero(~(is_map | flagged))
     prev = state.link_map[served]
-    r, c, d, rank = attach(config, round_index, rng, n, served, maps, state.position, prev)
+    r, c, d, rank = attach(config, round_index, rng, served, maps, state.position, prev)
 
     # each vehicle's links, in probe order, into its row of the link arrays;
     # a vehicle holds each MAP at most once
@@ -276,10 +276,10 @@ def run_round(
     return state, metrics, event
 
 
-def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, position, prev):
+def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
     """The round's links as (rows, cols, dist, rank) arrays, in probe order.
 
-    Row v is identity served[v] of n, column j is MAP maps[j] (ascending),
+    Row v is identity served[v], column j is MAP maps[j] (ascending),
     position is indexed by identity and prev[v] holds row v's previous
     MAPs, -1 padded. A link's rank is the share count it was admitted at.
     Each pass speculates the links a probe at each MAP's current count
@@ -313,7 +313,7 @@ def attach(config: SimConfig, round_index: int, rng, n: int, served, maps, posit
     if config.strategy == BLOCKCHAIN:
         # every vehicle re-books its paths before any grows new ones; the
         # candidates are its previous MAPs still elected
-        col_of = np.full(n + 1, -1)  # an empty slot's -1 reads the last entry
+        col_of = np.full(len(position) + 1, -1)  # an empty slot's -1 reads the last entry
         col_of[maps] = np.arange(len(maps))
         pcol = col_of[prev]
         rows, cols = np.nonzero(pcol >= 0)

@@ -181,7 +181,8 @@ def _row_block(i: int, row: Any) -> Block:
     except (KeyError, TypeError, ValueError):
         pass
     else:
-        if type(index) is int and type(round_index) is int and 0 <= index < _U64 and 0 <= round_index < _U64:
+        whole = len(prev_hash) == len(digest) == 32
+        if whole and type(index) is int and type(round_index) is int and 0 <= index < _U64 and 0 <= round_index < _U64:
             return Block(index, round_index, canonical_payload(payload), prev_hash, digest)
     raise ValueError(f"row {i} {_row_fault(row)}")
 
@@ -197,8 +198,8 @@ def _row_fault(row: Any) -> str:
         if type(row[key]) is not int or not 0 <= row[key] < _U64:
             return f"{key!r} is not an unsigned 64-bit integer"
     try:
-        bytes.fromhex(row["prev_hash"])
+        whole = len(bytes.fromhex(row["prev_hash"])) == 32
     except (TypeError, ValueError):
-        return "'prev_hash' is not a hex string"
+        whole = False
     # _row_block rejected the row, so only the digest is left to fail
-    return "'digest' is not a hex string"
+    return "'digest' is not 64 hex digits" if whole else "'prev_hash' is not 64 hex digits"

@@ -10,8 +10,10 @@ The model has no co-channel interference, so a link's delay and SNR depend
 on its length alone and its bandwidth on its length and share count, and
 none of them improves as either grows. Every admission test is therefore a
 comparison `d < limit` against a threshold distance that depends only on
-the config (`AdmissionLimits`, cached as `SimConfig.limits`), found once by
-bisection with the scalar predicate itself.
+the config and the share count (`AdmissionLimits`, cached as
+`SimConfig.limits`): the delay bound's, then a running minimum as the
+bandwidth floor tightens with the count, each found once by bisection with
+the scalar radio functions.
 
 The engine runs each pass as array operations on the ring distances of
 the client x MAP pairs it reads: retention and the single path policies
@@ -100,9 +102,12 @@ class AdmissionLimits:
     """Threshold distances of one config's admission rule.
 
     No ring distance exceeds half the road length, so the limits are exact
-    on [0, road_length / 2]. `limit(count)` bounds a probe at that share
-    count, delay and bandwidth together; `limit(0)` bounds the link delay
-    alone. Share-count limits are found as they are first needed.
+    on [0, road_length / 2]. table[c] bounds a probe at share count c, a
+    float64 array grown as counts are first asked for; table[0] bounds the
+    link delay alone. A probe must meet the delay bound and the bandwidth
+    floor, and the floor only tightens as the count grows, so table[c] is
+    the running minimum of table[c - 1] and where count c's bandwidth
+    fails. Past a 0.0 entry no probe is admitted and the table stops.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -112,36 +117,19 @@ class AdmissionLimits:
         def in_time(d: float) -> bool:
             return path_delay(d, compute_sinr(d, config), config) < config.delay_threshold
 
-        # table[c] is the limit at share count c; table[0] bounds the delay alone
-        self.table = [threshold(in_time, self.reach)]
-
-    def limit(self, count: int) -> float:
-        """Distance under which a probe at this share count is admitted."""
-        while len(self.table) <= count and self.table[-1] > 0.0:
-            self.table.append(self._next_limit())
-        return self.table[min(count, len(self.table) - 1)]
-
-    def _next_limit(self) -> float:
-        cfg, count, bound = self.config, len(self.table), self.table[-1]
-
-        def passes(d: float) -> bool:
-            # admits() on make_link_stats(0, d, cfg, count), without the record
-            sinr = compute_sinr(d, cfg)
-            return (
-                path_delay(d, sinr, cfg) < cfg.delay_threshold
-                and link_bandwidth(sinr, count, cfg) >= cfg.bandwidth_min
-            )
-
-        # limits never rise with the share count, so the last one bounds this
-        # one, and a probe that passes just under it passes everywhere below
-        if bound == math.inf:
-            return threshold(passes, self.reach)
-        return bound if passes(math.nextafter(bound, 0.0)) else threshold(passes, bound)
+        self.table = np.array([threshold(in_time, self.reach)])
 
     def at(self, counts: np.ndarray) -> np.ndarray:
-        """limit() of every element of an array of share counts."""
-        self.limit(int(counts.max(initial=0)))
-        return np.array(self.table).take(counts, mode="clip")
+        """Distance under which a probe at each share count is admitted."""
+        cfg = self.config
+        while len(self.table) <= counts.max(initial=0) and self.table[-1] > 0.0:
+            count, bound = len(self.table), float(self.table[-1])
+
+            def wide(d: float) -> bool:
+                return link_bandwidth(compute_sinr(d, cfg), count, cfg) >= cfg.bandwidth_min
+
+            self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach))))
+        return self.table.take(counts, mode="clip")
 
 
 def occurrence(keys: np.ndarray) -> np.ndarray:
@@ -178,9 +166,10 @@ def resolve(
         if not len(rows):
             break
         top = counts + np.bincount(cols, minlength=len(counts))
-        # limits never rise with the share count, so links all under the
-        # limit at the largest final count are under it at their own ranks
-        if dist.max() >= limits.limit(int(top.max())):
+        # a link's rank is at most its MAP's final count and limits never
+        # rise with the count, so links all under the limit at their MAP's
+        # final count are under it at their own ranks
+        if (dist >= limits.at(top[cols])).any():
             rank = counts[cols] + occurrence(cols) + 1
             bad = np.flatnonzero(dist >= limits.at(rank))
             if len(bad):

@@ -142,6 +142,21 @@ def test_verify_ledger_names_a_malformed_row(tmp_path, capsys):
     assert capsys.readouterr().err == "ledger unreadable: row 2 has no 'round'\n"
 
 
+def test_verify_ledger_rejects_a_short_hash(tmp_path, capsys):
+    # bytes.fromhex reads "00" as a one-byte hash; the reader must name the
+    # field, not leave verify to report a chain break
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    path = out / "ledger.json"
+    rows = json.loads(path.read_text())
+    rows[1]["prev_hash"] = "00"
+    path.write_text(json.dumps(rows))
+    capsys.readouterr()
+    rc = main(["verify-ledger", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "ledger unreadable: row 1 'prev_hash' is not 64 hex digits\n"
+
+
 def test_compare_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"

@@ -339,16 +339,21 @@ def _both(*edits):
         (_bad_row("round", -1), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("round", 2**64), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("index", 2**64), "row 1 'index' is not an unsigned 64-bit integer"),
-        (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not a hex string"),
-        (_bad_row("digest", 7), "row 1 'digest' is not a hex string"),
-        (_bad_row("digest", None), "row 1 'digest' is not a hex string"),
-        (_bad_row("digest", "abc"), "row 1 'digest' is not a hex string"),
+        (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not 64 hex digits"),
+        (_bad_row("digest", 7), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("digest", None), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("digest", "abc"), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("prev_hash", ""), "row 1 'prev_hash' is not 64 hex digits"),
+        (_bad_row("prev_hash", "00"), "row 1 'prev_hash' is not 64 hex digits"),
+        (_bad_row("digest", "0A"), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("digest", "ab cd"), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("digest", "ff" * 33), "row 1 'digest' is not 64 hex digits"),
         (_both(_bad_row("index", "1"), _bad_row("prev_hash", "zz")), "row 1 'index' is not an unsigned 64-bit integer"),
         (_both(_bad_row("round", -1), _drop("digest")), "row 1 has no 'digest'"),
-        (_both(_bad_row("prev_hash", 7), _bad_row("digest", "x")), "row 1 'prev_hash' is not a hex string"),
+        (_both(_bad_row("prev_hash", 7), _bad_row("digest", "x")), "row 1 'prev_hash' is not 64 hex digits"),
         (
             _both(_bad_row("digest", 7), lambda rows: rows.__setitem__(2, "block")),
-            "row 1 'digest' is not a hex string",
+            "row 1 'digest' is not 64 hex digits",
         ),
     ],
 )
@@ -378,7 +383,9 @@ def _ordered_row_block(i, row):
         try:
             hashes.append(bytes.fromhex(row[key]))
         except (TypeError, ValueError):
-            raise ValueError(f"row {i} {key!r} is not a hex string") from None
+            hashes.append(b"")
+        if len(hashes[-1]) != 32:
+            raise ValueError(f"row {i} {key!r} is not 64 hex digits")
     return Block(row["index"], row["round"], canonical_payload(row["payload"]), *hashes)
 
 
@@ -386,8 +393,8 @@ FIELD_VALUES = {
     "index": st.sampled_from([0, 1, 2**64 - 1, 2**64, -1, True, 1.0, "1", None]),
     "round": st.sampled_from([0, 3, 2**64 - 1, 2**64, -1, False, 2.5, "0", []]),
     "payload": JSON_VALUES,
-    "prev_hash": st.sampled_from(["00" * 32, "", "ab cd", "abc", "zz", 7, None, ["00"]]),
-    "digest": st.sampled_from(["ff" * 32, "", "0A", "g0", 0, None, {}]),
+    "prev_hash": st.sampled_from(["00" * 32, "AB" * 32, "", "00", "0A", "ab cd", "abc", "zz", 7, None, ["00"]]),
+    "digest": st.sampled_from(["ff" * 32, "ff" * 33, "", "00", "0A", "ab cd", "g0", 0, None, {}]),
 }
 
 
@@ -407,8 +414,9 @@ ROWS = st.lists(edited_rows() | st.sampled_from(["block", 0, None, [], [1, 2], 1
 
 
 @given(ROWS)
+@example([{"index": 0, "round": 0, "payload": {}, "prev_hash": "00" * 32, "digest": "11" * 32}])
 @example([{"index": 0, "round": 0, "payload": {}, "prev_hash": "00", "digest": "11"}])
-@example([{"index": "0", "round": 0, "payload": {}, "prev_hash": "zz", "digest": "11"}])
+@example([{"index": "0", "round": 0, "payload": {}, "prev_hash": "zz", "digest": "11" * 32}])
 @example([{"index": 0, "round": -1, "payload": {}, "prev_hash": "00"}])
 def test_from_json_rows_read_as_the_ordered_checks(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rows") / "ledger.json"

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mapsim.engine as engine
@@ -296,13 +296,20 @@ def test_cached_limits_match_the_scalar_predicate(
         if limit > 0.0:
             assert passes(math.nextafter(limit, 0.0))
 
-    check(limits.limit(0), lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold)
+    check(limits.at(np.array(0)), lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold)
     for count in counts:
-        check(limits.limit(count), lambda d: admits(make_link_stats(0, d, cfg, count), cfg))
+        check(limits.at(np.array(count)), lambda d: admits(make_link_stats(0, d, cfg, count), cfg))
     # never rising with the share count is what the one-check fast path uses
     table = limits.at(np.arange(1, max(counts) + 1))
     assert (table[1:] <= table[:-1]).all()
-    assert table[0] <= limits.limit(0)
+    assert table[0] <= limits.at(np.array(0))
+
+
+DEFAULT_LIMIT_FIELDS = {
+    "road_length": CFG.road_length, "b_cap": CFG.b_cap, "bandwidth_min": CFG.bandwidth_min,
+    "delay_threshold": CFG.delay_threshold, "a0": CFG.a0, "b0": CFG.b0,
+    "path_loss_exp": CFG.path_loss_exp, "sinr_threshold": CFG.sinr_threshold, "top": 40,
+}
 
 
 @given(
@@ -316,6 +323,13 @@ def test_cached_limits_match_the_scalar_predicate(
     sinr_threshold=st.floats(0.1, 100.0),
     top=st.integers(1, 40),
 )
+# the default config but for one field: no bandwidth floor, so every count's
+# limit is the delay limit; a road short enough that the delay bound holds
+# across the half ring, so at(0) is inf until bandwidth bites at count 44;
+# scarce bandwidth, under the floor at any distance from count 8 on
+@example(**{**DEFAULT_LIMIT_FIELDS, "bandwidth_min": 0.0})
+@example(**{**DEFAULT_LIMIT_FIELDS, "road_length": 100.0, "top": 60})
+@example(**{**DEFAULT_LIMIT_FIELDS, "b_cap": 0.16})
 def test_limit_tables_equal_those_of_the_link_stats_predicate(
     road_length, b_cap, bandwidth_min, delay_threshold, a0, b0, path_loss_exp, sinr_threshold, top
 ):
@@ -332,9 +346,13 @@ def test_limit_tables_equal_those_of_the_link_stats_predicate(
             return threshold(lambda d: make_link_stats(0, d, cfg).total_delay < cfg.delay_threshold, limits.reach)
         return threshold(lambda d: admits(make_link_stats(0, d, cfg, count), cfg), limits.reach)
 
-    got = [limits.limit(count) for count in range(top + 1)]
+    got = limits.at(np.arange(top + 1)).tolist()
     assert got == [oracle(count) for count in range(top + 1)]
-    assert limits.table == got[: len(limits.table)]
+    assert limits.table.tolist() == got[: len(limits.table)]
+    # the table grows as far as asked, or stops at its first 0.0 and clips
+    assert len(limits.table) == top + 1 or limits.table.tolist().index(0.0) == len(limits.table) - 1
+    if bandwidth_min == 0.0:
+        assert got == [got[0]] * (top + 1)
 
 
 def test_threshold_bisects_bit_patterns():
@@ -351,12 +369,14 @@ def test_occurrence_counts_earlier_equal_keys(keys):
 
 
 class FallingLimits:
-    """Admission limits that fall by one metre per share count."""
+    """Admission limits that fall by one metre per share count; `asked`
+    records the counts of each lookup."""
 
-    def limit(self, count):
-        return 10.0 - count
+    def __init__(self):
+        self.asked = []
 
     def at(self, counts):
+        self.asked.append(counts.tolist())
         return 10.0 - counts
 
 
@@ -382,6 +402,26 @@ def test_resolve_admits_the_rows_before_the_first_wrong_one_and_speculates_again
     assert calls == [(0, [0, 0]), (2, [2, 1])]
     assert [a.tolist() for a in got] == [[0, 1, 1, 2, 3], [0, 1, 0, 1, 0], [1.0] * 5]
     assert counts.tolist() == [3, 2]
+
+
+def test_resolve_checks_each_link_at_its_maps_final_count():
+    # row 5's link on MAP 1 is over the limit of 5 at MAP 0's final count,
+    # but under the limit of 9 at its own MAP's final count of 1, so one
+    # lookup admits the whole speculation without ranking its links
+    rows, cols = np.arange(6), np.array([0, 0, 0, 0, 0, 1])
+    dist = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 7.0])
+    counts = np.zeros(2, dtype=np.int64)
+    starts, limits = [], FallingLimits()
+
+    def speculate(start):
+        starts.append(start)
+        return rows, cols, dist
+
+    got = resolve(speculate, counts, limits)
+    assert starts == [0]
+    assert limits.asked == [[5, 5, 5, 5, 5, 1]]
+    assert [a.tolist() for a in got] == [rows.tolist(), cols.tolist(), dist.tolist()]
+    assert counts.tolist() == [5, 1]
 
 
 def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
@@ -425,8 +465,8 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     return links, rejected[0]
 
 
-def array_attach(config, round_index, rng, served, maps, position, prev, n):
-    rows, cols, dist, rank = engine.attach(config, round_index, rng, n, served, maps, position, prev)
+def array_attach(config, round_index, rng, served, maps, position, prev):
+    rows, cols, dist, rank = engine.attach(config, round_index, rng, served, maps, position, prev)
     links = {i: [] for i in served.tolist()}
     for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
                              key=lambda x: (x[0], x[2], maps[x[1]])):
@@ -470,7 +510,7 @@ def attach_inputs(draw):
             pool = near if len(near) and rng.random() < 0.8 else np.arange(n)
             held = rng.choice(pool, min(len(pool), rng.integers(0, width + 1)), replace=False)
         row[: len(held)] = held
-    return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev, n
+    return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev
 
 
 def test_array_attach_matches_the_scalar_passes(monkeypatch):
@@ -504,12 +544,12 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(attach_inputs())
     def check(inputs):
-        cfg, round_index, seed, served, maps, position, prev, n = inputs
+        cfg, round_index, seed, served, maps, position, prev = inputs
         passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
         dmat = ring_distance(position[served][:, None], position[maps][None, :], cfg.road_length)
         want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
         grids.clear()
-        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev, n)
+        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev)
         assert got == want
         assert passes == []
         seen["rejected"] += rejected
