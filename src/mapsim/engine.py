@@ -182,16 +182,18 @@ def run_round(
     table = selection_probabilities(state.load, state.score, ~flagged)
     k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
     prev_maps = state.current_maps
-    retention = blockchain and config.incumbent_retention
-    retained = sorted(m for m in prev_maps if not flagged[m]) if retention else []
+    retained = []
+    if blockchain and config.incumbent_retention:
+        prev_ids = np.array(prev_maps, dtype=np.int64)
+        retained = np.sort(prev_ids[~flagged[prev_ids]]).tolist()
     elected = retained + select_maps(table, k - len(retained), rng, retained)
     state.current_maps = elected
+    maps = np.array(sorted(elected), dtype=np.int64)
     is_map = np.zeros(n, dtype=bool)
-    is_map[elected] = True
+    is_map[maps] = True
 
     # path assignment to the unflagged non-MAPs, as comparison policies never
     # flag; each pass takes the ring distances of its client x MAP pairs
-    maps = np.array(sorted(elected), dtype=np.int64)
     served = np.flatnonzero(~(is_map | flagged))
     prev = state.link_map[served]
     r, c, d, rank = attach(config, round_index, rng, served, maps, state.position, prev)
@@ -250,7 +252,7 @@ def run_round(
     evidence = no_evidence(n)
     if blockchain:
         obs_h, obs_low, obs_conn = evidence
-        obs_conn[elected] = True
+        obs_conn[maps] = True
         obs_h[served], obs_low[served], obs_conn[served] = handovers, low_sinr, attached
         if state.clone_ids:
             # two draws per clone every round, handover then weak link, in

@@ -177,11 +177,13 @@ def _row_block(i: int, row: Any) -> Block:
     """Block of ledger.json row i, or ValueError naming the row and field."""
     try:
         index, round_index, payload = row["index"], row["round"], row["payload"]
-        prev_hash, digest = bytes.fromhex(row["prev_hash"]), bytes.fromhex(row["digest"])
+        prev_text, digest_text = row["prev_hash"], row["digest"]
+        prev_hash, digest = bytes.fromhex(prev_text), bytes.fromhex(digest_text)
     except (KeyError, TypeError, ValueError):
         pass
     else:
-        whole = len(prev_hash) == len(digest) == 32
+        # a hash is read only as the lowercase text to_json writes back
+        whole = len(prev_hash) == len(digest) == 32 and prev_hash.hex() == prev_text and digest.hex() == digest_text
         if whole and type(index) is int and type(round_index) is int and 0 <= index < _U64 and 0 <= round_index < _U64:
             return Block(index, round_index, canonical_payload(payload), prev_hash, digest)
     raise ValueError(f"row {i} {_row_fault(row)}")
@@ -198,8 +200,10 @@ def _row_fault(row: Any) -> str:
         if type(row[key]) is not int or not 0 <= row[key] < _U64:
             return f"{key!r} is not an unsigned 64-bit integer"
     try:
-        whole = len(bytes.fromhex(row["prev_hash"])) == 32
+        prev_hash = bytes.fromhex(row["prev_hash"])
     except (TypeError, ValueError):
-        whole = False
+        prev_hash = b""
     # _row_block rejected the row, so only the digest is left to fail
-    return "'digest' is not 64 hex digits" if whole else "'prev_hash' is not 64 hex digits"
+    if len(prev_hash) == 32 and prev_hash.hex() == row["prev_hash"]:
+        return "'digest' is not 64 lowercase hex digits"
+    return "'prev_hash' is not 64 lowercase hex digits"

@@ -64,8 +64,10 @@ def count_handovers(prev, new):
     arrays the count is per row.
     """
     prev, new = np.asarray(prev), np.asarray(new)
-    held = (new[..., :, None] == prev[..., None, :]).any(axis=-1)
-    return ((new >= 0) & ~held).sum(axis=-1)
+    fresh = new >= 0
+    for j in range(prev.shape[-1]):
+        fresh &= new != prev[..., j, None]
+    return np.count_nonzero(fresh, axis=-1)
 
 
 def threshold(passes: Callable[[float], bool], reach: float) -> float:

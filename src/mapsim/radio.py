@@ -72,11 +72,12 @@ def make_link_stats(
 def link_quality(distance: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """SNR and path delay of many links, equal to compute_sinr and path_delay bit for bit.
 
-    numpy's power differs from libm's pow in the last place on some
-    distances, so the path-loss gain is taken link by link with Python's `**`.
+    float_power's float64 loop calls the C library's pow, as Python's `**`
+    on floats does, so the path-loss gain matches compute_sinr's exactly.
+    np.power does not: on hosts with AVX-512 it runs a vectorised pow that
+    differs from libm's in the last place on some distances.
     """
-    exp = -config.path_loss_exp
-    gain = np.array([d ** exp for d in np.maximum(distance, 1.0).tolist()])
+    gain = np.float_power(np.maximum(distance, 1.0), -config.path_loss_exp)
     sinr = config.tx_power * gain / config.noise_power
     quality = config.b0 * np.maximum(1.0, config.sinr_threshold / sinr)
     return sinr, alpha_trans(distance, config) * distance + quality / sinr

@@ -154,7 +154,7 @@ def test_verify_ledger_rejects_a_short_hash(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["verify-ledger", str(path)])
     assert rc == 1
-    assert capsys.readouterr().err == "ledger unreadable: row 1 'prev_hash' is not 64 hex digits\n"
+    assert capsys.readouterr().err == "ledger unreadable: row 1 'prev_hash' is not 64 lowercase hex digits\n"
 
 
 def test_compare_outputs(tmp_path, capsys):

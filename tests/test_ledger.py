@@ -339,21 +339,23 @@ def _both(*edits):
         (_bad_row("round", -1), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("round", 2**64), "row 1 'round' is not an unsigned 64-bit integer"),
         (_bad_row("index", 2**64), "row 1 'index' is not an unsigned 64-bit integer"),
-        (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not 64 hex digits"),
-        (_bad_row("digest", 7), "row 1 'digest' is not 64 hex digits"),
-        (_bad_row("digest", None), "row 1 'digest' is not 64 hex digits"),
-        (_bad_row("digest", "abc"), "row 1 'digest' is not 64 hex digits"),
-        (_bad_row("prev_hash", ""), "row 1 'prev_hash' is not 64 hex digits"),
-        (_bad_row("prev_hash", "00"), "row 1 'prev_hash' is not 64 hex digits"),
-        (_bad_row("digest", "0A"), "row 1 'digest' is not 64 hex digits"),
-        (_bad_row("digest", "ab cd"), "row 1 'digest' is not 64 hex digits"),
-        (_bad_row("digest", "ff" * 33), "row 1 'digest' is not 64 hex digits"),
+        (_bad_row("prev_hash", "zz" * 32), "row 1 'prev_hash' is not 64 lowercase hex digits"),
+        (_bad_row("digest", 7), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("digest", None), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("digest", "abc"), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("prev_hash", ""), "row 1 'prev_hash' is not 64 lowercase hex digits"),
+        (_bad_row("prev_hash", "00"), "row 1 'prev_hash' is not 64 lowercase hex digits"),
+        (_bad_row("digest", "0A"), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("digest", "ab cd"), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("digest", "ff" * 33), "row 1 'digest' is not 64 lowercase hex digits"),
+        (_bad_row("prev_hash", "AB" * 32), "row 1 'prev_hash' is not 64 lowercase hex digits"),
+        (_bad_row("digest", "ab cd" + "00" * 30), "row 1 'digest' is not 64 lowercase hex digits"),
         (_both(_bad_row("index", "1"), _bad_row("prev_hash", "zz")), "row 1 'index' is not an unsigned 64-bit integer"),
         (_both(_bad_row("round", -1), _drop("digest")), "row 1 has no 'digest'"),
-        (_both(_bad_row("prev_hash", 7), _bad_row("digest", "x")), "row 1 'prev_hash' is not 64 hex digits"),
+        (_both(_bad_row("prev_hash", 7), _bad_row("digest", "x")), "row 1 'prev_hash' is not 64 lowercase hex digits"),
         (
             _both(_bad_row("digest", 7), lambda rows: rows.__setitem__(2, "block")),
-            "row 1 'digest' is not 64 hex digits",
+            "row 1 'digest' is not 64 lowercase hex digits",
         ),
     ],
 )
@@ -384,8 +386,8 @@ def _ordered_row_block(i, row):
             hashes.append(bytes.fromhex(row[key]))
         except (TypeError, ValueError):
             hashes.append(b"")
-        if len(hashes[-1]) != 32:
-            raise ValueError(f"row {i} {key!r} is not 64 hex digits")
+        if len(hashes[-1]) != 32 or hashes[-1].hex() != row[key]:
+            raise ValueError(f"row {i} {key!r} is not 64 lowercase hex digits")
     return Block(row["index"], row["round"], canonical_payload(row["payload"]), *hashes)
 
 
@@ -393,8 +395,13 @@ FIELD_VALUES = {
     "index": st.sampled_from([0, 1, 2**64 - 1, 2**64, -1, True, 1.0, "1", None]),
     "round": st.sampled_from([0, 3, 2**64 - 1, 2**64, -1, False, 2.5, "0", []]),
     "payload": JSON_VALUES,
-    "prev_hash": st.sampled_from(["00" * 32, "AB" * 32, "", "00", "0A", "ab cd", "abc", "zz", 7, None, ["00"]]),
-    "digest": st.sampled_from(["ff" * 32, "ff" * 33, "", "00", "0A", "ab cd", "g0", 0, None, {}]),
+    # "AB" * 32 and the spaced digest decode to 32 bytes but are not the lowercase text to_json writes
+    "prev_hash": st.sampled_from(
+        ["00" * 32, "ab" * 32, "AB" * 32, "", "00", "0A", "ab cd", "abc", "zz", 7, None, ["00"]]
+    ),
+    "digest": st.sampled_from(
+        ["ff" * 32, "ff" * 33, "AB" * 32, "ab cd" + "00" * 30, "", "00", "0A", "ab cd", "g0", 0, None, {}]
+    ),
 }
 
 

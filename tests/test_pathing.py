@@ -47,6 +47,29 @@ def test_count_handovers_oracles():
     assert count_handovers((1, 2), (3, 4)) == 2
 
 
+def link_rows(rng, m, width):
+    """m rows of distinct MAPs 0..5, each holding 0..width of them and -1 after."""
+    ids = rng.random((m, 6)).argsort(axis=1)[:, :width]
+    held = rng.integers(0, width + 1, size=(m, 1))
+    return np.where(np.arange(width) < held, ids, -1)
+
+
+@pytest.mark.parametrize("new_width", [0, 1, 2, 4])
+@pytest.mark.parametrize("prev_width", [0, 1, 2, 4])
+def test_count_handovers_equals_the_broadcast_count(prev_width, new_width):
+    # a round's width drops when the MAP count falls under max_paths, so the
+    # two blocks' widths may differ
+    rng = np.random.default_rng(100 * prev_width + new_width)
+    for m in (0, 1, 9, 200):
+        prev, new = link_rows(rng, m, prev_width), link_rows(rng, m, new_width)
+        held = (new[..., :, None] == prev[..., None, :]).any(-1)
+        want = ((new >= 0) & ~held).sum(-1)
+        got = count_handovers(prev, new)
+        assert got.shape == (m,)
+        assert got.tolist() == want.tolist()
+        assert [count_handovers(p, q) for p, q in zip(prev, new)] == want.tolist()
+
+
 def test_select_paths_takes_two_nearest():
     pos = {0: 0.0, 10: 100.0, 11: 200.0, 12: 240.0}
     cand = candidates_for(CFG, pos, 0, [10, 11, 12])

@@ -163,3 +163,16 @@ def test_link_quality_equals_the_scalar_formulas(cfg, d):
     want_delay = [path_delay(x, s, cfg) for x, s in zip(d, want_sinr)]
     assert [x.hex() for x in sinr.tolist()] == [x.hex() for x in want_sinr]
     assert [x.hex() for x in delay.tolist()] == [x.hex() for x in want_delay]
+
+
+def test_float_power_equals_python_pow_bit_for_bit():
+    # link_quality takes the path-loss gain with np.float_power because its
+    # float64 loop calls libm's pow, as float.__pow__ does; np.power runs a
+    # vectorised pow on some hosts that differs in the last place
+    rng = np.random.default_rng(18)
+    edges = [0.5, 1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0), 1e7]
+    d = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(1e7), 100_000)), edges])
+    assert d.min() < 1.0 and d.max() == 1e7
+    for g in (1e-300, 1.0, 2.0, 2.7, 3.5, 4.0, 6.0):
+        want = np.array([x ** -g for x in d.tolist()])
+        assert np.array_equal(np.float_power(d, -g).view(np.int64), want.view(np.int64)), g

@@ -38,7 +38,8 @@ RING_800 = {"vehicle_density": 0.08, "total_time": 80.0, "map_fraction": 0.2, "s
 
 # (SimConfig overrides, strategies, seeds); the scarce-bandwidth configs make
 # pathing.resolve speculate again, the ring configs are the largest fleets
-# and the 2,000-round config gives the longest ledgers
+# and the 2,000-round config gives the longest ledgers; path_loss_exp=2.7
+# takes the link-scoring power off the default exponent of 4
 MATRIX = (
     *(
         (overrides, STRATEGIES, SEEDS)
@@ -52,6 +53,7 @@ MATRIX = (
             {"max_paths": 3, "b_cap": 0.2},
             {"b_cap": 0.05, "delay_threshold": 40.0},
             {"max_paths": 4, "b_cap": 0.16},
+            {"path_loss_exp": 2.7},
         )
     ),
     (RING_800, ADMISSION, (1, 2, 5)),
