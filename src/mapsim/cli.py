@@ -7,29 +7,13 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .config import STRATEGIES, SimConfig
 from .engine import run_simulation
 from .experiment import run_comparison
 from .ledger import Ledger, chain_break
 from .report import write_run
-
-log = logging.getLogger("mapsim")
-
-SUMMARY_KEYS = (
-    "strategy",
-    "seed",
-    "rounds",
-    "identity_count",
-    "avg_handover",
-    "max_handover",
-    "min_handover",
-    "avg_delay_s",
-    "disconnection_rate",
-    "sybil_detection_rate",
-    "false_positive_rate",
-    "flagged_count",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,6 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the RNG seed")
     sim.add_argument("--strategy", choices=STRATEGIES, help="override the strategy")
     sim.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    sim.set_defaults(run=_cmd_simulate)
 
     cmp_ = sub.add_parser("compare", help="run a strategy comparison over several seeds")
     cmp_.add_argument("--config", type=Path, help="JSON file of config overrides")
@@ -51,77 +36,67 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--strategies", default=",".join(STRATEGIES),
                       help="comma separated strategy list")
     cmp_.add_argument("--out", type=Path, required=True, help="output directory")
+    cmp_.set_defaults(run=_cmd_compare)
 
     ver = sub.add_parser("verify-ledger", help="check a ledger file's hash chain")
     ver.add_argument("ledger", type=Path, help="path to ledger.json")
+    ver.set_defaults(run=_cmd_verify_ledger)
     return parser
 
 
-def _load_config(path: Path | None) -> SimConfig:
-    if path is None:
-        return SimConfig()
-    return SimConfig.from_json(path)
+class BadInput(Exception):
+    """Input that main turns away with its message as one stderr line and exit code 2."""
 
 
-def _make_out(out: Path) -> bool:
-    """Create the output directory, or say on stderr why --out cannot be one."""
+def _config(args: argparse.Namespace, **overrides: Any) -> SimConfig:
+    """The --config file with the overrides that are not None, as SimConfig checks it."""
+    try:
+        cfg = SimConfig() if args.config is None else SimConfig.from_json(args.config)
+        return cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, ValueError) as exc:
+        raise BadInput(f"config error: {exc}") from exc
+
+
+def _entries(flag: str, text: str, field: str, parse: Callable[[str], Any]) -> list:
+    """The entries of a comma separated list, each parsed and checked as SimConfig's `field`."""
+    try:
+        values = [parse(s) for s in map(str.strip, text.split(",")) if s]
+        if not values:
+            raise ValueError("the list is empty")
+        if len(set(values)) < len(values):
+            raise ValueError("an entry is listed twice")
+        for value in values:
+            SimConfig(**{field: value})
+    except ValueError as exc:
+        raise BadInput(f"bad {flag} {text!r}: {exc}") from exc
+    return values
+
+
+def _make_out(out: Path) -> None:
+    """Create the output directory, or say why --out cannot be one."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"bad --out {str(out)!r}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise BadInput(f"bad --out {str(out)!r}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
-    try:
-        cfg = _load_config(args.config).replace(**overrides)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not _make_out(args.out):
-        return 2
+    cfg = _config(args, rng_seed=args.seed, strategy=args.strategy)
+    _make_out(args.out)
     report = run_simulation(cfg)
     out = write_run(args.out, report)
-    for key in SUMMARY_KEYS:
-        print(f"{key}: {report.summary[key]}")
+    for key, value in report.summary.items():
+        print(f"{key}: {value}")
     print(f"elapsed_s: {report.elapsed_s:.3f}")
     print(f"artifacts: {out}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise ValueError("no seeds given")
-        if len(set(seeds)) < len(seeds):
-            raise ValueError("a seed is listed twice")
-        for seed in seeds:
-            cfg.replace(rng_seed=seed)
-    except ValueError as exc:
-        print(f"bad --seeds {args.seeds!r}: {exc}", file=sys.stderr)
-        return 2
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies or not set(strategies) <= set(STRATEGIES):
-        known = ", ".join(STRATEGIES)
-        print(f"bad --strategies {args.strategies!r}: choose from {known}", file=sys.stderr)
-        return 2
-    if len(set(strategies)) < len(strategies):
-        print(f"bad --strategies {args.strategies!r}: a strategy is listed twice", file=sys.stderr)
-        return 2
-    if not _make_out(args.out):
-        return 2
+    cfg = _config(args)
+    seeds = _entries("--seeds", args.seeds, "rng_seed", int)
+    strategies = _entries("--strategies", args.strategies, "strategy", str)
+    _make_out(args.out)
     result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(
@@ -150,19 +125,16 @@ def _cmd_verify_ledger(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("MAPSIM_LOG_LEVEL", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        known = "CRITICAL, ERROR, WARNING, INFO, DEBUG"
-        print(f"bad MAPSIM_LOG_LEVEL {level!r}: choose from {known}", file=sys.stderr)
+    try:
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            known = "CRITICAL, ERROR, WARNING, INFO, DEBUG"
+            raise BadInput(f"bad MAPSIM_LOG_LEVEL {level!r}: choose from {known}")
+        logging.basicConfig(level=level.upper())
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
         return 2
-    logging.basicConfig(level=level.upper())
-    args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "verify-ledger":
-        return _cmd_verify_ledger(args)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ from functools import cached_property
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any
 
+from . import radio
+
 if TYPE_CHECKING:
     from .pathing import AdmissionLimits
 
@@ -134,15 +136,14 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.path_loss_exp > 0, "path_loss_exp must be positive")
     _require(cfg.noise_power > 0, "noise_power must be positive")
     _require(cfg.sinr_threshold > 0, "sinr_threshold must be positive")
-    # radio.compute_sinr at the farthest ring distance; an SNR that
+    # half the road length is the farthest ring distance; an SNR that
     # underflows to zero there would make path_delay fail mid-run
-    far_gain = max(cfg.road_length / 2, 1.0) ** (-cfg.path_loss_exp)
-    far_snr = cfg.tx_power * far_gain / cfg.noise_power
+    far_snr = radio.compute_sinr(cfg.road_length / 2, cfg)
     _require(far_snr > 0, "the SNR at half the road length underflows to zero")
     # the gain is 1 within 1 m, so tx_power / noise_power is the largest SNR
     # computed; an overflow to inf there would stop radio.link_quality mid-run
     _require(
-        math.isfinite(cfg.tx_power / cfg.noise_power),
+        math.isfinite(radio.compute_sinr(1.0, cfg)),
         "the SNR within 1 m (tx_power / noise_power) overflows to infinity",
     )
     _require(cfg.bandwidth_min >= 0, "bandwidth_min must be non-negative")
@@ -151,6 +152,13 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.a0 >= 0, "a0 must be non-negative")
     _require(cfg.d_c > 0, "d_c must be positive")
     _require(cfg.b0 >= 0, "b0 must be non-negative")
+    # delay grows with distance, so it peaks at the farthest link; no run sums
+    # more than 2**64 link delays (10**6 rounds of under 2**44 identities)
+    far_delay = radio.path_delay(cfg.road_length / 2, far_snr, cfg)
+    _require(
+        math.isfinite(far_delay * 2**64),
+        f"the link delay at half the road length, {far_delay:.3g} s, is too large to sum over a run",
+    )
     _require(cfg.max_paths >= 1, "max_paths must be at least 1")
     _require(0 <= cfg.trust_threshold <= 100, "trust_threshold must lie in [0, 100]")
     _require(0 <= cfg.trust_initial <= 100, "trust_initial must lie in [0, 100]")

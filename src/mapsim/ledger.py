@@ -134,6 +134,9 @@ class Ledger:
         return len(self.blocks)
 
     def append(self, round_index: int, payload_obj: Any) -> Block:
+        # only a round that from_json reads back: an int, not a bool, in u64 range
+        if type(round_index) is not int or not 0 <= round_index < _U64:
+            raise ValueError(f"round {round_index!r} is not an unsigned 64-bit integer")
         if self.blocks and round_index <= self.blocks[-1].round_index:
             raise ValueError("round index must increase monotonically")
         payload = canonical_payload(payload_obj)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SimConfig
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ from pathlib import Path
 import pytest
 
 from mapsim.cli import main
+from mapsim.config import SimConfig
+from mapsim.engine import run_simulation
 
 FAST = {"road_length": 2000.0, "total_time": 100.0, "rng_seed": 3}
+# SimConfig's message for a link model whose delays overflow a run's sums
+FAR_DELAY = "the link delay at half the road length"
 
 
 def write_config(tmp_path, **extra):
@@ -31,6 +35,12 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     for key in ("avg_handover", "avg_delay_s", "sybil_detection_rate"):
         assert key in stdout
+    # every summary field once, in the order the summary is built
+    summary = run_simulation(SimConfig.from_json(cfg)).summary
+    lines = stdout.splitlines()
+    assert lines[:-2] == [f"{key}: {value}" for key, value in summary.items()]
+    assert lines[-2].startswith("elapsed_s: ")
+    assert lines[-1] == f"artifacts: {out}"
 
 
 def test_simulate_seed_and_strategy_override(tmp_path):
@@ -66,8 +76,17 @@ def test_simulate_seed_and_strategy_override(tmp_path):
             {"tx_power": 1e300, "noise_power": 1e-300, "total_time": 30.0},
             "the SNR within 1 m (tx_power / noise_power) overflows to infinity",
         ),
+        ({"path_loss_exp": 50.0, "strategy": "independent-random"}, FAR_DELAY),
+        (
+            {"road_length": 1e6, "vehicle_density": 2e-5, "d_c": 1e-300, "a0": 1.0, "strategy": "distance-based"},
+            FAR_DELAY,
+        ),
+        ({"a0": 1e300, "strategy": "independent-random"}, FAR_DELAY),
     ],
-    ids=["negative-length", "string-flag", "inexact-load", "near-snr-overflow"],
+    ids=[
+        "negative-length", "string-flag", "inexact-load", "near-snr-overflow",
+        "steep-path-loss", "tiny-d_c", "huge-a0",
+    ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):
     cfg = tmp_path / "cfg.json"
@@ -76,6 +95,8 @@ def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and why in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_unbounded_round_count(tmp_path, capsys):
@@ -224,6 +245,8 @@ def test_compare_rejects_unknown_strategy(tmp_path, capsys):
         assert f"--strategies {strategies!r}" in err
         assert err.count("\n") == 1
         assert not out.exists()
+        if "teleport" in strategies:
+            assert "strategy must be one of" in err
 
 
 def test_compare_rejects_bad_seed_list(tmp_path, capsys):

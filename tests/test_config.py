@@ -67,6 +67,11 @@ def test_partial_round_does_not_run():
         },
         # the SNR within 1 m, tx_power / noise_power, overflows to inf
         {"tx_power": 1e300, "noise_power": 1e-300, "total_time": 30.0},
+        # the delay at half the road length, summed over a run, overflows
+        {"a0": 1e300},
+        {"b0": 1e300},
+        {"d_c": 1e-300},
+        {"sinr_threshold": 1e300},
     ],
 )
 def test_validation_rejects(changes):
@@ -89,12 +94,14 @@ EDGE_CONFIGS = [
     {"road_length": 1e-300, "vehicle_density": 1e300},
     {"speed_min": 1e300, "speed_max": 1e300},
     {"path_loss_exp": 1e-300},
-    {"d_c": 1e-300},
-    *(
-        {name: 1e300}
-        for name in ("a0", "b0", "delay_threshold", "bandwidth_min", "handover_penalty", "stability_reward")
-    ),
-    *({name: value} for name in ("b_cap", "sinr_threshold") for value in (1e-300, 1e300)),
+    # the farthest-link delay rule's extremes at the default radio constants
+    {"d_c": 1.2826677504057428e-283},
+    {"a0": 1.7718752747999995e284},
+    *({name: 9.979201547673597e284} for name in ("b0", "sinr_threshold")),
+    *({name: 1e300} for name in ("delay_threshold", "bandwidth_min", "handover_penalty", "stability_reward")),
+    {"b_cap": 1e-300},
+    {"b_cap": 1e300},
+    {"sinr_threshold": 1e-300},
     {"dt": 1e300, "total_time": 1e300},
 ]
 
@@ -110,6 +117,8 @@ def test_edge_configs_run_without_warnings(changes, strategy):
     for m in report.round_metrics:
         assert m.vehicle_count == m.elected_maps + m.attached + m.disconnected + m.flagged_count
     assert report.ledger.verify()
+    for key, value in report.summary.items():
+        assert not isinstance(value, float) or math.isfinite(value), key
 
 
 def test_round_bound_is_inclusive():

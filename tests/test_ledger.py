@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,25 @@ def test_rounds_must_increase():
         led.append(4, {})
     led.append(6, {})
     assert led.verify()
+
+
+@pytest.mark.parametrize(
+    "round_index, accepted",
+    [(0, True), (3, True), (2**64 - 1, True), (2**64, False), (-1, False),
+     (True, False), (False, False), (1.5, False), ("0", False), (np.uint64(3), False)],
+)
+def test_append_takes_a_round_only_as_from_json_reads_it(tmp_path, round_index, accepted):
+    led = Ledger()
+    if not accepted:
+        with pytest.raises(ValueError, match=re.escape(f"round {round_index!r} ")):
+            led.append(round_index, {})
+        assert len(led) == 0
+        return
+    led.append(round_index, {"round": round_index})
+    path = tmp_path / "ledger.json"
+    led.to_json(path)
+    again = Ledger.from_json(path)
+    assert again.blocks == led.blocks and again.verify()
 
 
 def _chain(n=5):
