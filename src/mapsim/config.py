@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -118,7 +119,7 @@ def _validate(cfg: SimConfig) -> None:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "float":
-            ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            ok = isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
             _require(ok, f"{f.name} must be a finite number, got {value!r}")
         elif f.type == "int":
             ok = isinstance(value, Integral) and not isinstance(value, bool)

@@ -14,7 +14,7 @@ import numpy as np
 from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
-from .pathing import PathAssignment, count_handovers, occurrence, resolve
+from .pathing import PathAssignment, count_handovers, occurrence, place, resolve
 # not called here; the benchmark's tracer wraps the scalar passes on this module
 from .pathing import baseline_paths, grow_paths, retain_paths  # noqa: F401
 from .radio import link_quality, make_link_stats
@@ -62,19 +62,19 @@ class SelectionEvent:
 class SimState:
     """Round state as arrays indexed by identity: 0..n-1, clones appended.
 
-    position, speed and score are float64 arrays, load int64 and flagged
-    bool. A new state has zero handover totals and no evidence, MAPs or paths.
-    `evidence` holds the next trust pass's (handovers, low SNR, connected)
-    arrays, which a blockchain round sets for each unflagged identity. The
-    last round's links are identities x min(max_paths, MAP count) arrays, in
-    admission order: `link_map` (the MAP, -1 in an empty slot), `link_dist`
-    and `link_rank`, the share count the link was admitted at; `served`
-    lists the identities that round offered paths to and `link_config` is
-    the config it ran under. `row_text` is the RowText cache table_digest
-    encodes the election rows through; scores must be finite, as its
-    encoding needs. `fleet`, `trust` and `last_assignments` are read-only
-    record views, built on demand, for the tests and the benchmark's worker
-    and tracer.
+    position, speed and score are float64 arrays, load and clone_ids int64
+    and flagged bool. A new state has zero handover totals and no evidence,
+    MAPs or paths. `evidence` holds the next trust pass's (handovers, low
+    SNR, connected) arrays, which a blockchain round sets for each unflagged
+    identity. The last round's links are identities x min(max_paths, MAP
+    count) arrays, each link at the slot attach gave it: `link_map` (the
+    MAP, -1 in an empty slot), `link_dist` and `link_rank`, the share count
+    the link was admitted at; `served` lists the identities that round
+    offered paths to and `link_config` is the config it ran under.
+    `row_text` is the RowText cache table_digest encodes the election rows
+    through; scores must be finite, as its encoding needs. `fleet`, `trust`
+    and `last_assignments` are read-only record views, built on demand, for
+    the tests and the benchmark's worker and tracer.
     """
 
     position: np.ndarray
@@ -99,11 +99,12 @@ class SimState:
             raise ValueError(f"load must lie in 1..2**53, got {self.load.min()}..{self.load.max()}")
         if self.score.dtype != np.float64 or not np.isfinite(self.score).all():
             raise ValueError("score must be finite and float64")
-        self.attacker_ids, self.clone_ids = list(self.attacker_ids), list(self.clone_ids)
-        for name, ids in (("attacker_ids", self.attacker_ids), ("clone_ids", self.clone_ids)):
+        self.attacker_ids, clone_ids = list(self.attacker_ids), list(self.clone_ids)
+        for name, ids in (("attacker_ids", self.attacker_ids), ("clone_ids", clone_ids)):
             whole = all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in ids)
             if not whole or len(set(ids)) != len(ids) or not all(0 <= i < n for i in ids):
                 raise ValueError(f"{name} must list distinct identities in 0..{n - 1}")
+        self.clone_ids = np.array(clone_ids, dtype=np.int64)
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
         self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
@@ -184,8 +185,7 @@ def run_round(
     prev_maps = state.current_maps
     retained = []
     if blockchain and config.incumbent_retention:
-        prev_ids = np.array(prev_maps, dtype=np.int64)
-        retained = np.sort(prev_ids[~flagged[prev_ids]]).tolist()
+        retained = sorted(m for m in prev_maps if not flagged[m])
     elected = retained + select_maps(table, k - len(retained), rng, retained)
     state.current_maps = elected
     maps = np.array(sorted(elected), dtype=np.int64)
@@ -194,22 +194,24 @@ def run_round(
 
     # path assignment to the unflagged non-MAPs, as comparison policies never
     # flag; each pass takes the ring distances of its client x MAP pairs
-    served = np.flatnonzero(~(is_map | flagged))
+    served = (~(is_map | flagged)).nonzero()[0]
     prev = state.link_map[served]
-    r, c, d, rank = attach(config, round_index, rng, served, maps, state.position, prev)
+    r, c, d, rank, slot, held = attach(config, round_index, rng, served, maps, state.position, prev)
 
-    # each vehicle's links, in probe order, into its row of the link arrays;
-    # a vehicle holds each MAP at most once
+    # each vehicle's links into its row of the link arrays, at attach's slots
     width = min(config.max_paths, len(maps))
     link_map = np.full((n, width), -1, dtype=np.int64)
     link_dist = np.zeros((n, width))
     link_rank = np.zeros((n, width), dtype=np.int64)
-    who, slot = served[r], occurrence(r)
+    who = served[r]
     link_map[who, slot], link_dist[who, slot], link_rank[who, slot] = maps[c], d, rank
 
-    # the first round is a cold start, joining then is not a handover
+    # the first round is a cold start, joining then is not a handover; a
+    # blockchain one is a grown link: a MAP retention turned away fails growth too
     if round_index == 0:
         handovers = np.zeros(len(served), dtype=np.int64)
+    elif blockchain:
+        handovers = np.bincount(r[held:], minlength=len(served))
     else:
         handovers = count_handovers(prev, link_map[served])
     sinr, delay = link_quality(d, config)
@@ -254,12 +256,12 @@ def run_round(
         obs_h, obs_low, obs_conn = evidence
         obs_conn[maps] = True
         obs_h[served], obs_low[served], obs_conn[served] = handovers, low_sinr, attached
-        if state.clone_ids:
+        if len(state.clone_ids):
             # two draws per clone every round, handover then weak link, in
             # clone order, flagged or not, so the stream stays stable
             draws = rng.random(2 * len(state.clone_ids))
             live = ~flagged[state.clone_ids]
-            clones = np.array(state.clone_ids)[live]
+            clones = state.clone_ids[live]
             obs_h[clones] += (draws[0::2] < config.sybil_handover_prob)[live]
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
     state.evidence = evidence
@@ -273,17 +275,19 @@ def run_round(
             metrics.flagged_count, int((flagged & ~was_flagged).sum()),
             metrics.attached, metrics.disconnected,
         )
-    excluded = tuple(np.flatnonzero(flagged).tolist())
+    excluded = tuple(flagged.nonzero()[0].tolist())
     event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table, state.row_text))
     return state, metrics, event
 
 
 def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
-    """The round's links as (rows, cols, dist, rank) arrays, in probe order.
+    """The round's links as (rows, cols, dist, rank, slot) arrays in probe order, and a count.
 
     Row v is identity served[v], column j is MAP maps[j] (ascending),
     position is indexed by identity and prev[v] holds row v's previous
-    MAPs, -1 padded. A link's rank is the share count it was admitted at.
+    MAPs, -1 padded. A link's rank is the share count it was admitted at
+    and its slot its place in its row: the held links, as many as the
+    count, lead in retention order, then the grown ones by pick index.
     Each pass speculates the links a probe at each MAP's current count
     would admit and resolve admits them at exact counts (see
     mapsim.pathing). Link distances are ring distances of the pairs a pass
@@ -305,7 +309,7 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         """Speculation over fixed candidate links, rows ascending."""
 
         def speculate(start):
-            at = np.searchsorted(rows, start)
+            at = rows.searchsorted(start)
             r, c, d = rows[at:], cols[at:], dist[at:]
             keep = d < limits.at(shares[c] + 1)
             return r[keep], c[keep], d[keep]
@@ -318,23 +322,24 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         col_of = np.full(len(position) + 1, -1)  # an empty slot's -1 reads the last entry
         col_of[maps] = np.arange(len(maps))
         pcol = col_of[prev]
-        rows, cols = np.nonzero(pcol >= 0)
+        rows, cols = (pcol >= 0).nonzero()
         cols = pcol[rows, cols]
         hr, hc, _ = held = resolve(admitted(rows, cols, between(rows, cols)), shares, limits)
 
         # growth takes the nearest open MAPs by (distance, ident) for the
         # vehicles with a free slot; a vehicle holds each MAP at most once,
         # so len(maps) caps its slots, and its held MAPs are never open
-        free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
-        grows = np.flatnonzero(free > 0)
+        kept = np.bincount(hr, minlength=len(served))
+        free = min(config.max_paths, len(maps)) - kept
+        grows = (free > 0).nonzero()[0]
         dmat = grid(grows)
         keep = free[hr] > 0
-        dmat[np.searchsorted(grows, hr[keep]), hc[keep]] = np.inf
+        dmat[grows.searchsorted(hr[keep]), hc[keep]] = np.inf
         free = free[grows]
         width = int(free.max(initial=0))
 
         def grow(start):
-            at = np.searchsorted(grows, start)
+            at = grows.searchsorted(start)
             view = dmat[at:]
             open_d = np.where(view < limits.at(shares + 1), view, np.inf)
             span = np.arange(len(view))
@@ -344,11 +349,13 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
                 pick[:, t] = j = open_d.argmin(axis=1)
                 pick_d[:, t] = open_d[span, j]
                 open_d[span, j] = np.inf
-            rows, t = np.nonzero((pick_d < np.inf) & (np.arange(width) < free[at:, None]))
+            rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
             return grows[rows + at], pick[rows, t], pick_d[rows, t]
 
         grown = resolve(grow, shares, limits)
         rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown))
+        # each pass lists a row's links together, and a row's picks run 0, 1, ...
+        slot, n_held = np.concatenate((place(hr), kept[grown[0]] + place(grown[0]))), len(hr)
     else:
         # single path policies; only sequence-based admits
         rows = np.arange(len(served)) if len(maps) else np.zeros(0, dtype=np.int64)
@@ -361,9 +368,10 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         dist = between(rows, cols)
         if config.strategy == "sequence-based":
             rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
+        slot, n_held = np.zeros(len(rows), dtype=np.int64), 0
     # links are listed in probe order, so a link's rank is one more than the
     # earlier links on its MAP
-    return rows, cols, dist, occurrence(cols) + 1
+    return rows, cols, dist, occurrence(cols) + 1, slot, n_held
 
 
 def build_summary(

@@ -15,10 +15,7 @@ the config and the share count (`AdmissionLimits`, cached as
 bandwidth floor tightens with the count, each found once by bisection with
 the scalar radio functions.
 
-The engine runs each pass as array operations on the ring distances of
-the client x MAP pairs it reads: retention and the single path policies
-take their candidate pairs only, growth a grid over the vehicles with a
-free slot after retention, and distance-based a grid over every vehicle.
+The engine runs each pass as array operations (`mapsim.engine.attach`).
 A speculation takes the links the remaining vehicles would take if every
 probe ran at its MAP's current count. Counts only grow, so it errs only by
 admitting a probe the exact count turns away, and its first vehicle, which
@@ -29,8 +26,9 @@ link at or over its limit and speculates again from that one on. The
 scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
 reference definition the tests hold the array passes to; the engine does
 not call them. The engine keeps the admitted links as identities x
-min(max_paths, MAP count) arrays of MAP, distance and rank;
-`count_handovers` works on rows of them.
+min(max_paths, MAP count) arrays of MAP, distance and rank. A blockchain
+vehicle's handovers are its grown links; a baseline vehicle's are the new
+links `count_handovers` finds in its rows of the arrays.
 """
 
 from __future__ import annotations
@@ -138,11 +136,15 @@ def occurrence(keys: np.ndarray) -> np.ndarray:
     """Each element's position among the earlier elements with its key."""
     span = np.arange(len(keys))
     # unique composite keys sort the same with or without stability
-    order = np.argsort(keys * len(keys) + span)
-    ranked = keys[order]
+    order = (keys * len(keys) + span).argsort()
     out = np.empty_like(span)
-    out[order] = span - np.searchsorted(ranked, ranked)
+    out[order] = place(keys[order])
     return out
+
+
+def place(keys: np.ndarray) -> np.ndarray:
+    """occurrence of ascending keys: each index less its key's first index."""
+    return np.arange(len(keys)) - keys.searchsorted(keys)
 
 
 def resolve(
@@ -173,10 +175,10 @@ def resolve(
         # final count are under it at their own ranks
         if (dist >= limits.at(top[cols])).any():
             rank = counts[cols] + occurrence(cols) + 1
-            bad = np.flatnonzero(dist >= limits.at(rank))
+            bad = (dist >= limits.at(rank)).nonzero()[0]
             if len(bad):
                 start = int(rows[bad[0]])
-                stop = int(np.searchsorted(rows, start))
+                stop = int(rows.searchsorted(start))
                 counts += np.bincount(cols[:stop], minlength=len(counts))
                 parts.append((rows[:stop], cols[:stop], dist[:stop]))
                 continue

@@ -16,22 +16,23 @@ class CandidateTable:
     loads: np.ndarray
     trust: np.ndarray
     weights: np.ndarray
-    probabilities: np.ndarray
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Only tests read these: the weights over their sequential sum, as select_maps' scan adds it up."""
+        total = np.cumsum(self.weights)[-1] if len(self.weights) else 0.0
+        return self.weights / total if total > 0 else np.zeros_like(self.weights)
 
 
 def selection_probabilities(load, score, eligible) -> CandidateTable:
-    """Weight each eligible identity with positive trust by load times trust and normalise.
+    """Weight each eligible identity with positive trust by load times trust.
 
     load (integers), score (floats) and eligible (bool) are indexed by
-    identity, so the table's idents ascend without a sort. The total is the
-    sequential sum, as select_maps' scan adds it up.
+    identity, so the table's idents ascend without a sort.
     """
-    idents = np.flatnonzero(eligible & (score > 0))
+    idents = (eligible & (score > 0)).nonzero()[0]
     loads, trust = load[idents], score[idents]
-    weights = loads * trust
-    total = np.cumsum(weights)[-1] if len(weights) else 0.0
-    probabilities = weights / total if total > 0 else np.zeros_like(weights)
-    return CandidateTable(idents, loads, trust, weights, probabilities)
+    return CandidateTable(idents, loads, trust, loads * trust)
 
 
 def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
@@ -63,7 +64,7 @@ def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
         pick = int(acc.searchsorted(rng.random() * total, "right"))
         if pick == len(acc):
             # u reached the total through rounding; the last remaining wins
-            pick = int(np.flatnonzero(remaining)[-1])
+            pick = int(remaining.nonzero()[0][-1])
         winners.append(idents[pick])
         weights[pick] = 0.0
         remaining[pick] = False
@@ -88,7 +89,7 @@ def table_digest(table: CandidateTable, text: RowText) -> str:
     """
     ids, loads, trust = table.idents, table.loads, table.trust
     bits = trust.view(np.int64)
-    stale = np.flatnonzero((text.load[ids] != loads) | (text.trust_bits[ids] != bits))
+    stale = ((text.load[ids] != loads) | (text.trust_bits[ids] != bits)).nonzero()[0]
     if len(stale):
         at, new = ids[stale], zip(ids[stale].tolist(), loads[stale].tolist(), trust[stale].tolist())
         text.rows[at] = [f"[{i},{n},{t!r}]" for i, n, t in new]

@@ -26,15 +26,13 @@ def update_trust(
     no low SNR and no connection. Handovers and poor signal cost points, a
     quiet connected round earns a small reward. Scores clamp to [0, 100]. A
     flag is permanent and freezes the score, so flagged identities cannot
-    launder their history. The float operations run in the scalar rule's order.
+    launder their history. The float operations are the scalar rule's; with
+    no handovers the penalty term, 0.0 - p * 0, is its starting +0.0.
     """
-    delta = np.where(handovers > 0, 0.0 - config.handover_penalty * handovers, 0.0)
-    delta = np.where(low_sinr, delta - config.low_sinr_penalty, delta)
-    quiet = connected & (handovers == 0) & ~low_sinr
-    delta = np.where(quiet, delta + config.stability_reward, delta)
-    raw = score + delta
-    raw = np.where(raw > 0.0, raw, 0.0)
-    new = np.where(flagged, score, np.where(raw < 100.0, raw, 100.0))
+    delta = 0.0 - config.handover_penalty * handovers
+    np.subtract(delta, config.low_sinr_penalty, out=delta, where=low_sinr)
+    np.add(delta, config.stability_reward, out=delta, where=connected & (handovers == 0) & ~low_sinr)
+    new = np.where(flagged, score, np.minimum(np.maximum(score + delta, 0.0), 100.0))
     return new, flagged | (new <= config.trust_threshold)
 
 

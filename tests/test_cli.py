@@ -82,10 +82,11 @@ def test_simulate_seed_and_strategy_override(tmp_path):
             FAR_DELAY,
         ),
         ({"a0": 1e300, "strategy": "independent-random"}, FAR_DELAY),
+        ({"road_length": int("9" * 400)}, "road_length must be a finite number"),
     ],
     ids=[
         "negative-length", "string-flag", "inexact-load", "near-snr-overflow",
-        "steep-path-loss", "tiny-d_c", "huge-a0",
+        "steep-path-loss", "tiny-d_c", "huge-a0", "int-past-float-range",
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):

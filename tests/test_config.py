@@ -130,6 +130,12 @@ def test_int_stays_valid_in_float_fields():
     assert cfg.rounds() == 10
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+def test_int_too_large_for_a_float_is_rejected(value):
+    with pytest.raises(ValueError, match="road_length must be a finite number"):
+        SimConfig(road_length=value)
+
+
 @pytest.mark.parametrize("data", [[1, 2], "x", None])
 def test_from_dict_rejects_non_object(data):
     with pytest.raises(ValueError, match="config must be a JSON object"):

@@ -13,6 +13,7 @@ import mapsim.engine as engine
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance
+from mapsim.pathing import count_handovers, occurrence
 from mapsim.radio import make_link_stats
 from mapsim.report import write_run
 from mapsim.selection import selection_probabilities
@@ -133,7 +134,7 @@ def test_identity_is_the_array_index(density, sybil_fraction, sybil_clones, seed
     assert not state.handover_total.any() and not state.flagged.any()
     assert (state.score == cfg.trust_initial).all()
     honest = n - len(state.clone_ids)
-    assert state.clone_ids == list(range(honest, n))
+    assert state.clone_ids.dtype == np.int64 and state.clone_ids.tolist() == list(range(honest, n))
     assert state.is_clone.tolist() == [i >= honest for i in range(n)]
     assert set(state.attacker_ids) <= set(range(honest))
 
@@ -357,6 +358,86 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
     assert max(shares[1:]) < 0.25, shares
 
 
+# configs the round-level shortcuts are checked under: default, scarce
+# bandwidth, wide rows, no MAP retention and a gentler path loss
+SHORTCUT_CONFIGS = [
+    {},
+    {"b_cap": 0.16, "delay_threshold": 30.0},
+    {"max_paths": 4},
+    {"incumbent_retention": False},
+    {"path_loss_exp": 2.7},
+]
+
+
+class RecordedRng:
+    """A Generator that keeps the last batch random() drew, a blockchain round's clone draws."""
+
+    def __init__(self, rng):
+        self.rng, self.batch = rng, None
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        if size is not None:
+            self.batch = out
+        return out
+
+
+@pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
+def test_blockchain_handovers_are_the_new_links_of_each_row(changes):
+    # a blockchain round counts a vehicle's handovers as the links growth
+    # gave it; they must be the links count_handovers finds new against
+    # the previous round's arrays
+    cfg = SimConfig(**changes)
+    new_links = 0
+    for seed in (1, 2, 3):
+        gen = np.random.default_rng(seed)
+        state = initial_state(cfg, gen)
+        rng = RecordedRng(gen)
+        for r in range(cfg.rounds()):
+            before, rng.batch = state.link_map, None
+            state, _, _ = run_round(state, r, cfg, rng)
+            # a live clone's evidence adds its forced handover to its own
+            forced = np.zeros(len(state.position), dtype=np.int64)
+            if rng.batch is not None:
+                live = ~state.flagged[state.clone_ids]
+                forced[state.clone_ids[live]] = (rng.batch[0::2] < cfg.sybil_handover_prob)[live]
+            served = state.served
+            got = (state.evidence[0] - forced)[served]
+            want = count_handovers(before[served], state.link_map[served]) if r else np.zeros_like(got)
+            assert got.tolist() == want.tolist(), (seed, r)
+            new_links += int(want.sum())
+    assert new_links > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
+def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes):
+    # attach gives each link its slot from its own passes; the arrays must
+    # equal those filled with each link at its place among its row's links
+    # in probe order
+    cfg = SimConfig(**changes, strategy=strategy)
+    rounds, attach = [], engine.attach
+
+    def recorded(config, round_index, rng, served, maps, position, prev):
+        out = attach(config, round_index, rng, served, maps, position, prev)
+        rounds.append((served, maps, out))
+        return out
+
+    monkeypatch.setattr(engine, "attach", recorded)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        state = initial_state(cfg, rng)
+        for r in range(cfg.rounds()):
+            rounds.clear()
+            state, _, _ = run_round(state, r, cfg, rng)
+            [(served, maps, (rows, cols, dist, rank, _, _))] = rounds
+            want = [np.full_like(state.link_map, -1), np.zeros_like(state.link_dist), np.zeros_like(state.link_rank)]
+            who, slot = served[rows], occurrence(rows)
+            want[0][who, slot], want[1][who, slot], want[2][who, slot] = maps[cols], dist, rank
+            got = (state.link_map, state.link_dist, state.link_rank)
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), (seed, r)
+
+
 def test_repeat_run_is_identical():
     a = run_simulation(SMALL)
     b = run_simulation(SMALL)
@@ -538,7 +619,7 @@ def test_handover_totals_cover_honest_identities_only():
     report = run_simulation(SMALL)
     state = report.state
     # clones attach and switch paths, yet never add to the totals
-    assert state.clone_ids and not state.handover_total[state.is_clone].any()
+    assert len(state.clone_ids) and not state.handover_total[state.is_clone].any()
     honest = state.handover_total[~state.is_clone]
     assert honest.any()
     assert report.summary["avg_handover"] == int(honest.sum()) / len(honest)

@@ -16,6 +16,7 @@ from mapsim.pathing import (
     count_handovers,
     grow_paths,
     occurrence,
+    place,
     resolve,
     retain_paths,
     threshold,
@@ -391,6 +392,12 @@ def test_occurrence_counts_earlier_equal_keys(keys):
     assert occurrence(np.array(keys, dtype=np.int64)).tolist() == want
 
 
+@given(st.lists(st.integers(0, 6), max_size=200))
+def test_place_is_the_occurrence_of_ascending_keys(keys):
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    assert place(keys).tolist() == occurrence(keys).tolist()
+
+
 class FallingLimits:
     """Admission limits that fall by one metre per share count; `asked`
     records the counts of each lookup."""
@@ -452,7 +459,8 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
 
     Returns {ident: [(map, distance, rank), ...] nearest first} for every
     served identity, rank being the share count a link was admitted at,
-    and how many probes bandwidth turned away.
+    the (ident, map) pairs retention re-booked and how many probes
+    bandwidth turned away.
     """
     ids, roster = served.tolist(), maps.tolist()
     counts, ranks, rejected = {}, {}, [0]
@@ -485,16 +493,21 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
             found.append(baseline_paths(config.strategy, i, round_index, row, roster, probe, counts, rng, config))
             record(i, found[-1].stats)
     links = {i: [(s.map_ident, s.distance, ranks[i, s.map_ident]) for s in pa.stats] for i, pa in zip(ids, found)}
-    return links, rejected[0]
+    kept = {(i, s.map_ident) for i, h in zip(ids, held) for s in h} if config.strategy == engine.BLOCKCHAIN else set()
+    return links, kept, rejected[0]
 
 
 def array_attach(config, round_index, rng, served, maps, position, prev):
-    rows, cols, dist, rank = engine.attach(config, round_index, rng, served, maps, position, prev)
+    """engine.attach's links in scalar_attach's form, checking their slots on the way."""
+    rows, cols, dist, rank, slot, held = engine.attach(config, round_index, rng, served, maps, position, prev)
+    # each link's slot is its place among its row's links in probe order,
+    # the rule the link arrays were filled by before attach returned slots
+    assert slot.tolist() == occurrence(rows).tolist()
     links = {i: [] for i in served.tolist()}
     for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
                              key=lambda x: (x[0], x[2], maps[x[1]])):
         links[int(served[v])].append((int(maps[c]), d, k))
-    return links
+    return links, set(zip(served[rows[:held]].tolist(), maps[cols[:held]].tolist()))
 
 
 @st.composite
@@ -570,10 +583,11 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         cfg, round_index, seed, served, maps, position, prev = inputs
         passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
         dmat = ring_distance(position[served][:, None], position[maps][None, :], cfg.road_length)
-        want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
+        *want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
         grids.clear()
         got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev)
-        assert got == want
+        # the same links, and the held ones lead attach's arrays
+        assert list(got) == want
         assert passes == []
         seen["rejected"] += rejected
         # growth builds its grid over the vehicles retention left a free slot

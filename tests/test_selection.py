@@ -171,7 +171,7 @@ def test_table_digest_matches_stdlib_encoding(rows, pick):
         idents = sorted(rows)
         loads = np.array([rows[i][0] for i in idents], dtype=np.int64)
         trust = np.array([rows[i][1] for i in idents], dtype=np.float64)
-        table = CandidateTable(np.array(idents, dtype=np.int64), loads, trust, None, None)
+        table = CandidateTable(np.array(idents, dtype=np.int64), loads, trust, None)
         got = table_digest(table, text)
         assert got == stdlib_digest(table)
         return got
@@ -258,7 +258,7 @@ def test_select_maps_matches_scalar_scan(rows, k, draws, taken):
     load = np.array([load for load, _ in rows], dtype=np.int64)
     trust = np.array([trust for _, trust in rows], dtype=np.float64)
     weights = [load * trust for load, trust in rows]
-    table = CandidateTable(idents, load, trust, np.array(weights, dtype=np.float64), None)
+    table = CandidateTable(idents, load, trust, np.array(weights, dtype=np.float64))
     # the engine's table holds the positive-trust rows at the same weights
     positive = table_of(rows)
     assert positive.weights.tolist() == [w for w, (_, t) in zip(weights, rows) if t > 0]
@@ -269,7 +269,7 @@ def test_select_maps_matches_scalar_scan(rows, k, draws, taken):
     assert all(type(ident) is int for ident in got)
     # the same draws, and as many uniforms, as from the table without the taken rows
     keep = ~np.isin(idents, taken)
-    pool = CandidateTable(idents[keep], load[keep], trust[keep], table.weights[keep], None)
+    pool = CandidateTable(idents[keep], load[keep], trust[keep], table.weights[keep])
     pool_rng = StubRng(draws)
     assert select_maps(pool, k, pool_rng) == got
     assert len(pool_rng.values) == len(rng.values)
