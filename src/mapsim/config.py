@@ -121,6 +121,7 @@ def _validate(cfg: SimConfig) -> None:
         if f.type == "float":
             ok = isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
             _require(ok, f"{f.name} must be a finite number, got {value!r}")
+            object.__setattr__(cfg, f.name, float(value))  # so no int reaches numpy arithmetic as int64
         elif f.type == "int":
             ok = isinstance(value, Integral) and not isinstance(value, bool)
             _require(ok, f"{f.name} must be an integer, got {value!r}")

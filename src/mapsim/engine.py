@@ -66,11 +66,12 @@ class SimState:
     and flagged bool. A new state has zero handover totals and no evidence,
     MAPs or paths. `evidence` holds the next trust pass's (handovers, low
     SNR, connected) arrays, which a blockchain round sets for each unflagged
-    identity. The last round's links are identities x min(max_paths, MAP
-    count) arrays, each link at the slot attach gave it: `link_map` (the
-    MAP, -1 in an empty slot), `link_dist` and `link_rank`, the share count
-    the link was admitted at; `served` lists the identities that round
-    offered paths to and `link_config` is the config it ran under.
+    identity. The last round's MAPs are `maps`, ascending, its links
+    `links`, (identity, MAP, distance, slot) arrays in probe order, and
+    `served` the identities it offered paths to under `link_config`. Each
+    link at its slot of identities x min(max_paths, MAP count) arrays gives
+    `link_map` (the MAP, -1 in an empty slot) and, built when read,
+    `link_dist` and `link_rank`, the share count it was admitted at.
     `row_text` is the RowText cache table_digest encodes the election rows
     through; scores must be finite, as its encoding needs. `fleet`, `trust`
     and `last_assignments` are read-only record views, built on demand, for
@@ -109,12 +110,20 @@ class SimState:
         self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
         self.current_maps: list[int] = []
-        self.served = np.zeros(0, dtype=np.int64)
+        self.maps = self.served = np.zeros(0, dtype=np.int64)
+        self.links = (self.served, self.served, np.zeros(0), self.served)
         self.link_map = np.full((n, 0), -1, dtype=np.int64)
-        self.link_dist = np.zeros((n, 0))
-        self.link_rank = np.zeros((n, 0), dtype=np.int64)
         self.link_config: SimConfig | None = None
         self.row_text = RowText(n)
+
+    link_dist = property(lambda self: self._at_slots(self.links[2]))
+    # in probe order a link's rank is one more than the earlier links on its MAP
+    link_rank = property(lambda self: self._at_slots(occurrence(self.links[1]) + 1))
+
+    def _at_slots(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.link_map.shape, values.dtype)
+        out[self.links[0], self.links[3]] = values
+        return out
 
     @property
     def fleet(self) -> tuple[Vehicle, ...]:
@@ -129,9 +138,9 @@ class SimState:
     @property
     def last_assignments(self) -> Mapping[int, PathAssignment]:
         """Each served identity's paths, their LinkStats rebuilt from the link arrays."""
-        out = {}
+        out, dist, rank = {}, self.link_dist, self.link_rank
         for i in self.served.tolist():
-            links = zip(self.link_dist[i].tolist(), self.link_map[i].tolist(), self.link_rank[i].tolist())
+            links = zip(dist[i].tolist(), self.link_map[i].tolist(), rank[i].tolist())
             # nearest first, as the scalar passes order a vehicle's paths
             stats = tuple(make_link_stats(m, d, self.link_config, k) for d, m, k in sorted(links) if m >= 0)
             out[i] = PathAssignment(i, tuple(s.map_ident for s in stats), stats)
@@ -183,9 +192,7 @@ def run_round(
     table = selection_probabilities(state.load, state.score, ~flagged)
     k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
     prev_maps = state.current_maps
-    retained = []
-    if blockchain and config.incumbent_retention:
-        retained = sorted(m for m in prev_maps if not flagged[m])
+    retained = state.maps[~flagged[state.maps]].tolist() if blockchain and config.incumbent_retention else []
     elected = retained + select_maps(table, k - len(retained), rng, retained)
     state.current_maps = elected
     maps = np.array(sorted(elected), dtype=np.int64)
@@ -196,15 +203,13 @@ def run_round(
     # flag; each pass takes the ring distances of its client x MAP pairs
     served = (~(is_map | flagged)).nonzero()[0]
     prev = state.link_map[served]
-    r, c, d, rank, slot, held = attach(config, round_index, rng, served, maps, state.position, prev)
+    r, c, d, slot, held = attach(config, round_index, rng, served, maps, state.position, prev)
 
-    # each vehicle's links into its row of the link arrays, at attach's slots
+    # each vehicle's MAPs into its row of link_map, at attach's slots
     width = min(config.max_paths, len(maps))
     link_map = np.full((n, width), -1, dtype=np.int64)
-    link_dist = np.zeros((n, width))
-    link_rank = np.zeros((n, width), dtype=np.int64)
-    who = served[r]
-    link_map[who, slot], link_dist[who, slot], link_rank[who, slot] = maps[c], d, rank
+    who, to = served[r], maps[c]
+    link_map[who, slot] = to
 
     # the first round is a cold start, joining then is not a handover; a
     # blockchain one is a grown link: a MAP retention turned away fails growth too
@@ -265,8 +270,8 @@ def run_round(
             obs_h[clones] += (draws[0::2] < config.sybil_handover_prob)[live]
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
     state.evidence = evidence
-    state.served, state.link_config = served, config
-    state.link_map, state.link_dist, state.link_rank = link_map, link_dist, link_rank
+    state.maps, state.served, state.link_config = maps, served, config
+    state.link_map, state.links = link_map, (who, to, d, slot)
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -281,13 +286,13 @@ def run_round(
 
 
 def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
-    """The round's links as (rows, cols, dist, rank, slot) arrays in probe order, and a count.
+    """The round's links as (rows, cols, dist, slot) arrays in probe order, and a count.
 
     Row v is identity served[v], column j is MAP maps[j] (ascending),
     position is indexed by identity and prev[v] holds row v's previous
-    MAPs, -1 padded. A link's rank is the share count it was admitted at
-    and its slot its place in its row: the held links, as many as the
-    count, lead in retention order, then the grown ones by pick index.
+    MAPs, -1 padded. A link's slot is its place in its row: the held
+    links, as many as the count, lead in retention order, then the grown
+    ones by pick index.
     Each pass speculates the links a probe at each MAP's current count
     would admit and resolve admits them at exact counts (see
     mapsim.pathing). Link distances are ring distances of the pairs a pass
@@ -369,9 +374,7 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         if config.strategy == "sequence-based":
             rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
         slot, n_held = np.zeros(len(rows), dtype=np.int64), 0
-    # links are listed in probe order, so a link's rank is one more than the
-    # earlier links on its MAP
-    return rows, cols, dist, occurrence(cols) + 1, slot, n_held
+    return rows, cols, dist, slot, n_held
 
 
 def build_summary(

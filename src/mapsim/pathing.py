@@ -13,7 +13,7 @@ comparison `d < limit` against a threshold distance that depends only on
 the config and the share count (`AdmissionLimits`, cached as
 `SimConfig.limits`): the delay bound's, then a running minimum as the
 bandwidth floor tightens with the count, each found once by bisection with
-the scalar radio functions.
+the scalar radio functions, the floor's near its closed-form distance.
 
 The engine runs each pass as array operations (`mapsim.engine.attach`).
 A speculation takes the links the remaining vehicles would take if every
@@ -25,10 +25,11 @@ it would be probed at, admits the vehicles before the first one holding a
 link at or over its limit and speculates again from that one on. The
 scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
 reference definition the tests hold the array passes to; the engine does
-not call them. The engine keeps the admitted links as identities x
-min(max_paths, MAP count) arrays of MAP, distance and rank. A blockchain
-vehicle's handovers are its grown links; a baseline vehicle's are the new
-links `count_handovers` finds in its rows of the arrays.
+not call them. The engine keeps the admitted links in probe order and
+their MAPs as an identities x min(max_paths, MAP count) array; the
+distance and rank arrays are built when read. A blockchain vehicle's
+handovers are its grown links; a baseline vehicle's are the new links
+`count_handovers` finds in its rows of the MAP array.
 """
 
 from __future__ import annotations
@@ -68,19 +69,23 @@ def count_handovers(prev, new):
     return np.count_nonzero(fresh, axis=-1)
 
 
-def threshold(passes: Callable[[float], bool], reach: float) -> float:
+def threshold(passes: Callable[[float], bool], reach: float, guess: float = math.nan) -> float:
     """Least distance in [0, reach] at which `passes` fails; inf if none does.
 
     `passes` must hold below some distance and fail from it on. Then, for
     every d in [0, reach], `d < threshold(passes, reach)` equals passes(d).
     Non-negative float64s order as their bit patterns do, so this bisects
-    over the bit patterns, calling the scalar predicate itself.
+    over the bit patterns, calling the scalar predicate itself: only those
+    in guess x (1 -/+ 2**-40) if passes holds at its low end and fails at
+    its high end within reach, else all of [0, reach].
     """
-    if passes(reach):
-        return math.inf
-    if not passes(0.0):
-        return 0.0
-    lo, hi = 0, _bits(reach)
+    lo, hi = _bits(guess * (1 - 2**-40)), _bits(guess * (1 + 2**-40))
+    if not (guess > 0.0 and hi <= _bits(reach) and passes(_float(lo)) and not passes(_float(hi))):
+        if passes(reach):
+            return math.inf
+        if not passes(0.0):
+            return 0.0
+        lo, hi = 0, _bits(reach)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if passes(_float(mid)):
@@ -107,7 +112,8 @@ class AdmissionLimits:
     link delay alone. A probe must meet the delay bound and the bandwidth
     floor, and the floor only tightens as the count grows, so table[c] is
     the running minimum of table[c - 1] and where count c's bandwidth
-    fails. Past a 0.0 entry no probe is admitted and the table stops.
+    fails, bisected near its closed form (see `at`). Past a 0.0 entry no
+    probe is admitted and the table stops.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -128,7 +134,12 @@ class AdmissionLimits:
             def wide(d: float) -> bool:
                 return link_bandwidth(compute_sinr(d, cfg), count, cfg) >= cfg.bandwidth_min
 
-            self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach))))
+            try:  # the SNR at which count's share meets the floor is 2**(count * bandwidth_min / b_cap) - 1
+                snr = math.expm1(count * cfg.bandwidth_min / cfg.b_cap * math.log(2))
+                guess = (cfg.tx_power / (cfg.noise_power * snr)) ** (1 / cfg.path_loss_exp)
+            except (OverflowError, ZeroDivisionError):
+                guess = math.nan
+            self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach), guess)))
         return self.table.take(counts, mode="clip")
 
 

@@ -130,6 +130,28 @@ def test_int_stays_valid_in_float_fields():
     assert cfg.rounds() == 10
 
 
+def test_float_fields_hold_python_floats():
+    cfg = SimConfig(road_length=2000, handover_penalty=8, b_cap=np.float64(2.0))
+    assert all(type(getattr(cfg, f)) is float for f, kind in cfg.__annotations__.items() if kind == "float")
+    assert cfg.to_dict() == SimConfig(road_length=2000.0, handover_penalty=8.0).to_dict()
+
+
+@pytest.mark.parametrize("penalty", [10**20, 2**62], ids=["10**20", "2**62"])
+def test_int_penalty_runs_as_its_float(penalty):
+    # an int penalty reaching the trust update as int64 overflowed (10**20)
+    # or wrapped to a reward on two handovers (2**62); stored as a float it
+    # runs exactly as the float-valued config does
+    small = dict(road_length=2000.0, total_time=100.0, max_paths=4, incumbent_retention=False, rng_seed=3)
+    got = run_simulation(SimConfig(**small, handover_penalty=penalty))
+    want = run_simulation(SimConfig(**small, handover_penalty=float(penalty)))
+    assert got.summary == want.summary
+    assert [(b.digest, b.payload_obj()) for b in got.ledger.blocks] == [
+        (b.digest, b.payload_obj()) for b in want.ledger.blocks
+    ]
+    # a handover costs an honest vehicle its whole score, so some are flagged
+    assert want.summary["false_positive_rate"] > 0
+
+
 @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
 def test_int_too_large_for_a_float_is_rejected(value):
     with pytest.raises(ValueError, match="road_length must be a finite number"):

@@ -414,7 +414,9 @@ def test_blockchain_handovers_are_the_new_links_of_each_row(changes):
 def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes):
     # attach gives each link its slot from its own passes; the arrays must
     # equal those filled with each link at its place among its row's links
-    # in probe order
+    # in probe order, and its rank one more than the earlier links on its
+    # MAP in probe order, the rule attach applied before ranks were built
+    # when read
     cfg = SimConfig(**changes, strategy=strategy)
     rounds, attach = [], engine.attach
 
@@ -430,12 +432,32 @@ def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes
         for r in range(cfg.rounds()):
             rounds.clear()
             state, _, _ = run_round(state, r, cfg, rng)
-            [(served, maps, (rows, cols, dist, rank, _, _))] = rounds
-            want = [np.full_like(state.link_map, -1), np.zeros_like(state.link_dist), np.zeros_like(state.link_rank)]
+            [(served, maps, (rows, cols, dist, _, _))] = rounds
+            want = [np.full_like(state.link_map, -1), np.zeros(state.link_map.shape), np.zeros_like(state.link_map)]
             who, slot = served[rows], occurrence(rows)
-            want[0][who, slot], want[1][who, slot], want[2][who, slot] = maps[cols], dist, rank
+            want[0][who, slot], want[1][who, slot], want[2][who, slot] = maps[cols], dist, occurrence(cols) + 1
             got = (state.link_map, state.link_dist, state.link_rank)
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), (seed, r)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_link_reads_are_equal_and_independent(strategy):
+    # link_dist and link_rank are built when read; each read is a fresh
+    # array, so writing to one read changes neither the state nor the next
+    cfg = SMALL.replace(strategy=strategy)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    for r in range(3):
+        state, _, _ = run_round(state, r, cfg, rng)
+        for name in ("link_dist", "link_rank"):
+            first, second = getattr(state, name), getattr(state, name)
+            assert first is not second and not np.shares_memory(first, second)
+            assert first.dtype == second.dtype and first.tobytes() == second.tobytes()
+            assert first.shape == state.link_map.shape and (first[state.link_map < 0] == 0).all()
+            before = second.copy()
+            first += 1
+            assert second.tobytes() == before.tobytes() == getattr(state, name).tobytes()
+        assert (state.link_rank[state.link_map >= 0] >= 1).all()
 
 
 def test_repeat_run_is_identical():

@@ -1,4 +1,5 @@
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -379,11 +380,87 @@ def test_limit_tables_equal_those_of_the_link_stats_predicate(
         assert got == [got[0]] * (top + 1)
 
 
+def ulps(x, n):
+    """The float n representable steps above a positive finite x, below it for negative n."""
+    return struct.unpack("<d", struct.pack("<q", struct.unpack("<q", struct.pack("<d", x))[0] + n))[0]
+
+
+def counted(passes):
+    """passes, and a list that grows by one on each call."""
+    calls = []
+
+    def spy(d):
+        calls.append(d)
+        return passes(d)
+
+    return spy, calls
+
+
+def wide_at(count, cfg=CFG):
+    """Count's bandwidth floor predicate, and the closed-form distance where it fails."""
+    snr = 2 ** (count * cfg.bandwidth_min / cfg.b_cap) - 1
+    guess = (cfg.tx_power / (cfg.noise_power * snr)) ** (1 / cfg.path_loss_exp)
+    return (lambda d: make_link_stats(0, d, cfg, count).bandwidth >= cfg.bandwidth_min), guess
+
+
 def test_threshold_bisects_bit_patterns():
-    assert threshold(lambda d: d < 1.5, 10.0) == 1.5
-    assert threshold(lambda d: d <= 1.5, 10.0) == math.nextafter(1.5, math.inf)
-    assert threshold(lambda d: True, 10.0) == math.inf
-    assert threshold(lambda d: False, 10.0) == 0.0
+    cases = [
+        (lambda d: d < 1.5, 10.0, 1.5),
+        (lambda d: d <= 1.5, 10.0, math.nextafter(1.5, math.inf)),
+        (lambda d: True, 10.0, math.inf),
+        (lambda d: False, 10.0, 0.0),
+        (wide_at(3)[0], 5000.0, None),
+        (wide_at(40)[0], 5000.0, None),
+        (wide_at(30, CFG.replace(path_loss_exp=2.7))[0], 5000.0, None),
+    ]
+    for passes, reach, want in cases:
+        full = threshold(passes, reach)
+        assert want is None or full == want
+        # a guess only narrows the search; exact, a few ulps off, far off,
+        # not a positive float or past reach, it gives the full answer
+        if math.isfinite(full) and full > 0.0:
+            guesses = [full] + [ulps(full, n) for n in (-300, 300, -(2**20), 2**20)]
+        else:
+            guesses = [5.0]
+        guesses += [math.nan, 0.0, -1.0, -0.0, reach * 2, math.inf, -math.inf, 5e-324]
+        for guess in guesses:
+            assert threshold(passes, reach, guess) == full, (want, guess)
+
+
+@pytest.mark.parametrize("count, cfg", [(1, CFG), (3, CFG), (40, CFG), (30, CFG.replace(path_loss_exp=2.7))])
+def test_threshold_from_a_close_guess_bisects_its_bracket_only(count, cfg):
+    passes, guess = wide_at(count, cfg)
+    spy, full_calls = counted(passes)
+    want = threshold(spy, 5000.0)
+    spy, calls = counted(passes)
+    assert threshold(spy, 5000.0, guess) == want
+    # two bracket ends and about 13 bit patterns between them, against
+    # about 64 calls over all of [0, reach]
+    assert len(calls) <= 20 < 60 <= len(full_calls)
+    # a guess 2**20 ulps off falls back to the full bisection, after
+    # testing its bracket's low end, and its high end if the low one passes
+    for off, tried in ((-(2**20), 2), (2**20, 1)):
+        spy, calls = counted(passes)
+        assert threshold(spy, 5000.0, ulps(want, off)) == want
+        assert len(calls) == len(full_calls) + tried
+
+
+def test_ring_800_limits_bisect_each_new_count_within_its_bracket(monkeypatch):
+    # the benchmark's 800-vehicle config, where the bandwidth floor first
+    # bites at count 25; each new count's bisection starts near its closed form
+    import mapsim.pathing as pathing
+
+    cfg = SimConfig(vehicle_density=0.08, map_fraction=0.2, sybil_fraction=0.0, total_time=80.0, rng_seed=7)
+    limits = pathing.AdmissionLimits(cfg)
+    limits.at(np.array(24))
+    calls, bandwidth = [], pathing.link_bandwidth
+    monkeypatch.setattr(pathing, "link_bandwidth", lambda *a: calls.append(a) or bandwidth(*a))
+    for count in range(25, 31):
+        calls.clear()
+        limits.at(np.array(count))
+        assert len(limits.table) == count + 1
+        assert 0 < len(calls) <= 20, count
+    assert (np.diff(limits.table[24:]) < 0).all()
 
 
 @given(st.lists(st.integers(0, 6), max_size=200))
@@ -499,10 +576,13 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
 
 def array_attach(config, round_index, rng, served, maps, position, prev):
     """engine.attach's links in scalar_attach's form, checking their slots on the way."""
-    rows, cols, dist, rank, slot, held = engine.attach(config, round_index, rng, served, maps, position, prev)
+    rows, cols, dist, slot, held = engine.attach(config, round_index, rng, served, maps, position, prev)
     # each link's slot is its place among its row's links in probe order,
     # the rule the link arrays were filled by before attach returned slots
     assert slot.tolist() == occurrence(rows).tolist()
+    # and its rank one more than the earlier links on its MAP, the rule
+    # SimState.link_rank builds its ranks by
+    rank = occurrence(maps[cols]) + 1
     links = {i: [] for i in served.tolist()}
     for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
                              key=lambda x: (x[0], x[2], maps[x[1]])):
