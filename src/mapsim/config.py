@@ -20,6 +20,10 @@ KMH_TO_MPS = 1000.0 / 3600.0
 
 # a run longer than this is a mistyped dt or total_time, not a simulation
 MAX_ROUNDS = 10**6
+# the most identities a run may expect, clones included; a round's served x
+# MAP grid holds up to identities**2 / 4 cells, so peak RSS at the cap is about
+# 1.1 GB (66 MB at 4,000 identities and map_fraction 0.5, numpy 2.4, x n**2)
+MAX_IDENTITIES = 2**14
 
 STRATEGIES = (
     "blockchain-multipath",
@@ -155,7 +159,7 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.d_c > 0, "d_c must be positive")
     _require(cfg.b0 >= 0, "b0 must be non-negative")
     # delay grows with distance, so it peaks at the farthest link; no run sums
-    # more than 2**64 link delays (10**6 rounds of under 2**44 identities)
+    # more than 2**64 link delays (10**6 rounds of about 2**14 identities)
     far_delay = radio.path_delay(cfg.road_length / 2, far_snr, cfg)
     _require(
         math.isfinite(far_delay * 2**64),
@@ -169,7 +173,12 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.stability_reward >= 0, "stability_reward must be non-negative")
     _require(0 < cfg.map_fraction <= 1, "map_fraction must lie in (0, 1]")
     _require(0 <= cfg.sybil_fraction <= 1, "sybil_fraction must lie in [0, 1]")
-    _require(cfg.sybil_clones >= 0, "sybil_clones must be non-negative")
+    # one attacker's clones alone are sybil_clones identities; the expected
+    # count is a float, so one too large for it is inf and fails the bound
+    _require(0 <= cfg.sybil_clones <= MAX_IDENTITIES, f"sybil_clones must lie in 0..{MAX_IDENTITIES}")
+    identities = cfg.road_length * cfg.vehicle_density * (1 + cfg.sybil_fraction * cfg.sybil_clones)
+    fleet = "road_length x vehicle_density x (1 + sybil_fraction x sybil_clones)"
+    _require(identities <= MAX_IDENTITIES, f"{fleet} gives {identities:.3g} identities, over {MAX_IDENTITIES}")
     _require(0 <= cfg.sybil_handover_prob <= 1, "sybil_handover_prob must lie in [0, 1]")
     _require(0 <= cfg.sybil_low_sinr_prob <= 1, "sybil_low_sinr_prob must lie in [0, 1]")
     _require(cfg.load_max >= 1, "load_max must be at least 1")

@@ -67,15 +67,14 @@ class SimState:
     MAPs or paths. `evidence` holds the next trust pass's (handovers, low
     SNR, connected) arrays, which a blockchain round sets for each unflagged
     identity. The last round's MAPs are `maps`, ascending, its links
-    `links`, (identity, MAP, distance, slot) arrays in probe order, and
-    `served` the identities it offered paths to under `link_config`. Each
-    link at its slot of identities x min(max_paths, MAP count) arrays gives
-    `link_map` (the MAP, -1 in an empty slot) and, built when read,
-    `link_dist` and `link_rank`, the share count it was admitted at.
-    `row_text` is the RowText cache table_digest encodes the election rows
-    through; scores must be finite, as its encoding needs. `fleet`, `trust`
-    and `last_assignments` are read-only record views, built on demand, for
-    the tests and the benchmark's worker and tracer.
+    `links`, (identity, MAP, distance) arrays in probe order, `served` the
+    identities it offered paths to under `link_config`, and `link_map` each
+    identity's MAPs at their slots, -1 in an empty one, in an identities x
+    min(max_paths, MAP count) array. `row_text` is the RowText cache
+    table_digest encodes the election rows through; scores must be finite,
+    as its encoding needs. `current_maps`, `fleet`, `trust` and
+    `last_assignments` are read-only views, built on demand, for the tests
+    and the benchmark's worker and tracer.
     """
 
     position: np.ndarray
@@ -109,21 +108,13 @@ class SimState:
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
         self.handover_total = np.zeros(n, dtype=np.int64)
         self.evidence = no_evidence(n)
-        self.current_maps: list[int] = []
         self.maps = self.served = np.zeros(0, dtype=np.int64)
-        self.links = (self.served, self.served, np.zeros(0), self.served)
+        self.links = (self.served, self.served, np.zeros(0))
         self.link_map = np.full((n, 0), -1, dtype=np.int64)
         self.link_config: SimConfig | None = None
         self.row_text = RowText(n)
 
-    link_dist = property(lambda self: self._at_slots(self.links[2]))
-    # in probe order a link's rank is one more than the earlier links on its MAP
-    link_rank = property(lambda self: self._at_slots(occurrence(self.links[1]) + 1))
-
-    def _at_slots(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.link_map.shape, values.dtype)
-        out[self.links[0], self.links[3]] = values
-        return out
+    current_maps = property(lambda self: self.maps.tolist())
 
     @property
     def fleet(self) -> tuple[Vehicle, ...]:
@@ -138,13 +129,14 @@ class SimState:
     @property
     def last_assignments(self) -> Mapping[int, PathAssignment]:
         """Each served identity's paths, their LinkStats rebuilt from the link arrays."""
-        out, dist, rank = {}, self.link_dist, self.link_rank
-        for i in self.served.tolist():
-            links = zip(dist[i].tolist(), self.link_map[i].tolist(), rank[i].tolist())
-            # nearest first, as the scalar passes order a vehicle's paths
-            stats = tuple(make_link_stats(m, d, self.link_config, k) for d, m, k in sorted(links) if m >= 0)
-            out[i] = PathAssignment(i, tuple(s.map_ident for s in stats), stats)
-        return MappingProxyType(out)
+        who, to, dist = self.links
+        # a link's rank is one more than the earlier links on its MAP in probe
+        # order; a vehicle's paths run nearest first, as the scalar passes order them
+        order = np.lexsort((to, dist, who))
+        stats = dict.fromkeys(self.served.tolist(), ())
+        for i, m, d, k in zip(*(a[order].tolist() for a in (who, to, dist, occurrence(to) + 1))):
+            stats[i] += (make_link_stats(m, d, self.link_config, k),)
+        return MappingProxyType({i: PathAssignment(i, tuple(s.map_ident for s in st), st) for i, st in stats.items()})
 
 
 def no_evidence(n: int) -> tuple[np.ndarray, ...]:
@@ -191,10 +183,9 @@ def run_round(
     # election over the unflagged identities
     table = selection_probabilities(state.load, state.score, ~flagged)
     k = max(1, round(config.map_fraction * (n - int(flagged.sum()))))
-    prev_maps = state.current_maps
-    retained = state.maps[~flagged[state.maps]].tolist() if blockchain and config.incumbent_retention else []
+    prev_maps = state.maps
+    retained = prev_maps[~flagged[prev_maps]].tolist() if blockchain and config.incumbent_retention else []
     elected = retained + select_maps(table, k - len(retained), rng, retained)
-    state.current_maps = elected
     maps = np.array(sorted(elected), dtype=np.int64)
     is_map = np.zeros(n, dtype=bool)
     is_map[maps] = True
@@ -222,8 +213,6 @@ def run_round(
     sinr, delay = link_quality(d, config)
     per_vehicle = np.bincount(r, minlength=len(served))
     attached = per_vehicle > 0
-    low_sinr = np.zeros(len(served), dtype=bool)
-    low_sinr[r[sinr < config.sinr_threshold]] = True
     if width <= 2:
         # a sum of at most two positive floats is correctly rounded
         # already, in either order, as fsum's is
@@ -255,12 +244,13 @@ def run_round(
         attached=n_attached,
     )
 
-    # evidence for the next trust pass
+    # evidence for the next trust pass; an attached vehicle is one with a link
     evidence = no_evidence(n)
     if blockchain:
         obs_h, obs_low, obs_conn = evidence
-        obs_conn[maps] = True
-        obs_h[served], obs_low[served], obs_conn[served] = handovers, low_sinr, attached
+        obs_conn[maps] = obs_conn[who] = True
+        obs_h[served] = handovers
+        obs_low[who[sinr < config.sinr_threshold]] = True
         if len(state.clone_ids):
             # two draws per clone every round, handover then weak link, in
             # clone order, flagged or not, so the stream stays stable
@@ -271,12 +261,12 @@ def run_round(
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
     state.evidence = evidence
     state.maps, state.served, state.link_config = maps, served, config
-    state.link_map, state.links = link_map, (who, to, d, slot)
+    state.link_map, state.links = link_map, (who, to, d)
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "round %d: elected %d (%d new), flagged %d (%d new), attached %d, disconnected %d",
-            round_index, len(elected), len(set(elected) - set(prev_maps)),
+            round_index, len(elected), len(np.setdiff1d(maps, prev_maps)),
             metrics.flagged_count, int((flagged & ~was_flagged).sum()),
             metrics.attached, metrics.disconnected,
         )

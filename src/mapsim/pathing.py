@@ -26,10 +26,10 @@ link at or over its limit and speculates again from that one on. The
 scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
 reference definition the tests hold the array passes to; the engine does
 not call them. The engine keeps the admitted links in probe order and
-their MAPs as an identities x min(max_paths, MAP count) array; the
-distance and rank arrays are built when read. A blockchain vehicle's
-handovers are its grown links; a baseline vehicle's are the new links
-`count_handovers` finds in its rows of the MAP array.
+their MAPs as an identities x min(max_paths, MAP count) array; a link's
+rank is counted from the probe order when `last_assignments` is read. A
+blockchain vehicle's handovers are its grown links; a baseline vehicle's
+are the new links `count_handovers` finds in its rows of the MAP array.
 """
 
 from __future__ import annotations

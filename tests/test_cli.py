@@ -112,6 +112,36 @@ def test_simulate_rejects_unbounded_round_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "data, why",
+    [
+        ({"road_length": 1e20}, "gives 2.6e+18 identities, over 16384"),
+        ({"sybil_clones": 10**12}, "sybil_clones must lie in 0..16384"),
+        ({"sybil_clones": 10**400}, "sybil_clones must lie in 0..16384"),
+        ({"vehicle_density": 1e20}, "gives 1.3e+24 identities, over 16384"),
+        ({"road_length": 1e10, "vehicle_density": 1e300}, "gives inf identities, over 16384"),
+    ],
+    ids=["long-road", "many-clones", "clones-past-float-range", "dense-fleet", "inf-identities"],
+)
+def test_oversized_runs_rejected_before_running(tmp_path, capsys, monkeypatch, command, data, why):
+    # each of these used to fail inside numpy, leaving its --out directory
+    def no_run(*_args):
+        raise AssertionError("ran a simulation")
+
+    monkeypatch.setattr("mapsim.cli.run_simulation", no_run)
+    monkeypatch.setattr("mapsim.cli.run_comparison", no_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out)] + (["--seeds", "1"] if command == "compare" else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and why in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_rejects_missing_config(tmp_path, capsys):
     rc = main(
         ["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapsim.config import MAX_ROUNDS, STRATEGIES, SimConfig, speed_to_mps
+from mapsim.config import MAX_IDENTITIES, MAX_ROUNDS, STRATEGIES, SimConfig, speed_to_mps
 from mapsim.engine import initial_state, run_round, run_simulation
 
 
@@ -87,9 +88,8 @@ def test_load_max_past_exact_float64_is_rejected(load_max):
     assert SimConfig(load_max=2**53).load_max == 2**53
 
 
-# accepted configs at the ends of their fields' ranges; fleets of millions
-# of identities (sybil_clones=10**6, or vehicle_density=1 on a 100 km road)
-# are left out as too slow for the suite
+# accepted configs at the ends of their fields' ranges; the largest fleet
+# MAX_IDENTITIES accepts is left out as too slow and too large for the suite
 EDGE_CONFIGS = [
     {"road_length": 1e-300, "vehicle_density": 1e300},
     {"speed_min": 1e300, "speed_max": 1e300},
@@ -119,6 +119,23 @@ def test_edge_configs_run_without_warnings(changes, strategy):
     assert report.ledger.verify()
     for key, value in report.summary.items():
         assert not isinstance(value, float) or math.isfinite(value), key
+
+
+def test_identity_bound_is_inclusive():
+    # road_length x vehicle_density x (1 + sybil_fraction x sybil_clones)
+    assert MAX_IDENTITIES == 2**14
+    SimConfig(road_length=2.0**14, vehicle_density=1.0, sybil_fraction=0.0)
+    SimConfig(road_length=2.0**12, vehicle_density=1.0, sybil_fraction=0.25, sybil_clones=12)
+    SimConfig(vehicle_density=1.0)  # 13,000 expected on the default road
+    SimConfig(sybil_fraction=0.0, sybil_clones=MAX_IDENTITIES)
+    for changes, why in (
+        ({"road_length": 2.0**14, "vehicle_density": np.nextafter(1.0, 2.0), "sybil_fraction": 0.0}, "1.64e+04"),
+        ({"road_length": 2.0**12, "vehicle_density": 1.0, "sybil_fraction": 0.25, "sybil_clones": 13}, "1.74e+04"),
+    ):
+        with pytest.raises(ValueError, match=rf"gives {re.escape(why)} identities, over 16384$"):
+            SimConfig(**changes)
+    with pytest.raises(ValueError, match=r"^sybil_clones must lie in 0\.\.16384$"):
+        SimConfig(sybil_fraction=0.0, sybil_clones=MAX_IDENTITIES + 1)
 
 
 def test_round_bound_is_inclusive():

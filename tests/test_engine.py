@@ -13,7 +13,7 @@ import mapsim.engine as engine
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance
-from mapsim.pathing import count_handovers, occurrence
+from mapsim.pathing import PathAssignment, count_handovers, occurrence
 from mapsim.radio import make_link_stats
 from mapsim.report import write_run
 from mapsim.selection import selection_probabilities
@@ -309,7 +309,7 @@ def test_conservation_every_round(strategy):
     "strategy",
     ["blockchain-multipath", "independent-random", "distance-based", "sequence-based"],
 )
-def test_link_distances_equal_ring_distance(strategy):
+def test_recorded_distances_equal_ring_distance(strategy):
     # each attach pass takes the ring distances of the pairs it reads; they
     # must be the scalar ring distances bit for bit
     cfg = SMALL.replace(strategy=strategy)
@@ -412,11 +412,11 @@ def test_blockchain_handovers_are_the_new_links_of_each_row(changes):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
 def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes):
-    # attach gives each link its slot from its own passes; the arrays must
-    # equal those filled with each link at its place among its row's links
-    # in probe order, and its rank one more than the earlier links on its
-    # MAP in probe order, the rule attach applied before ranks were built
-    # when read
+    # the links are attach's in probe order, as (identity, MAP, distance);
+    # link_map holds each link's MAP at its place among its row's links in
+    # probe order, and last_assignments gives each served vehicle its links
+    # nearest first, each at its rank: one more than the earlier links on
+    # its MAP in probe order, the rule attach admits them by
     cfg = SimConfig(**changes, strategy=strategy)
     rounds, attach = [], engine.attach
 
@@ -433,31 +433,36 @@ def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes
             rounds.clear()
             state, _, _ = run_round(state, r, cfg, rng)
             [(served, maps, (rows, cols, dist, _, _))] = rounds
-            want = [np.full_like(state.link_map, -1), np.zeros(state.link_map.shape), np.zeros_like(state.link_map)]
-            who, slot = served[rows], occurrence(rows)
-            want[0][who, slot], want[1][who, slot], want[2][who, slot] = maps[cols], dist, occurrence(cols) + 1
-            got = (state.link_map, state.link_dist, state.link_rank)
-            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), (seed, r)
+            who, to = served[rows], maps[cols]
+            assert len(state.links) == 3
+            got = zip(state.links, (who, to, dist))
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in got), (seed, r)
+            assert state.link_map.shape == (len(state.position), min(cfg.max_paths, len(maps)))
+            link_map = np.full_like(state.link_map, -1)
+            link_map[who, occurrence(rows)] = to
+            assert state.link_map.tobytes() == link_map.tobytes(), (seed, r)
+            if r % 10 and r != cfg.rounds() - 1:
+                continue  # the record view is slow to build; check it every tenth round and the last
+            want = {i: () for i in served.tolist()}
+            for i, d, m, k in sorted(zip(who.tolist(), dist.tolist(), to.tolist(), (occurrence(cols) + 1).tolist())):
+                want[i] += (make_link_stats(m, d, cfg, k),)
+            got = state.last_assignments
+            assert list(got) == list(want), (seed, r)
+            for i, stats in want.items():
+                assert got[i] == PathAssignment(i, tuple(s.map_ident for s in stats), stats), (seed, r, i)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_link_reads_are_equal_and_independent(strategy):
-    # link_dist and link_rank are built when read; each read is a fresh
-    # array, so writing to one read changes neither the state nor the next
+def test_current_maps_are_the_elected_maps_ascending(strategy):
     cfg = SMALL.replace(strategy=strategy)
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_state(cfg, rng)
-    for r in range(3):
-        state, _, _ = run_round(state, r, cfg, rng)
-        for name in ("link_dist", "link_rank"):
-            first, second = getattr(state, name), getattr(state, name)
-            assert first is not second and not np.shares_memory(first, second)
-            assert first.dtype == second.dtype and first.tobytes() == second.tobytes()
-            assert first.shape == state.link_map.shape and (first[state.link_map < 0] == 0).all()
-            before = second.copy()
-            first += 1
-            assert second.tobytes() == before.tobytes() == getattr(state, name).tobytes()
-        assert (state.link_rank[state.link_map >= 0] >= 1).all()
+    assert state.current_maps == []
+    for r in range(cfg.rounds()):
+        state, _, event = run_round(state, r, cfg, rng)
+        elected = event.payload()["elected"]
+        assert state.current_maps == sorted(elected) == state.maps.tolist()
+        assert all(type(m) is int for m in state.current_maps)
 
 
 def test_repeat_run_is_identical():

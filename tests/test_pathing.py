@@ -581,7 +581,7 @@ def array_attach(config, round_index, rng, served, maps, position, prev):
     # the rule the link arrays were filled by before attach returned slots
     assert slot.tolist() == occurrence(rows).tolist()
     # and its rank one more than the earlier links on its MAP, the rule
-    # SimState.link_rank builds its ranks by
+    # SimState.last_assignments ranks its links by
     rank = occurrence(maps[cols]) + 1
     links = {i: [] for i in served.tolist()}
     for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
