@@ -1,11 +1,11 @@
 """Discrete time simulator of trust weighted multi-path access point selection.
 
 Vehicles on a ring road elect a subset of themselves as access points in
-proportion to advertised load times earned trust, attach to up to two of
-them under delay and bandwidth admission rules, and log every election to a
-hash chained ledger. Sybil clones betray themselves through unstable
-behaviour and get flagged out of the roster. Three simpler selection
-policies are included for comparison.
+proportion to advertised load times earned trust, attach to up to
+`max_paths` (two by default) of them under delay and bandwidth admission
+rules, and log every election to a hash chained ledger. Sybil clones
+betray themselves through unstable behaviour and get flagged out of the
+roster. Three simpler selection policies are included for comparison.
 """
 
 from .config import STRATEGIES, SimConfig

@@ -14,9 +14,9 @@ import numpy as np
 from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
-from .pathing import PathAssignment, count_handovers, occurrence, place, resolve
-# not called here; the benchmark's tracer wraps the scalar passes on this module
-from .pathing import baseline_paths, grow_paths, retain_paths  # noqa: F401
+from .pathing import PathAssignment, occurrence, resolve
+# not called here; the benchmark's tracer wraps the reference passes on this module
+from .pathing import baseline_paths, count_handovers, grow_paths, retain_paths  # noqa: F401
 from .radio import link_quality, make_link_stats
 from .selection import RowText, select_maps, selection_probabilities, table_digest
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
@@ -67,10 +67,9 @@ class SimState:
     MAPs or paths. `evidence` holds the next trust pass's (handovers, low
     SNR, connected) arrays, which a blockchain round sets for each unflagged
     identity. The last round's MAPs are `maps`, ascending, its links
-    `links`, (identity, MAP, distance) arrays in probe order, `served` the
-    identities it offered paths to under `link_config`, and `link_map` each
-    identity's MAPs at their slots, -1 in an empty one, in an identities x
-    min(max_paths, MAP count) array. `row_text` is the RowText cache
+    `links`, (identity, MAP, distance) arrays in probe order, and `served`
+    the identities it offered paths to under `link_config`; each link is
+    kept only there. `row_text` is the RowText cache
     table_digest encodes the election rows through; scores must be finite,
     as its encoding needs. `current_maps`, `fleet`, `trust` and
     `last_assignments` are read-only views, built on demand, for the tests
@@ -110,7 +109,6 @@ class SimState:
         self.evidence = no_evidence(n)
         self.maps = self.served = np.zeros(0, dtype=np.int64)
         self.links = (self.served, self.served, np.zeros(0))
-        self.link_map = np.full((n, 0), -1, dtype=np.int64)
         self.link_config: SimConfig | None = None
         self.row_text = RowText(n)
 
@@ -193,33 +191,32 @@ def run_round(
     # path assignment to the unflagged non-MAPs, as comparison policies never
     # flag; each pass takes the ring distances of its client x MAP pairs
     served = (~(is_map | flagged)).nonzero()[0]
-    prev = state.link_map[served]
-    r, c, d, slot, held = attach(config, round_index, rng, served, maps, state.position, prev)
-
-    # each vehicle's MAPs into its row of link_map, at attach's slots
-    width = min(config.max_paths, len(maps))
-    link_map = np.full((n, width), -1, dtype=np.int64)
+    who_prev, to_prev, _ = state.links
+    r, c, d, held = attach(config, round_index, rng, served, maps, state.position, (who_prev, to_prev))
     who, to = served[r], maps[c]
-    link_map[who, slot] = to
 
     # the first round is a cold start, joining then is not a handover; a
-    # blockchain one is a grown link: a MAP retention turned away fails growth too
+    # blockchain one is a grown link, as growth fails a MAP retention turned
+    # away, and a baseline one, of one link at most, a link to a new MAP
     if round_index == 0:
         handovers = np.zeros(len(served), dtype=np.int64)
     elif blockchain:
         handovers = np.bincount(r[held:], minlength=len(served))
     else:
-        handovers = count_handovers(prev, link_map[served])
+        prev_map = np.full(n, -1)
+        prev_map[who_prev] = to_prev
+        handovers = np.bincount(r[prev_map[who] != to], minlength=len(served))
     sinr, delay = link_quality(d, config)
     per_vehicle = np.bincount(r, minlength=len(served))
     attached = per_vehicle > 0
+    width = int(per_vehicle.max(initial=0))
     if width <= 2:
         # a sum of at most two positive floats is correctly rounded
         # already, in either order, as fsum's is
         sums = np.bincount(r, weights=delay, minlength=len(served))[attached]
     else:
         grid = np.zeros((len(served), width))
-        grid[r, slot] = delay
+        grid[r, occurrence(r)] = delay  # fsum is exact, in any order
         sums = np.array([fsum(row) for row in grid[attached].tolist()])
     delays = (sums / per_vehicle[attached]).tolist()
 
@@ -261,7 +258,7 @@ def run_round(
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
     state.evidence = evidence
     state.maps, state.served, state.link_config = maps, served, config
-    state.link_map, state.links = link_map, (who, to, d)
+    state.links = (who, to, d)
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -276,13 +273,12 @@ def run_round(
 
 
 def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
-    """The round's links as (rows, cols, dist, slot) arrays in probe order, and a count.
+    """The round's links as (rows, cols, dist) arrays in probe order, and a count.
 
     Row v is identity served[v], column j is MAP maps[j] (ascending),
-    position is indexed by identity and prev[v] holds row v's previous
-    MAPs, -1 padded. A link's slot is its place in its row: the held
-    links, as many as the count, lead in retention order, then the grown
-    ones by pick index.
+    position is indexed by identity and prev holds the previous round's
+    links as (identity, MAP) arrays in probe order. The held links, as
+    many as the count, lead, then the grown ones.
     Each pass speculates the links a probe at each MAP's current count
     would admit and resolve admits them at exact counts (see
     mapsim.pathing). Link distances are ring distances of the pairs a pass
@@ -313,19 +309,19 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
 
     if config.strategy == BLOCKCHAIN:
         # every vehicle re-books its paths before any grows new ones; the
-        # candidates are its previous MAPs still elected
-        col_of = np.full(len(position) + 1, -1)  # an empty slot's -1 reads the last entry
-        col_of[maps] = np.arange(len(maps))
-        pcol = col_of[prev]
-        rows, cols = (pcol >= 0).nonzero()
-        cols = pcol[rows, cols]
+        # candidates are its previous links to MAPs still elected, in probe order
+        row_of, col_of = np.full(len(position), -1), np.full(len(position), -1)
+        row_of[served], col_of[maps] = np.arange(len(served)), np.arange(len(maps))
+        rows, cols = row_of[prev[0]], col_of[prev[1]]
+        live = (rows >= 0) & (cols >= 0)
+        order = rows[live].argsort(kind="stable")
+        rows, cols = rows[live][order], cols[live][order]
         hr, hc, _ = held = resolve(admitted(rows, cols, between(rows, cols)), shares, limits)
 
         # growth takes the nearest open MAPs by (distance, ident) for the
         # vehicles with a free slot; a vehicle holds each MAP at most once,
         # so len(maps) caps its slots, and its held MAPs are never open
-        kept = np.bincount(hr, minlength=len(served))
-        free = min(config.max_paths, len(maps)) - kept
+        free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
         grows = (free > 0).nonzero()[0]
         dmat = grid(grows)
         keep = free[hr] > 0
@@ -349,8 +345,7 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
 
         grown = resolve(grow, shares, limits)
         rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown))
-        # each pass lists a row's links together, and a row's picks run 0, 1, ...
-        slot, n_held = np.concatenate((place(hr), kept[grown[0]] + place(grown[0]))), len(hr)
+        n_held = len(hr)
     else:
         # single path policies; only sequence-based admits
         rows = np.arange(len(served)) if len(maps) else np.zeros(0, dtype=np.int64)
@@ -363,8 +358,8 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         dist = between(rows, cols)
         if config.strategy == "sequence-based":
             rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
-        slot, n_held = np.zeros(len(rows), dtype=np.int64), 0
-    return rows, cols, dist, slot, n_held
+        n_held = 0
+    return rows, cols, dist, n_held
 
 
 def build_summary(

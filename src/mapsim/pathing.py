@@ -24,12 +24,13 @@ holds each MAP at most once, is always right.
 it would be probed at, admits the vehicles before the first one holding a
 link at or over its limit and speculates again from that one on. The
 scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
-reference definition the tests hold the array passes to; the engine does
-not call them. The engine keeps the admitted links in probe order and
-their MAPs as an identities x min(max_paths, MAP count) array; a link's
-rank is counted from the probe order when `last_assignments` is read. A
-blockchain vehicle's handovers are its grown links; a baseline vehicle's
-are the new links `count_handovers` finds in its rows of the MAP array.
+reference definition the tests hold the array passes to, and
+`count_handovers` that of a handover; the engine calls none of them. The
+engine keeps the admitted links once, in probe order; a link's rank is
+counted from that order when `last_assignments` is read. A blockchain
+vehicle's handovers are its grown links; a baseline vehicle, which holds
+one link at most, hands over when its link's MAP differs from its
+previous link's.
 """
 
 from __future__ import annotations

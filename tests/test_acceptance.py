@@ -301,27 +301,30 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_complexity_scaling():
     plan = ((100, 40), (200, 25), (400, 12), (800, 8))
-    points = []
-    for n, rounds in plan:
-        cfg = SimConfig(
+    configs = [
+        SimConfig(
             vehicle_density=n / 10000.0,
             total_time=rounds * 10.0,
             map_fraction=0.2,
             sybil_fraction=0.0,
             rng_seed=7,
         )
-        best = None
-        for _ in range(3):
+        for n, rounds in plan
+    ]
+    # best of 3 per size, the repeats interleaved across sizes so that one
+    # burst of load on the machine cannot slow every repeat of one size
+    best, identities = [math.inf] * len(plan), [0] * len(plan)
+    for _ in range(3):
+        for i, cfg in enumerate(configs):
             rng = np.random.default_rng(cfg.rng_seed)
             state = initial_state(cfg, rng)
             state, _, _ = run_round(state, 0, cfg, rng)
             t0 = time.perf_counter()
             for r in range(1, cfg.rounds()):
                 state, _, _ = run_round(state, r, cfg, rng)
-            per_round = (time.perf_counter() - t0) / (cfg.rounds() - 1)
-            best = per_round if best is None else min(best, per_round)
-        identities = len(state.position)
-        points.append((identities * math.log2(identities), best))
+            best[i] = min(best[i], (time.perf_counter() - t0) / (cfg.rounds() - 1))
+            identities[i] = len(state.position)
+    points = [(m * math.log2(m), t) for m, t in zip(identities, best)]
 
     # a round is a fixed cost plus a*n*log2(n): the distance grid, at most
     # n x k, is one numpy broadcast and attachment sorts little more than

@@ -34,9 +34,10 @@ def load_tracer():
 
 TRACER = load_tracer()
 SPANS = TRACER.SPANS
-# spans on the scalar passes, which are the reference definition of attach
-# and which the engine imports but does not call
-SCALAR_PASSES = ("pathing.retain_paths", "pathing.grow_paths", "pathing.baseline_paths")
+# spans on the reference passes: the scalar passes, the definition of
+# attach, and count_handovers, the definition of a handover; the engine
+# imports them but does not call them
+SCALAR_PASSES = ("pathing.retain_paths", "pathing.grow_paths", "pathing.baseline_paths", "pathing.count_handovers")
 
 
 def names_looked_up(module):
@@ -92,14 +93,14 @@ def test_scalar_passes_are_spans_of_the_tracer():
 @pytest.mark.parametrize("strategy", ["blockchain-multipath", "sequence-based"])
 def test_traced_rounds_call_no_scalar_pass(strategy):
     # at b_cap 0.16 attach passes leave the all-clear fast path and resolve
-    # re-speculates; the scalar passes still never run
+    # re-speculates; the reference passes still never run
     cfg = SimConfig(road_length=2000.0, total_time=100.0, b_cap=0.16, delay_threshold=30.0,
                     rng_seed=5, strategy=strategy)
     recorder = TRACER.Recorder()
     with recorder.installed():
         engine.run_simulation(cfg)
     assert recorder.calls[recorder.code["engine.run_round"]] == cfg.rounds()
-    assert [recorder.calls[recorder.code[name]] for name in SCALAR_PASSES] == [0, 0, 0]
+    assert [recorder.calls[recorder.code[name]] for name in SCALAR_PASSES] == [0] * len(SCALAR_PASSES)
 
 
 def test_state_surface_the_benchmark_reads():

@@ -343,15 +343,17 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_state(cfg, rng)
     shares = []
+    n = len(state.position)
     for r in range(cfg.rounds()):
-        before = state.link_map
+        before = state.links
         grids.clear()
         state, _, _ = run_round(state, r, cfg, rng)
-        prev, now = before[state.served], state.link_map[state.served]
+        who, to, _ = state.links
         # counts only grow, so a previous MAP retention turned away is never
         # grown back: the links held before and now are the retained ones
-        kept = ((now[:, :, None] == prev[:, None, :]).any(axis=2) & (now >= 0)).sum(axis=1)
-        free = now.shape[1] - kept > 0
+        held = np.isin(who * n + to, before[0] * n + before[1])
+        kept = np.bincount(state.served.searchsorted(who[held]), minlength=len(state.served))
+        free = min(cfg.max_paths, len(state.maps)) - kept > 0
         assert grids == [state.position[state.served[free]].tolist()]
         shares.append(free.mean())
     assert shares[0] == 1.0
@@ -375,6 +377,9 @@ class RecordedRng:
     def __init__(self, rng):
         self.rng, self.batch = rng, None
 
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
     def random(self, size=None):
         out = self.rng.random(size)
         if size is not None:
@@ -382,41 +387,70 @@ class RecordedRng:
         return out
 
 
+def link_rows(links, n):
+    """Each identity's MAPs in probe order, -1 after, one row per identity."""
+    who, to, _ = links
+    rows = np.full((n, np.bincount(who).max(initial=0)), -1)
+    rows[who, occurrence(who)] = to
+    return rows
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
-def test_blockchain_handovers_are_the_new_links_of_each_row(changes):
+def test_handovers_are_the_new_links_of_each_row(strategy, changes):
     # a blockchain round counts a vehicle's handovers as the links growth
-    # gave it; they must be the links count_handovers finds new against
-    # the previous round's arrays
-    cfg = SimConfig(**changes)
+    # gave it, a baseline round as a link to another MAP than its previous
+    # link's; they must be the links count_handovers finds new against the
+    # previous round's rows
+    cfg = SimConfig(**changes, strategy=strategy)
     new_links = 0
     for seed in (1, 2, 3):
         gen = np.random.default_rng(seed)
         state = initial_state(cfg, gen)
-        rng = RecordedRng(gen)
+        rng, n = RecordedRng(gen), len(state.position)
         for r in range(cfg.rounds()):
-            before, rng.batch = state.link_map, None
+            before, total, rng.batch = link_rows(state.links, n), state.handover_total.copy(), None
             state, _, _ = run_round(state, r, cfg, rng)
-            # a live clone's evidence adds its forced handover to its own
-            forced = np.zeros(len(state.position), dtype=np.int64)
-            if rng.batch is not None:
-                live = ~state.flagged[state.clone_ids]
-                forced[state.clone_ids[live]] = (rng.batch[0::2] < cfg.sybil_handover_prob)[live]
             served = state.served
-            got = (state.evidence[0] - forced)[served]
-            want = count_handovers(before[served], state.link_map[served]) if r else np.zeros_like(got)
-            assert got.tolist() == want.tolist(), (seed, r)
+            want = count_handovers(before[served], link_rows(state.links, n)[served]) if r else np.zeros_like(served)
+            # the round's handover total adds each served honest identity's
+            # handovers and nothing for the rest
+            honest = ~state.is_clone[served]
+            added = np.zeros_like(total)
+            added[served[honest]] = want[honest]
+            assert (state.handover_total - total).tolist() == added.tolist(), (seed, r)
+            if strategy == engine.BLOCKCHAIN:
+                # a live clone's evidence adds its forced handover to its own
+                forced = np.zeros(n, dtype=np.int64)
+                if rng.batch is not None:
+                    live = ~state.flagged[state.clone_ids]
+                    forced[state.clone_ids[live]] = (rng.batch[0::2] < cfg.sybil_handover_prob)[live]
+                assert (state.evidence[0] - forced)[served].tolist() == want.tolist(), (seed, r)
             new_links += int(want.sum())
     assert new_links > 0
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != engine.BLOCKCHAIN])
+@pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
+def test_a_baseline_round_leaves_at_most_one_link_per_identity(strategy, changes):
+    # a baseline's handover compares each link against the identity's one
+    # previous link, which takes at most one link per identity each round
+    cfg = SimConfig(**changes, strategy=strategy)
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        state = initial_state(cfg, rng)
+        for r in range(cfg.rounds()):
+            state, _, _ = run_round(state, r, cfg, rng)
+            assert np.bincount(state.links[0]).max(initial=0) <= 1, (seed, r)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("changes", SHORTCUT_CONFIGS)
 def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes):
-    # the links are attach's in probe order, as (identity, MAP, distance);
-    # link_map holds each link's MAP at its place among its row's links in
-    # probe order, and last_assignments gives each served vehicle its links
-    # nearest first, each at its rank: one more than the earlier links on
-    # its MAP in probe order, the rule attach admits them by
+    # the links are attach's in probe order, as (identity, MAP, distance),
+    # and last_assignments gives each served vehicle its links nearest
+    # first, each at its rank: one more than the earlier links on its MAP
+    # in probe order, the rule attach admits them by
     cfg = SimConfig(**changes, strategy=strategy)
     rounds, attach = [], engine.attach
 
@@ -432,15 +466,11 @@ def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes
         for r in range(cfg.rounds()):
             rounds.clear()
             state, _, _ = run_round(state, r, cfg, rng)
-            [(served, maps, (rows, cols, dist, _, _))] = rounds
+            [(served, maps, (rows, cols, dist, _))] = rounds
             who, to = served[rows], maps[cols]
             assert len(state.links) == 3
             got = zip(state.links, (who, to, dist))
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in got), (seed, r)
-            assert state.link_map.shape == (len(state.position), min(cfg.max_paths, len(maps)))
-            link_map = np.full_like(state.link_map, -1)
-            link_map[who, occurrence(rows)] = to
-            assert state.link_map.tobytes() == link_map.tobytes(), (seed, r)
             if r % 10 and r != cfg.rounds() - 1:
                 continue  # the record view is slow to build; check it every tenth round and the last
             want = {i: () for i in served.tolist()}

@@ -534,10 +534,10 @@ def test_resolve_checks_each_link_at_its_maps_final_count():
 def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     """The per-vehicle passes as the engine ran them before the array passes.
 
-    Returns {ident: [(map, distance, rank), ...] nearest first} for every
-    served identity, rank being the share count a link was admitted at,
-    the (ident, map) pairs retention re-booked and how many probes
-    bandwidth turned away.
+    prev holds the previous links as (ident, map) arrays. Returns {ident:
+    [(map, distance, rank), ...] nearest first} for every served identity,
+    rank being the share count a link was admitted at, the (ident, map)
+    pairs retention re-booked and how many probes bandwidth turned away.
     """
     ids, roster = served.tolist(), maps.tolist()
     counts, ranks, rejected = {}, {}, [0]
@@ -555,7 +555,7 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     if config.strategy == "blockchain-multipath":
         keep = (alpha_trans(dmat, config) * dmat < config.delay_threshold).tolist()
         cands = [[(d, m) for d, m, k in zip(row, roster, ok) if k] for row, ok in zip(dmat.tolist(), keep)]
-        prev_paths = [[m for m in row if m >= 0] for row in prev.tolist()]
+        prev_paths = [[m for j, m in zip(*(a.tolist() for a in prev)) if j == i] for i in ids]
         held = []
         for i, p, c in zip(ids, prev_paths, cands):
             held.append(retain_paths(i, p, c, probe, counts, config))
@@ -575,12 +575,16 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
 
 
 def array_attach(config, round_index, rng, served, maps, position, prev):
-    """engine.attach's links in scalar_attach's form, checking their slots on the way."""
-    rows, cols, dist, slot, held = engine.attach(config, round_index, rng, served, maps, position, prev)
-    # each link's slot is its place among its row's links in probe order,
-    # the rule the link arrays were filled by before attach returned slots
-    assert slot.tolist() == occurrence(rows).tolist()
-    # and its rank one more than the earlier links on its MAP, the rule
+    """engine.attach's links in scalar_attach's form, checking that the held ones lead."""
+    rows, cols, dist, held = engine.attach(config, round_index, rng, served, maps, position, prev)
+    if config.strategy == engine.BLOCKCHAIN:
+        # the first `held` links are previous links, and growth gives none:
+        # a previous MAP retention turned away is over its limit at every
+        # later count
+        old = set(zip(*(a.tolist() for a in prev)))
+        kept = [link in old for link in zip(served[rows].tolist(), maps[cols].tolist())]
+        assert kept == [True] * held + [False] * (len(rows) - held)
+    # a link's rank is one more than the earlier links on its MAP, the rule
     # SimState.last_assignments ranks its links by
     rank = occurrence(maps[cols]) + 1
     links = {i: [] for i in served.tolist()}
@@ -592,7 +596,12 @@ def array_attach(config, round_index, rng, served, maps, position, prev):
 
 @st.composite
 def attach_inputs(draw):
-    """A dense ring with scarce bandwidth, and previous links to retain."""
+    """A dense ring with scarce bandwidth, and previous links to retain.
+
+    The previous links come as probe order lists them: a held block then
+    a grown block, each ascending by identity, and some of them belong to
+    identities that are MAPs now.
+    """
     n = draw(st.integers(2, 80))
     road_length = draw(st.floats(300.0, 3000.0))
     cfg = SimConfig(
@@ -614,8 +623,8 @@ def attach_inputs(draw):
     dmat = ring_distance(position[served][:, None], position[maps][None, :], road_length)
     full = draw(st.booleans())
     width = cfg.max_paths if full else draw(st.integers(0, cfg.max_paths))
-    prev = np.full((len(served), width), -1)
-    for row, d in zip(prev, dmat):
+    blocks = [], []
+    for i, d in zip(served.tolist(), dmat):
         near = maps[np.argsort(d, kind="stable")[: 2 * width]]
         if full and rng.random() < 0.7:
             # a full row of its nearest MAPs, which retention may keep all
@@ -625,7 +634,15 @@ def attach_inputs(draw):
             # mostly near MAPs still elected, sometimes one that is not
             pool = near if len(near) and rng.random() < 0.8 else np.arange(n)
             held = rng.choice(pool, min(len(pool), rng.integers(0, width + 1)), replace=False)
-        row[: len(held)] = held
+        split = rng.integers(0, len(held) + 1)
+        blocks[0].extend((i, int(m)) for m in held[:split])
+        blocks[1].extend((i, int(m)) for m in held[split:])
+    for i in maps.tolist():
+        # a MAP now, so attach must pass over the links it held
+        if width and rng.random() < 0.5:
+            blocks[rng.integers(0, 2)].append((i, int(rng.integers(0, n))))
+    links = [link for block in blocks for link in sorted(block, key=lambda x: x[0])]
+    prev = tuple(np.array([link[k] for link in links], dtype=np.int64) for k in (0, 1))
     return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev
 
 
@@ -642,6 +659,11 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         def spy(start):
             rows, cols, dist = out = speculate(start)
             calls.append((start, rows.tolist(), cols.tolist()))
+            # rows ascending from start, each holding a MAP at most once,
+            # keep a speculation's first row right; checked as each comes,
+            # since resolve need not end on rows out of order
+            assert (np.diff(rows) >= 0).all() and (rows >= start).all()
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
             return out
 
         return resolve(spy, counts, limits)
@@ -670,6 +692,7 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         assert list(got) == want
         assert passes == []
         seen["rejected"] += rejected
+        seen["links of MAPs"] += bool(np.isin(prev[0], maps).any())
         # growth builds its grid over the vehicles retention left a free slot
         seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[0] < len(served)
 
@@ -677,13 +700,10 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
     assert seen["partial growth"] > 0
+    # and attach passed over the previous links of identities now MAPs
+    assert seen["links of MAPs"] > 0
     assert {name for name, calls in loops if len(calls) > 1} == {"retain", "grow", "rotate"}
     for _, calls in loops:
-        for start, rows, cols in calls:
-            # a row holds each MAP at most once, which keeps a speculation's
-            # first row right
-            assert rows == sorted(rows) and all(r >= start for r in rows)
-            assert len(set(zip(rows, cols))) == len(rows)
         # every iteration admits at least the first row it speculated, so
         # the loop ends; only the last speculation may come back empty
         for (_, rows, _), (start, _, _) in zip(calls, calls[1:]):
