@@ -66,14 +66,15 @@ class SimState:
     and flagged bool. A new state has zero handover totals and no evidence,
     MAPs or paths. `evidence` holds the next trust pass's (handovers, low
     SNR, connected) arrays, which a blockchain round sets for each unflagged
-    identity. The last round's MAPs are `maps`, ascending, its links
-    `links`, (identity, MAP, distance) arrays in probe order, and `served`
-    the identities it offered paths to under `link_config`; each link is
-    kept only there. `row_text` is the RowText cache
-    table_digest encodes the election rows through; scores must be finite,
-    as its encoding needs. `current_maps`, `fleet`, `trust` and
-    `last_assignments` are read-only views, built on demand, for the tests
-    and the benchmark's worker and tracer.
+    identity; a baseline round leaves them unset. The last round's MAPs
+    are `maps`, ascending, its links `links`, attach's (identity, MAP,
+    distance) arrays in probe order, and `served` the identities it
+    offered paths to under `link_config`; each link is kept only there.
+    `row_text` is the RowText cache table_digest encodes the election
+    rows through; scores must be finite, as its encoding needs.
+    `current_maps`, `fleet`, `trust` and `last_assignments` are read-only
+    views, built on demand, for the tests and the benchmark's worker and
+    tracer.
     """
 
     position: np.ndarray
@@ -106,7 +107,7 @@ class SimState:
         self.clone_ids = np.array(clone_ids, dtype=np.int64)
         self.is_clone = np.isin(np.arange(n), self.clone_ids)
         self.handover_total = np.zeros(n, dtype=np.int64)
-        self.evidence = no_evidence(n)
+        self.evidence = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         self.maps = self.served = np.zeros(0, dtype=np.int64)
         self.links = (self.served, self.served, np.zeros(0))
         self.link_config: SimConfig | None = None
@@ -135,11 +136,6 @@ class SimState:
         for i, m, d, k in zip(*(a[order].tolist() for a in (who, to, dist, occurrence(to) + 1))):
             stats[i] += (make_link_stats(m, d, self.link_config, k),)
         return MappingProxyType({i: PathAssignment(i, tuple(s.map_ident for s in st), st) for i, st in stats.items()})
-
-
-def no_evidence(n: int) -> tuple[np.ndarray, ...]:
-    """Handovers, low SNR and connected for n identities, all unset, as unobserved ones keep them."""
-    return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -192,40 +188,37 @@ def run_round(
     # flag; each pass takes the ring distances of its client x MAP pairs
     served = (~(is_map | flagged)).nonzero()[0]
     who_prev, to_prev, _ = state.links
-    r, c, d, held = attach(config, round_index, rng, served, maps, state.position, (who_prev, to_prev))
-    who, to = served[r], maps[c]
+    who, to, d, held = attach(config, round_index, rng, served, maps, state.position, (who_prev, to_prev))
 
     # the first round is a cold start, joining then is not a handover; a
     # blockchain one is a grown link, as growth fails a MAP retention turned
     # away, and a baseline one, of one link at most, a link to a new MAP
     if round_index == 0:
-        handovers = np.zeros(len(served), dtype=np.int64)
+        handovers = np.zeros(n, dtype=np.int64)
     elif blockchain:
-        handovers = np.bincount(r[held:], minlength=len(served))
+        handovers = np.bincount(who[held:], minlength=n)
     else:
         prev_map = np.full(n, -1)
         prev_map[who_prev] = to_prev
-        handovers = np.bincount(r[prev_map[who] != to], minlength=len(served))
+        handovers = np.bincount(who[prev_map[who] != to], minlength=n)
     sinr, delay = link_quality(d, config)
-    per_vehicle = np.bincount(r, minlength=len(served))
+    per_vehicle = np.bincount(who, minlength=n)
     attached = per_vehicle > 0
     width = int(per_vehicle.max(initial=0))
     if width <= 2:
         # a sum of at most two positive floats is correctly rounded
         # already, in either order, as fsum's is
-        sums = np.bincount(r, weights=delay, minlength=len(served))[attached]
+        sums = np.bincount(who, weights=delay, minlength=n)[attached]
     else:
-        grid = np.zeros((len(served), width))
-        grid[r, occurrence(r)] = delay  # fsum is exact, in any order
+        grid = np.zeros((n, width))
+        grid[who, occurrence(who)] = delay  # fsum is exact, in any order
         sums = np.array([fsum(row) for row in grid[attached].tolist()])
     delays = (sums / per_vehicle[attached]).tolist()
 
     # the handover metric counts honest identities only; an unserved one
     # gained no path
-    counts = np.zeros(n, dtype=np.int64)
-    counts[served] = handovers
     population = ~(state.is_clone | is_map)
-    counts = counts[population]
+    counts = handovers[population]
     state.handover_total[population] += counts
     n_attached = int(attached.sum())
     metrics = RoundMetrics(
@@ -242,11 +235,9 @@ def run_round(
     )
 
     # evidence for the next trust pass; an attached vehicle is one with a link
-    evidence = no_evidence(n)
     if blockchain:
-        obs_h, obs_low, obs_conn = evidence
+        obs_h, obs_low, obs_conn = state.evidence = handovers, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         obs_conn[maps] = obs_conn[who] = True
-        obs_h[served] = handovers
         obs_low[who[sinr < config.sinr_threshold]] = True
         if len(state.clone_ids):
             # two draws per clone every round, handover then weak link, in
@@ -256,7 +247,6 @@ def run_round(
             clones = state.clone_ids[live]
             obs_h[clones] += (draws[0::2] < config.sybil_handover_prob)[live]
             obs_low[clones] |= (draws[1::2] < config.sybil_low_sinr_prob)[live]
-    state.evidence = evidence
     state.maps, state.served, state.link_config = maps, served, config
     state.links = (who, to, d)
 
@@ -273,12 +263,12 @@ def run_round(
 
 
 def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
-    """The round's links as (rows, cols, dist) arrays in probe order, and a count.
+    """The round's links as (identity, MAP, distance) arrays in probe order, and a count.
 
-    Row v is identity served[v], column j is MAP maps[j] (ascending),
-    position is indexed by identity and prev holds the previous round's
-    links as (identity, MAP) arrays in probe order. The held links, as
-    many as the count, lead, then the grown ones.
+    served and maps (ascending) are the round's clients and MAPs, position
+    is indexed by identity and prev holds the previous round's links as
+    (identity, MAP) arrays in probe order. The held links, as many as the
+    count, lead, then the grown ones.
     Each pass speculates the links a probe at each MAP's current count
     would admit and resolve admits them at exact counts (see
     mapsim.pathing). Link distances are ring distances of the pairs a pass
@@ -287,52 +277,51 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
     it reads each one's nearest MAP.
     """
     limits = config.limits
-    shares = np.zeros(len(maps), dtype=np.int64)
-    client, relay = position[served], position[maps]
+    shares = np.zeros(len(position), dtype=np.int64)
 
-    def between(rows, cols):
-        return ring_distance(client[rows], relay[cols], config.road_length)
+    def between(who, to):
+        return ring_distance(position[who], position[to], config.road_length)
 
-    def grid(rows):
-        return ring_distance(client[rows][:, None], relay[None, :], config.road_length)
+    def grid(who):
+        return ring_distance(position[who][:, None], position[maps][None, :], config.road_length)
 
-    def admitted(rows, cols, dist):
-        """Speculation over fixed candidate links, rows ascending."""
+    def admitted(who, to, dist):
+        """Speculation over fixed candidate links, identities ascending."""
 
         def speculate(start):
-            at = rows.searchsorted(start)
-            r, c, d = rows[at:], cols[at:], dist[at:]
-            keep = d < limits.at(shares[c] + 1)
-            return r[keep], c[keep], d[keep]
+            at = who.searchsorted(start)
+            w, t, d = who[at:], to[at:], dist[at:]
+            keep = d < limits.at(shares[t] + 1)
+            return w[keep], t[keep], d[keep]
 
         return speculate
 
     if config.strategy == BLOCKCHAIN:
         # every vehicle re-books its paths before any grows new ones; the
         # candidates are its previous links to MAPs still elected, in probe order
-        row_of, col_of = np.full(len(position), -1), np.full(len(position), -1)
-        row_of[served], col_of[maps] = np.arange(len(served)), np.arange(len(maps))
-        rows, cols = row_of[prev[0]], col_of[prev[1]]
-        live = (rows >= 0) & (cols >= 0)
-        order = rows[live].argsort(kind="stable")
-        rows, cols = rows[live][order], cols[live][order]
-        hr, hc, _ = held = resolve(admitted(rows, cols, between(rows, cols)), shares, limits)
+        who, to = prev
+        role = np.zeros(len(position), dtype=np.int8)
+        role[served], role[maps] = 1, 2
+        live = (role[who] == 1) & (role[to] == 2)
+        order = who[live].argsort(kind="stable")
+        who, to = who[live][order], to[live][order]
+        hw, ht, _ = held = resolve(admitted(who, to, between(who, to)), shares, limits)
 
         # growth takes the nearest open MAPs by (distance, ident) for the
         # vehicles with a free slot; a vehicle holds each MAP at most once,
         # so len(maps) caps its slots, and its held MAPs are never open
-        free = min(config.max_paths, len(maps)) - np.bincount(hr, minlength=len(served))
-        grows = (free > 0).nonzero()[0]
+        free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
+        grows = served[free[served] > 0]
         dmat = grid(grows)
-        keep = free[hr] > 0
-        dmat[grows.searchsorted(hr[keep]), hc[keep]] = np.inf
+        keep = free[hw] > 0
+        dmat[grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])] = np.inf
         free = free[grows]
         width = int(free.max(initial=0))
 
         def grow(start):
             at = grows.searchsorted(start)
             view = dmat[at:]
-            open_d = np.where(view < limits.at(shares + 1), view, np.inf)
+            open_d = np.where(view < limits.at(shares[maps] + 1), view, np.inf)
             span = np.arange(len(view))
             pick = np.empty((len(view), width), dtype=np.int64)
             pick_d = np.empty((len(view), width))
@@ -341,25 +330,25 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
                 pick_d[:, t] = open_d[span, j]
                 open_d[span, j] = np.inf
             rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
-            return grows[rows + at], pick[rows, t], pick_d[rows, t]
+            return grows[rows + at], maps[pick[rows, t]], pick_d[rows, t]
 
         grown = resolve(grow, shares, limits)
-        rows, cols, dist = (np.concatenate(pair) for pair in zip(held, grown))
-        n_held = len(hr)
+        who, to, dist = (np.concatenate(pair) for pair in zip(held, grown))
+        n_held = len(hw)
     else:
         # single path policies; only sequence-based admits
-        rows = np.arange(len(served)) if len(maps) else np.zeros(0, dtype=np.int64)
+        who = served if len(maps) else served[:0]
         if config.strategy == "independent-random":
-            cols = rng.integers(0, len(maps), size=len(rows)) if len(rows) else rows
+            to = maps[rng.integers(0, len(maps), size=len(who))] if len(who) else who
         elif config.strategy == "distance-based":
-            cols = grid(rows).argmin(axis=1) if len(rows) else rows
+            to = maps[grid(who).argmin(axis=1)] if len(who) else who
         else:
-            cols = (served[rows] + round_index) % max(1, len(maps))
-        dist = between(rows, cols)
+            to = maps[(who + round_index) % max(1, len(maps))]
+        dist = between(who, to)
         if config.strategy == "sequence-based":
-            rows, cols, dist = resolve(admitted(rows, cols, dist), shares, limits)
+            who, to, dist = resolve(admitted(who, to, dist), shares, limits)
         n_held = 0
-    return rows, cols, dist, n_held
+    return who, to, dist, n_held
 
 
 def build_summary(

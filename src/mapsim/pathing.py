@@ -15,7 +15,10 @@ the config and the share count (`AdmissionLimits`, cached as
 bandwidth floor tightens with the count, each found once by bisection with
 the scalar radio functions, the floor's near its closed-form distance.
 
-The engine runs each pass as array operations (`mapsim.engine.attach`).
+The engine runs each pass as array operations (`mapsim.engine.attach`)
+on links as (identity, MAP identity, distance) arrays, with share counts
+indexed by MAP identity, so `resolve`'s rows are vehicle identities and
+its columns MAP identities.
 A speculation takes the links the remaining vehicles would take if every
 probe ran at its MAP's current count. Counts only grow, so it errs only by
 admitting a probe the exact count turns away, and its first vehicle, which
@@ -172,7 +175,9 @@ def resolve(
     current count. A link's probe rank is its MAP's count plus the earlier
     links on it, plus one. The rows before the first link at or over the
     limit at its rank are admitted and speculation restarts from that row,
-    which is then right, so each iteration admits at least one row.
+    which is then right, so each iteration admits at least one row. A
+    restart that does not move past the previous start, as rows out of
+    order can give, raises ValueError.
 
     Returns the admitted links as (rows, cols, dist), rows ascending.
     """
@@ -189,7 +194,9 @@ def resolve(
             rank = counts[cols] + occurrence(cols) + 1
             bad = (dist >= limits.at(rank)).nonzero()[0]
             if len(bad):
-                start = int(rows[bad[0]])
+                last, start = start, int(rows[bad[0]])
+                if start <= last:
+                    raise ValueError(f"speculation from row {last} restarts at row {start}, not past it")
                 stop = int(rows.searchsorted(start))
                 counts += np.bincount(cols[:stop], minlength=len(counts))
                 parts.append((rows[:stop], cols[:stop], dist[:stop]))

@@ -17,39 +17,26 @@ from typing import Any
 from .engine import RoundMetrics, SimulationReport
 from .ledger import indented
 
-def _optional_float(cell: str) -> float | None:
-    return float(cell) if cell else None
 
-
-# (column, RoundMetrics field, parser) in file order; only avg_delay_s may be
-# empty, every other parser raises on an empty cell
+# (column, RoundMetrics field) in file order
 ROUND_COLUMNS = (
-    ("round", "round_index", int),
-    ("vehicle_count", "vehicle_count", int),
-    ("elected_maps", "elected_maps", int),
-    ("flagged_count", "flagged_count", int),
-    ("avg_handover", "avg_handover", float),
-    ("max_handover", "max_handover", int),
-    ("min_handover", "min_handover", int),
-    ("avg_delay_s", "avg_delay_s", _optional_float),
-    ("disconnected", "disconnected", int),
+    ("round", "round_index"),
+    ("vehicle_count", "vehicle_count"),
+    ("elected_maps", "elected_maps"),
+    ("flagged_count", "flagged_count"),
+    ("avg_handover", "avg_handover"),
+    ("max_handover", "max_handover"),
+    ("min_handover", "min_handover"),
+    ("avg_delay_s", "avg_delay_s"),
+    ("disconnected", "disconnected"),
 )
 
 
 def write_rounds_csv(path: Any, rounds: list[RoundMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([column for column, _, _ in ROUND_COLUMNS])
-        writer.writerows(map(attrgetter(*[name for _, name, _ in ROUND_COLUMNS]), rounds))
-
-
-def read_rounds_csv(path: Any) -> list[dict[str, Any]]:
-    """Parse a rounds file back into typed dicts."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [
-            {column: parse(row[column]) for column, _, parse in ROUND_COLUMNS}
-            for row in csv.DictReader(fh)
-        ]
+        writer.writerow([column for column, _ in ROUND_COLUMNS])
+        writer.writerows(map(attrgetter(*[name for _, name in ROUND_COLUMNS]), rounds))
 
 
 def write_summary_json(path: Any, summary: dict) -> None:

@@ -352,8 +352,7 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
         # counts only grow, so a previous MAP retention turned away is never
         # grown back: the links held before and now are the retained ones
         held = np.isin(who * n + to, before[0] * n + before[1])
-        kept = np.bincount(state.served.searchsorted(who[held]), minlength=len(state.served))
-        free = min(cfg.max_paths, len(state.maps)) - kept > 0
+        free = (min(cfg.max_paths, len(state.maps)) - np.bincount(who[held], minlength=n) > 0)[state.served]
         assert grids == [state.position[state.served[free]].tolist()]
         shares.append(free.mean())
     assert shares[0] == 1.0
@@ -456,7 +455,7 @@ def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes
 
     def recorded(config, round_index, rng, served, maps, position, prev):
         out = attach(config, round_index, rng, served, maps, position, prev)
-        rounds.append((served, maps, out))
+        rounds.append((served, out))
         return out
 
     monkeypatch.setattr(engine, "attach", recorded)
@@ -466,15 +465,14 @@ def test_link_arrays_hold_each_row_in_probe_order(monkeypatch, strategy, changes
         for r in range(cfg.rounds()):
             rounds.clear()
             state, _, _ = run_round(state, r, cfg, rng)
-            [(served, maps, (rows, cols, dist, _))] = rounds
-            who, to = served[rows], maps[cols]
+            [(served, (who, to, dist, _))] = rounds
             assert len(state.links) == 3
             got = zip(state.links, (who, to, dist))
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in got), (seed, r)
             if r % 10 and r != cfg.rounds() - 1:
                 continue  # the record view is slow to build; check it every tenth round and the last
             want = {i: () for i in served.tolist()}
-            for i, d, m, k in sorted(zip(who.tolist(), dist.tolist(), to.tolist(), (occurrence(cols) + 1).tolist())):
+            for i, d, m, k in sorted(zip(who.tolist(), dist.tolist(), to.tolist(), (occurrence(to) + 1).tolist())):
                 want[i] += (make_link_stats(m, d, cfg, k),)
             got = state.last_assignments
             assert list(got) == list(want), (seed, r)

@@ -531,6 +531,28 @@ def test_resolve_checks_each_link_at_its_maps_final_count():
     assert counts.tolist() == [5, 1]
 
 
+class Runaway(Exception):
+    """Raised by a speculation called more often than any pass needs."""
+
+
+def test_resolve_rejects_a_speculation_out_of_row_order():
+    # rows listed descending: row 1's link on MAP 0 is probed at rank 3,
+    # over its limit of 7, and searching the unsorted rows for it admits
+    # nothing, so each speculation would restart at row 1 again
+    rows, cols, dist = np.array([3, 2, 1]), np.zeros(3, dtype=np.int64), np.array([1.0, 1.0, 7.5])
+    starts = []
+
+    def speculate(start):
+        starts.append(start)
+        if len(starts) > 10:
+            raise Runaway(starts)
+        return rows, cols, dist
+
+    with pytest.raises(ValueError, match="from row 1 restarts at row 1"):
+        resolve(speculate, np.zeros(1, dtype=np.int64), FallingLimits())
+    assert starts == [0, 1]
+
+
 def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
     """The per-vehicle passes as the engine ran them before the array passes.
 
@@ -576,22 +598,22 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
 
 def array_attach(config, round_index, rng, served, maps, position, prev):
     """engine.attach's links in scalar_attach's form, checking that the held ones lead."""
-    rows, cols, dist, held = engine.attach(config, round_index, rng, served, maps, position, prev)
+    who, to, dist, held = engine.attach(config, round_index, rng, served, maps, position, prev)
     if config.strategy == engine.BLOCKCHAIN:
         # the first `held` links are previous links, and growth gives none:
         # a previous MAP retention turned away is over its limit at every
         # later count
         old = set(zip(*(a.tolist() for a in prev)))
-        kept = [link in old for link in zip(served[rows].tolist(), maps[cols].tolist())]
-        assert kept == [True] * held + [False] * (len(rows) - held)
+        kept = [link in old for link in zip(who.tolist(), to.tolist())]
+        assert kept == [True] * held + [False] * (len(who) - held)
     # a link's rank is one more than the earlier links on its MAP, the rule
     # SimState.last_assignments ranks its links by
-    rank = occurrence(maps[cols]) + 1
+    rank = occurrence(to) + 1
     links = {i: [] for i in served.tolist()}
-    for v, c, d, k in sorted(zip(rows.tolist(), cols.tolist(), dist.tolist(), rank.tolist()),
-                             key=lambda x: (x[0], x[2], maps[x[1]])):
-        links[int(served[v])].append((int(maps[c]), d, k))
-    return links, set(zip(served[rows[:held]].tolist(), maps[cols[:held]].tolist()))
+    for i, m, d, k in sorted(zip(who.tolist(), to.tolist(), dist.tolist(), rank.tolist()),
+                             key=lambda x: (x[0], x[2], x[1])):
+        links[i].append((m, d, k))
+    return links, set(zip(who[:held].tolist(), to[:held].tolist()))
 
 
 @st.composite
@@ -599,8 +621,9 @@ def attach_inputs(draw):
     """A dense ring with scarce bandwidth, and previous links to retain.
 
     The previous links come as probe order lists them: a held block then
-    a grown block, each ascending by identity, and some of them belong to
-    identities that are MAPs now.
+    a grown block, each ascending by identity. Some of them belong to
+    identities that are MAPs now, and some to or from identities left out
+    of both served and maps, as flagged ones are.
     """
     n = draw(st.integers(2, 80))
     road_length = draw(st.floats(300.0, 3000.0))
@@ -619,7 +642,8 @@ def attach_inputs(draw):
         position = rng.uniform(0.0, road_length, n)
     k = draw(st.integers(0, n - 1))
     maps = np.sort(rng.choice(n, k, replace=False))
-    served = np.setdiff1d(np.arange(n), maps)
+    left = rng.choice(np.setdiff1d(np.arange(n), maps), draw(st.integers(0, (n - k) // 3)), replace=False)
+    served = np.setdiff1d(np.arange(n), np.union1d(maps, left))
     dmat = ring_distance(position[served][:, None], position[maps][None, :], road_length)
     full = draw(st.booleans())
     width = cfg.max_paths if full else draw(st.integers(0, cfg.max_paths))
@@ -637,10 +661,17 @@ def attach_inputs(draw):
         split = rng.integers(0, len(held) + 1)
         blocks[0].extend((i, int(m)) for m in held[:split])
         blocks[1].extend((i, int(m)) for m in held[split:])
-    for i in maps.tolist():
-        # a MAP now, so attach must pass over the links it held
+    for i in np.union1d(maps, left).tolist():
+        # a MAP now or neither served nor a MAP, so attach must pass over
+        # the links it held
         if width and rng.random() < 0.5:
             blocks[rng.integers(0, 2)].append((i, int(rng.integers(0, n))))
+    for j in left.tolist():
+        # the previous MAP of a served vehicle, which retention must pass over
+        if width and len(served) and rng.random() < 0.5:
+            i = int(rng.choice(served))
+            if (i, j) not in blocks[0] + blocks[1]:
+                blocks[rng.integers(0, 2)].append((i, j))
     links = [link for block in blocks for link in sorted(block, key=lambda x: x[0])]
     prev = tuple(np.array([link[k] for link in links], dtype=np.int64) for k in (0, 1))
     return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev
@@ -693,6 +724,9 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         assert passes == []
         seen["rejected"] += rejected
         seen["links of MAPs"] += bool(np.isin(prev[0], maps).any())
+        left = np.setdiff1d(np.arange(len(position)), np.union1d(served, maps))
+        to_left = np.isin(prev[1][np.isin(prev[0], served)], left).any()
+        seen["links of and to neither"] += bool(np.isin(prev[0], left).any() and to_left)
         # growth builds its grid over the vehicles retention left a free slot
         seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[0] < len(served)
 
@@ -700,8 +734,10 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
     assert seen["partial growth"] > 0
-    # and attach passed over the previous links of identities now MAPs
+    # and attach passed over the previous links of identities now MAPs, and
+    # those of identities neither served nor MAPs and of served ones to them
     assert seen["links of MAPs"] > 0
+    assert seen["links of and to neither"] > 0
     assert {name for name, calls in loops if len(calls) > 1} == {"retain", "grow", "rotate"}
     for _, calls in loops:
         # every iteration admits at least the first row it speculated, so

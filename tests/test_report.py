@@ -7,9 +7,27 @@ from hypothesis import strategies as st
 
 from mapsim.config import SimConfig
 from mapsim.engine import RoundMetrics, run_simulation
-from mapsim.report import ROUND_COLUMNS, read_rounds_csv, write_rounds_csv, write_run, write_summary_json
+from mapsim.report import ROUND_COLUMNS, write_rounds_csv, write_run, write_summary_json
 
 CFG = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=9)
+
+
+def _optional_float(cell):
+    return float(cell) if cell else None
+
+
+# each column's parser, int unless named; only avg_delay_s may be empty,
+# every other parser raises on an empty cell
+PARSERS = {"avg_handover": float, "avg_delay_s": _optional_float}
+
+
+def read_rounds_csv(path):
+    """Parse a rounds file back into typed dicts."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [
+            {column: PARSERS.get(column, int)(row[column]) for column, _ in ROUND_COLUMNS}
+            for row in csv.DictReader(fh)
+        ]
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -44,9 +62,9 @@ def _cell_rounds_csv(path, rounds):
     """The rounds.csv writer as it was: one formatted string per cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([column for column, _, _ in ROUND_COLUMNS])
+        writer.writerow([column for column, _ in ROUND_COLUMNS])
         for m in rounds:
-            writer.writerow([_cell(getattr(m, name)) for _, name, _ in ROUND_COLUMNS])
+            writer.writerow([_cell(getattr(m, name)) for _, name in ROUND_COLUMNS])
 
 
 COUNTS = st.integers(0, 2**70)
