@@ -7,7 +7,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any
 
@@ -87,10 +87,8 @@ class SimConfig:
 
     @cached_property
     def limits(self) -> AdmissionLimits:
-        """The admission rule's threshold distances, found once per config."""
-        from .pathing import AdmissionLimits  # pathing imports this module
-
-        return AdmissionLimits(self)
+        """The admission rule's threshold distances, shared across rng_seed and strategy."""
+        return _shared_limits(self.replace(rng_seed=0, strategy=STRATEGIES[0]))
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -111,6 +109,13 @@ class SimConfig:
     def from_json(cls, path: Any) -> "SimConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+@lru_cache(maxsize=32)
+def _shared_limits(rule: SimConfig) -> AdmissionLimits:
+    from .pathing import AdmissionLimits  # pathing imports this module
+
+    return AdmissionLimits(rule)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -135,6 +140,12 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.vehicle_density >= 0, "vehicle_density must be non-negative")
     _require(0 <= cfg.speed_min <= cfg.speed_max, "speeds must satisfy 0 <= speed_min <= speed_max")
     _require(cfg.dt > 0, "dt must be positive")
+    # a step leaves a position under road_length + speed x dt before it wraps;
+    # an overflow there would make every position NaN
+    _require(
+        math.isfinite(speed_to_mps(cfg.speed_max) * cfg.dt + cfg.road_length),
+        "speed_max over one dt, plus road_length, overflows to infinity",
+    )
     _require(cfg.total_time >= 0, "total_time must be non-negative")
     rounds = (cfg.total_time + 1e-9) // cfg.dt  # rounds() before its int(), which can overflow
     _require(rounds <= MAX_ROUNDS, f"total_time / dt gives {rounds:.3g} rounds, over {MAX_ROUNDS}")
@@ -171,6 +182,14 @@ def _validate(cfg: SimConfig) -> None:
     _require(cfg.handover_penalty >= 0, "handover_penalty must be non-negative")
     _require(cfg.low_sinr_penalty >= 0, "low_sinr_penalty must be non-negative")
     _require(cfg.stability_reward >= 0, "stability_reward must be non-negative")
+    # a round charges an identity for at most max_paths grown links and one
+    # drawn clone handover, then for a weak link; min() keeps a max_paths
+    # past the float range from raising as it converts
+    charge = cfg.handover_penalty * min(cfg.max_paths + 1, sys.float_info.max) + cfg.low_sinr_penalty
+    _require(
+        math.isfinite(charge),
+        "handover_penalty x (max_paths + 1) + low_sinr_penalty, the most one round charges, overflows to infinity",
+    )
     _require(0 < cfg.map_fraction <= 1, "map_fraction must lie in (0, 1]")
     _require(0 <= cfg.sybil_fraction <= 1, "sybil_fraction must lie in [0, 1]")
     # one attacker's clones alone are sybil_clones identities; the expected

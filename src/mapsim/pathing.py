@@ -10,10 +10,11 @@ The model has no co-channel interference, so a link's delay and SNR depend
 on its length alone and its bandwidth on its length and share count, and
 none of them improves as either grows. Every admission test is therefore a
 comparison `d < limit` against a threshold distance that depends only on
-the config and the share count (`AdmissionLimits`, cached as
-`SimConfig.limits`): the delay bound's, then a running minimum as the
-bandwidth floor tightens with the count, each found once by bisection with
-the scalar radio functions, the floor's near its closed-form distance.
+the config and the share count (`AdmissionLimits`, shared as
+`SimConfig.limits` by every config that differs only in seed or strategy):
+the delay bound's, then a running minimum as the bandwidth floor tightens
+with the count, each found once by bisection with the scalar radio
+functions.
 
 The engine runs each pass as array operations (`mapsim.engine.attach`)
 on links as (identity, MAP identity, distance) arrays, with share counts
@@ -73,23 +74,19 @@ def count_handovers(prev, new):
     return np.count_nonzero(fresh, axis=-1)
 
 
-def threshold(passes: Callable[[float], bool], reach: float, guess: float = math.nan) -> float:
+def threshold(passes: Callable[[float], bool], reach: float) -> float:
     """Least distance in [0, reach] at which `passes` fails; inf if none does.
 
     `passes` must hold below some distance and fail from it on. Then, for
     every d in [0, reach], `d < threshold(passes, reach)` equals passes(d).
     Non-negative float64s order as their bit patterns do, so this bisects
-    over the bit patterns, calling the scalar predicate itself: only those
-    in guess x (1 -/+ 2**-40) if passes holds at its low end and fails at
-    its high end within reach, else all of [0, reach].
+    over the bit patterns of [0, reach], calling the scalar predicate itself.
     """
-    lo, hi = _bits(guess * (1 - 2**-40)), _bits(guess * (1 + 2**-40))
-    if not (guess > 0.0 and hi <= _bits(reach) and passes(_float(lo)) and not passes(_float(hi))):
-        if passes(reach):
-            return math.inf
-        if not passes(0.0):
-            return 0.0
-        lo, hi = 0, _bits(reach)
+    if passes(reach):
+        return math.inf
+    if not passes(0.0):
+        return 0.0
+    lo, hi = 0, _bits(reach)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if passes(_float(mid)):
@@ -116,8 +113,9 @@ class AdmissionLimits:
     link delay alone. A probe must meet the delay bound and the bandwidth
     floor, and the floor only tightens as the count grows, so table[c] is
     the running minimum of table[c - 1] and where count c's bandwidth
-    fails, bisected near its closed form (see `at`). Past a 0.0 entry no
-    probe is admitted and the table stops.
+    fails, bisected in full by `threshold`. Past a 0.0 entry no probe is
+    admitted and the table stops. `SimConfig.limits` shares one instance
+    among the configs of one rule.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -138,12 +136,7 @@ class AdmissionLimits:
             def wide(d: float) -> bool:
                 return link_bandwidth(compute_sinr(d, cfg), count, cfg) >= cfg.bandwidth_min
 
-            try:  # the SNR at which count's share meets the floor is 2**(count * bandwidth_min / b_cap) - 1
-                snr = math.expm1(count * cfg.bandwidth_min / cfg.b_cap * math.log(2))
-                guess = (cfg.tx_power / (cfg.noise_power * snr)) ** (1 / cfg.path_loss_exp)
-            except (OverflowError, ZeroDivisionError):
-                guess = math.nan
-            self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach), guess)))
+            self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach))))
         return self.table.take(counts, mode="clip")
 
 
@@ -152,14 +145,11 @@ def occurrence(keys: np.ndarray) -> np.ndarray:
     span = np.arange(len(keys))
     # unique composite keys sort the same with or without stability
     order = (keys * len(keys) + span).argsort()
+    ranked = keys[order]
     out = np.empty_like(span)
-    out[order] = place(keys[order])
+    # in key order an element's occurrence is its index less its key's first index
+    out[order] = span - ranked.searchsorted(ranked)
     return out
-
-
-def place(keys: np.ndarray) -> np.ndarray:
-    """occurrence of ascending keys: each index less its key's first index."""
-    return np.arange(len(keys)) - keys.searchsorted(keys)
 
 
 def resolve(

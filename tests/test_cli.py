@@ -83,10 +83,13 @@ def test_simulate_seed_and_strategy_override(tmp_path):
         ),
         ({"a0": 1e300, "strategy": "independent-random"}, FAR_DELAY),
         ({"road_length": int("9" * 400)}, "road_length must be a finite number"),
+        ({"speed_min": 1e308, "speed_max": 1e308}, "speed_max over one dt, plus road_length, overflows to infinity"),
+        ({"handover_penalty": 1e308}, "the most one round charges, overflows to infinity"),
     ],
     ids=[
         "negative-length", "string-flag", "inexact-load", "near-snr-overflow",
         "steep-path-loss", "tiny-d_c", "huge-a0", "int-past-float-range",
+        "step-overflow", "trust-charge-overflow",
     ],
 )
 def test_simulate_rejects_bad_config(tmp_path, capsys, data, why):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -88,17 +89,24 @@ def test_load_max_past_exact_float64_is_rejected(load_max):
     assert SimConfig(load_max=2**53).load_max == 2**53
 
 
+# the largest speed_max whose step over the default dt, plus the default
+# road_length, is finite, and the largest handover_penalty whose most one
+# round charges at the default max_paths and low_sinr_penalty is
+MAX_SPEED = 6.471695285504336e307
+MAX_PENALTY = 5.992310449541052e307
+
 # accepted configs at the ends of their fields' ranges; the largest fleet
 # MAX_IDENTITIES accepts is left out as too slow and too large for the suite
 EDGE_CONFIGS = [
     {"road_length": 1e-300, "vehicle_density": 1e300},
-    {"speed_min": 1e300, "speed_max": 1e300},
+    {"speed_min": MAX_SPEED, "speed_max": MAX_SPEED},
+    {"handover_penalty": MAX_PENALTY},
     {"path_loss_exp": 1e-300},
     # the farthest-link delay rule's extremes at the default radio constants
     {"d_c": 1.2826677504057428e-283},
     {"a0": 1.7718752747999995e284},
     *({name: 9.979201547673597e284} for name in ("b0", "sinr_threshold")),
-    *({name: 1e300} for name in ("delay_threshold", "bandwidth_min", "handover_penalty", "stability_reward")),
+    *({name: 1e300} for name in ("delay_threshold", "bandwidth_min", "stability_reward")),
     {"b_cap": 1e-300},
     {"b_cap": 1e300},
     {"sinr_threshold": 1e-300},
@@ -136,6 +144,37 @@ def test_identity_bound_is_inclusive():
             SimConfig(**changes)
     with pytest.raises(ValueError, match=r"^sybil_clones must lie in 0\.\.16384$"):
         SimConfig(sybil_fraction=0.0, sybil_clones=MAX_IDENTITIES + 1)
+
+
+def test_step_bound_is_inclusive():
+    # speed_to_mps(speed_max) x dt + road_length
+    SimConfig(speed_max=MAX_SPEED)
+    SimConfig(speed_max=3.6e300, dt=1e8)
+    for changes in (
+        {"speed_max": np.nextafter(MAX_SPEED, math.inf)},
+        {"speed_min": 1e308, "speed_max": 1e308},
+        {"speed_max": 3.6e300, "dt": 1e9},
+    ):
+        with pytest.raises(ValueError, match=r"^speed_max over one dt, plus road_length, overflows to infinity$"):
+            SimConfig(**changes)
+
+
+def test_trust_charge_bound_is_inclusive():
+    # handover_penalty x (max_paths + 1) + low_sinr_penalty
+    SimConfig(handover_penalty=MAX_PENALTY)
+    SimConfig(handover_penalty=2.0**1020, max_paths=14, low_sinr_penalty=2.0**1019)
+    SimConfig(handover_penalty=0.0, low_sinr_penalty=sys.float_info.max)
+    # a max_paths past the float range is compared, not converted
+    SimConfig(max_paths=10**400, handover_penalty=0.0)
+    for changes in (
+        {"handover_penalty": np.nextafter(MAX_PENALTY, math.inf)},
+        {"handover_penalty": 1e308},
+        {"handover_penalty": 2.0**1020, "max_paths": 15},
+        {"handover_penalty": 2.0**1020, "max_paths": 14, "low_sinr_penalty": 2.0**1020},
+        {"max_paths": 10**400},
+    ):
+        with pytest.raises(ValueError, match=r"^handover_penalty x \(max_paths \+ 1\) \+ low_sinr_penalty, "):
+            SimConfig(**changes)
 
 
 def test_round_bound_is_inclusive():
