@@ -6,8 +6,9 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .config import STRATEGIES, SimConfig
 from .engine import run_simulation
@@ -72,19 +73,27 @@ def _entries(flag: str, text: str, field: str, parse: Callable[[str], Any]) -> l
     return values
 
 
-def _make_out(out: Path) -> None:
-    """Create the output directory, or say why --out cannot be one."""
+@contextmanager
+def _writing(out: Path) -> Iterator[None]:
+    """Say why --out cannot hold what the block writes there."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as exc:
         raise BadInput(f"bad --out {str(out)!r}: {exc}") from exc
+
+
+def _make_out(out: Path) -> None:
+    """Create the output directory, or say why --out cannot be one."""
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args, rng_seed=args.seed, strategy=args.strategy)
     _make_out(args.out)
     report = run_simulation(cfg)
-    out = write_run(args.out, report)
+    with _writing(args.out):
+        out = write_run(args.out, report)
     for key, value in report.summary.items():
         print(f"{key}: {value}")
     print(f"elapsed_s: {report.elapsed_s:.3f}")
@@ -97,7 +106,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _entries("--seeds", args.seeds, "rng_seed", int)
     strategies = _entries("--strategies", args.strategies, "strategy", str)
     _make_out(args.out)
-    result = run_comparison(cfg, seeds, strategies, args.out)
+    with _writing(args.out):
+        result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(
             f"{metric}=n/a" if row[f"{metric}_mean"] is None

@@ -269,21 +269,30 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
     is indexed by identity and prev holds the previous round's links as
     (identity, MAP) arrays in probe order. The held links, as many as the
     count, lead, then the grown ones.
-    Each pass speculates the links a probe at each MAP's current count
-    would admit and resolve admits them at exact counts (see
+    independent-random and distance-based take one link per client
+    unconditionally and never read `config.limits`; the sequence-based and
+    blockchain passes speculate the links a probe at each MAP's current
+    count would admit and resolve admits them at exact counts (see
     mapsim.pathing). Link distances are ring distances of the pairs a pass
-    reads: growth builds a client x MAP grid over the vehicles with a free
-    slot after retention only, and distance-based over every vehicle, as
-    it reads each one's nearest MAP.
+    reads, between(who[:, None], maps) being a client x MAP grid: growth
+    builds one over the vehicles with a free slot after retention only,
+    and distance-based over every client, for its nearest MAP.
     """
-    limits = config.limits
-    shares = np.zeros(len(position), dtype=np.int64)
 
     def between(who, to):
         return ring_distance(position[who], position[to], config.road_length)
 
-    def grid(who):
-        return ring_distance(position[who][:, None], position[maps][None, :], config.road_length)
+    # the single path policies offer each client one link, none without a MAP
+    single = served if len(maps) else served[:0]
+    if config.strategy == "independent-random":
+        to = maps[rng.integers(0, len(maps), size=len(single))] if len(single) else single
+        return single, to, between(single, to), 0
+    if config.strategy == "distance-based":
+        to = maps[between(single[:, None], maps).argmin(axis=1)] if len(single) else single
+        return single, to, between(single, to), 0
+
+    limits = config.limits
+    shares = np.zeros(len(position), dtype=np.int64)
 
     def admitted(who, to, dist):
         """Speculation over fixed candidate links, identities ascending."""
@@ -296,59 +305,47 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
 
         return speculate
 
-    if config.strategy == BLOCKCHAIN:
-        # every vehicle re-books its paths before any grows new ones; the
-        # candidates are its previous links to MAPs still elected, in probe order
-        who, to = prev
-        role = np.zeros(len(position), dtype=np.int8)
-        role[served], role[maps] = 1, 2
-        live = (role[who] == 1) & (role[to] == 2)
-        order = who[live].argsort(kind="stable")
-        who, to = who[live][order], to[live][order]
-        hw, ht, _ = held = resolve(admitted(who, to, between(who, to)), shares, limits)
+    if config.strategy == "sequence-based":
+        to = maps[(single + round_index) % max(1, len(maps))]
+        return *resolve(admitted(single, to, between(single, to)), shares, limits), 0
 
-        # growth takes the nearest open MAPs by (distance, ident) for the
-        # vehicles with a free slot; a vehicle holds each MAP at most once,
-        # so len(maps) caps its slots, and its held MAPs are never open
-        free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
-        grows = served[free[served] > 0]
-        dmat = grid(grows)
-        keep = free[hw] > 0
-        dmat[grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])] = np.inf
-        free = free[grows]
-        width = int(free.max(initial=0))
+    # every vehicle re-books its paths before any grows new ones; the
+    # candidates are its previous links to MAPs still elected, in probe order
+    who, to = prev
+    role = np.zeros(len(position), dtype=np.int8)
+    role[served], role[maps] = 1, 2
+    live = (role[who] == 1) & (role[to] == 2)
+    order = who[live].argsort(kind="stable")
+    who, to = who[live][order], to[live][order]
+    hw, ht, _ = held = resolve(admitted(who, to, between(who, to)), shares, limits)
 
-        def grow(start):
-            at = grows.searchsorted(start)
-            view = dmat[at:]
-            open_d = np.where(view < limits.at(shares[maps] + 1), view, np.inf)
-            span = np.arange(len(view))
-            pick = np.empty((len(view), width), dtype=np.int64)
-            pick_d = np.empty((len(view), width))
-            for t in range(width):
-                pick[:, t] = j = open_d.argmin(axis=1)
-                pick_d[:, t] = open_d[span, j]
-                open_d[span, j] = np.inf
-            rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
-            return grows[rows + at], maps[pick[rows, t]], pick_d[rows, t]
+    # growth takes the nearest open MAPs by (distance, ident) for the
+    # vehicles with a free slot; a vehicle holds each MAP at most once,
+    # so len(maps) caps its slots, and its held MAPs are never open
+    free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
+    grows = served[free[served] > 0]
+    dmat = between(grows[:, None], maps)
+    keep = free[hw] > 0
+    dmat[grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])] = np.inf
+    free = free[grows]
+    width = int(free.max(initial=0))
 
-        grown = resolve(grow, shares, limits)
-        who, to, dist = (np.concatenate(pair) for pair in zip(held, grown))
-        n_held = len(hw)
-    else:
-        # single path policies; only sequence-based admits
-        who = served if len(maps) else served[:0]
-        if config.strategy == "independent-random":
-            to = maps[rng.integers(0, len(maps), size=len(who))] if len(who) else who
-        elif config.strategy == "distance-based":
-            to = maps[grid(who).argmin(axis=1)] if len(who) else who
-        else:
-            to = maps[(who + round_index) % max(1, len(maps))]
-        dist = between(who, to)
-        if config.strategy == "sequence-based":
-            who, to, dist = resolve(admitted(who, to, dist), shares, limits)
-        n_held = 0
-    return who, to, dist, n_held
+    def grow(start):
+        at = grows.searchsorted(start)
+        view = dmat[at:]
+        open_d = np.where(view < limits.at(shares[maps] + 1), view, np.inf)
+        span = np.arange(len(view))
+        pick = np.empty((len(view), width), dtype=np.int64)
+        pick_d = np.empty((len(view), width))
+        for t in range(width):
+            pick[:, t] = j = open_d.argmin(axis=1)
+            pick_d[:, t] = open_d[span, j]
+            open_d[span, j] = np.inf
+        rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
+        return grows[rows + at], maps[pick[rows, t]], pick_d[rows, t]
+
+    grown = resolve(grow, shares, limits)
+    return *(np.concatenate(pair) for pair in zip(held, grown)), len(hw)
 
 
 def build_summary(

@@ -370,6 +370,29 @@ def test_unusable_out_rejected_before_running(tmp_path, capsys, monkeypatch, com
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, blocker", [
+    # run_comparison's per-run directory is an existing file
+    ("compare", "blockchain-multipath_seed1"),
+    # write_run's ledger file is a directory, found after the other two files
+    ("simulate", "ledger.json"),
+])
+def test_artifact_write_failure_is_one_line_and_exit_2(tmp_path, capsys, command, blocker):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "compare":
+        (out / blocker).write_text("")
+    else:
+        (out / blocker).mkdir()
+    argv = [command, "--config", str(write_config(tmp_path, total_time=20.0)), "--out", str(out)]
+    assert main(argv + (["--seeds", "1", "--strategies", "blockchain-multipath"] if command == "compare" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad --out {str(out)!r}: ")
+    assert blocker in err
+    assert err.count("\n") == 1
+    if command == "simulate":
+        assert {p.name for p in out.iterdir()} == {"rounds.csv", "summary.json", "ledger.json"}
+
+
 @pytest.mark.parametrize("level", ["bogus", "", "10"])
 def test_bad_log_level_rejected(tmp_path, capsys, monkeypatch, level):
     monkeypatch.setenv("MAPSIM_LOG_LEVEL", level)

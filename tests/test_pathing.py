@@ -463,6 +463,23 @@ def test_a_new_seed_bisects_only_counts_its_rule_has_not_met(monkeypatch):
         assert len(asked) == 2 * len(counts)
 
 
+def test_only_the_admitting_policies_read_the_limit_table(monkeypatch):
+    import mapsim.config as config
+    import mapsim.pathing as pathing
+
+    asked, sinr = [], pathing.compute_sinr
+    monkeypatch.setattr(pathing, "compute_sinr", lambda *a: asked.append(None) or sinr(*a))
+    # a b_cap no other test runs, so its rule has no table yet
+    rule = SimConfig(b_cap=1.2345, total_time=20.0)
+    for strategy, admits in (("independent-random", False), ("distance-based", False), ("sequence-based", True)):
+        asked.clear()
+        cfg, built = rule.replace(strategy=strategy), config._shared_limits.cache_info().misses
+        engine.run_simulation(cfg)
+        assert ("limits" in vars(cfg)) == admits, strategy
+        assert config._shared_limits.cache_info().misses == built + admits, strategy
+        assert bool(asked) == admits, strategy
+
+
 @given(st.lists(st.integers(0, 6), max_size=200))
 def test_occurrence_counts_earlier_equal_keys(keys):
     want = [keys[:i].count(k) for i, k in enumerate(keys)]
@@ -671,6 +688,17 @@ def attach_inputs(draw):
     return cfg, draw(st.integers(0, 5)), draw(st.integers(0, 2**32 - 1)), served, maps, position, prev
 
 
+def empty_attach_inputs():
+    """attach_inputs' form, per strategy with no MAP and with no client."""
+    position, none = np.arange(6) * 150.0, np.zeros(0, dtype=np.int64)
+    for strategy in STRATEGIES:
+        cfg = SimConfig(road_length=900.0, strategy=strategy)
+        # the previous links' MAPs are MAPs no longer
+        yield cfg, 1, 0, np.arange(6), none, position, (np.array([0, 1]), np.array([2, 3]))
+        # and here their clients are clients no longer
+        yield cfg, 1, 0, none, np.array([1, 4]), position, (np.array([0, 2]), np.array([1, 4]))
+
+
 def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # each resolve call records its pass and its speculations as (start,
     # rows, cols); `passes` names the passes the next attach resolves;
@@ -702,12 +730,10 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     monkeypatch.setattr(engine, "resolve", recorded)
     monkeypatch.setattr(engine, "ring_distance", measured)
 
-    # a fixed example sequence, so that the re-speculations it asserts
-    # always run
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(attach_inputs())
     def check(inputs):
         cfg, round_index, seed, served, maps, position, prev = inputs
+        seen["no MAP", cfg.strategy] += not len(maps)
+        seen["no client", cfg.strategy] += not len(served)
         passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
         dmat = ring_distance(position[served][:, None], position[maps][None, :], cfg.road_length)
         *want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
@@ -724,7 +750,13 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         # growth builds its grid over the vehicles retention left a free slot
         seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[0] < len(served)
 
-    check()
+    # every policy's early return also runs on empty arrays
+    for inputs in empty_attach_inputs():
+        check = example(inputs)(check)
+    # a fixed example sequence, so that the re-speculations it asserts
+    # always run
+    settings(max_examples=500, deadline=None, derandomize=True)(given(attach_inputs())(check))()
+    assert all(seen[case, s] for case in ("no MAP", "no client") for s in STRATEGIES)
     # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
     assert seen["partial growth"] > 0
