@@ -82,15 +82,10 @@ def _writing(out: Path) -> Iterator[None]:
         raise BadInput(f"bad --out {str(out)!r}: {exc}") from exc
 
 
-def _make_out(out: Path) -> None:
-    """Create the output directory, or say why --out cannot be one."""
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args, rng_seed=args.seed, strategy=args.strategy)
-    _make_out(args.out)
+    with _writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     report = run_simulation(cfg)
     with _writing(args.out):
         out = write_run(args.out, report)
@@ -105,8 +100,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config(args)
     seeds = _entries("--seeds", args.seeds, "rng_seed", int)
     strategies = _entries("--strategies", args.strategies, "strategy", str)
-    _make_out(args.out)
     with _writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
         result = run_comparison(cfg, seeds, strategies, args.out)
     for row in result["rows"]:
         cells = ", ".join(

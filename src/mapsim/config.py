@@ -7,14 +7,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
 from numbers import Integral, Real
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from . import radio
-
-if TYPE_CHECKING:
-    from .pathing import AdmissionLimits
 
 KMH_TO_MPS = 1000.0 / 3600.0
 
@@ -85,11 +81,6 @@ class SimConfig:
         # tolerate float jitter in total_time / dt; partial rounds do not run
         return int((self.total_time + 1e-9) // self.dt)
 
-    @cached_property
-    def limits(self) -> AdmissionLimits:
-        """The admission rule's threshold distances, shared across rng_seed and strategy."""
-        return _shared_limits(self.replace(rng_seed=0, strategy=STRATEGIES[0]))
-
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
@@ -109,13 +100,6 @@ class SimConfig:
     def from_json(cls, path: Any) -> "SimConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-@lru_cache(maxsize=32)
-def _shared_limits(rule: SimConfig) -> AdmissionLimits:
-    from .pathing import AdmissionLimits  # pathing imports this module
-
-    return AdmissionLimits(rule)
 
 
 def _require(ok: bool, message: str) -> None:

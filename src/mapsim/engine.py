@@ -14,7 +14,7 @@ import numpy as np
 from .config import SimConfig
 from .fleet import Vehicle, make_fleet, ring_distance, step_positions
 from .ledger import Ledger
-from .pathing import PathAssignment, occurrence, resolve
+from .pathing import PathAssignment, occurrence, resolve, limits as rule_limits
 # not called here; the benchmark's tracer wraps the reference passes on this module
 from .pathing import baseline_paths, count_handovers, grow_paths, retain_paths  # noqa: F401
 from .radio import link_quality, make_link_stats
@@ -270,13 +270,13 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
     (identity, MAP) arrays in probe order. The held links, as many as the
     count, lead, then the grown ones.
     independent-random and distance-based take one link per client
-    unconditionally and never read `config.limits`; the sequence-based and
-    blockchain passes speculate the links a probe at each MAP's current
-    count would admit and resolve admits them at exact counts (see
-    mapsim.pathing). Link distances are ring distances of the pairs a pass
-    reads, between(who[:, None], maps) being a client x MAP grid: growth
-    builds one over the vehicles with a free slot after retention only,
-    and distance-based over every client, for its nearest MAP.
+    unconditionally and never call `pathing.limits(config)`; the
+    sequence-based and blockchain passes speculate the links a probe at
+    each MAP's current count would admit, and resolve admits them at
+    exact counts (see mapsim.pathing). Link distances are ring distances
+    of the pairs a pass reads, between(who[:, None], maps) being a client
+    x MAP grid: growth builds one over the vehicles with a free slot
+    after retention only, and distance-based over every client.
     """
 
     def between(who, to):
@@ -291,7 +291,7 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
         to = maps[between(single[:, None], maps).argmin(axis=1)] if len(single) else single
         return single, to, between(single, to), 0
 
-    limits = config.limits
+    limits = rule_limits(config)
     shares = np.zeros(len(position), dtype=np.int64)
 
     def admitted(who, to, dist):

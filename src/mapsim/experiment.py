@@ -27,9 +27,7 @@ def _mean_std(values: Sequence[float | None]) -> tuple[float | None, float | Non
     vals = [float(v) for v in values if v is not None]
     if not vals:
         return None, None
-    if len(vals) == 1:
-        return vals[0], 0.0
-    return fmean(vals), stdev(vals)
+    return fmean(vals), stdev(vals) if len(vals) > 1 else 0.0
 
 
 def run_comparison(
@@ -44,6 +42,7 @@ def run_comparison(
     """
     seeds = list(seeds)
     runs: dict[str, dict[int, dict]] = {}
+    rows = []
     for strategy in strategies:
         runs[strategy] = {}
         for seed in seeds:
@@ -52,13 +51,9 @@ def run_comparison(
             runs[strategy][seed] = report.summary
             if out_dir is not None:
                 write_run(Path(out_dir) / f"{strategy}_seed{seed}", report)
-    rows = []
-    for strategy in strategies:
         row: dict[str, Any] = {"strategy": strategy}
         for metric in COMPARE_METRICS:
-            mean, std = _mean_std([runs[strategy][s][metric] for s in seeds])
-            row[f"{metric}_mean"] = mean
-            row[f"{metric}_std"] = std
+            row[f"{metric}_mean"], row[f"{metric}_std"] = _mean_std([runs[strategy][s][metric] for s in seeds])
         rows.append(row)
     if out_dir is not None:
         out = Path(out_dir)

@@ -10,11 +10,11 @@ The model has no co-channel interference, so a link's delay and SNR depend
 on its length alone and its bandwidth on its length and share count, and
 none of them improves as either grows. Every admission test is therefore a
 comparison `d < limit` against a threshold distance that depends only on
-the config and the share count (`AdmissionLimits`, shared as
-`SimConfig.limits` by every config that differs only in seed or strategy):
-the delay bound's, then a running minimum as the bandwidth floor tightens
-with the count, each found once by bisection with the scalar radio
-functions.
+the config and the share count (`AdmissionLimits`, shared through
+`pathing.limits(config)` by every config that differs only in seed or
+strategy): the delay bound's, then a running minimum as the bandwidth
+floor tightens with the count, each found once by bisection with the
+scalar radio functions.
 
 The engine runs each pass as array operations (`mapsim.engine.attach`)
 on links as (identity, MAP identity, distance) arrays, with share counts
@@ -42,11 +42,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import SimConfig
+from .config import STRATEGIES, SimConfig
 from .radio import LinkStats, compute_sinr, link_bandwidth, path_delay
 
 
@@ -114,8 +115,8 @@ class AdmissionLimits:
     floor, and the floor only tightens as the count grows, so table[c] is
     the running minimum of table[c - 1] and where count c's bandwidth
     fails, bisected in full by `threshold`. Past a 0.0 entry no probe is
-    admitted and the table stops. `SimConfig.limits` shares one instance
-    among the configs of one rule.
+    admitted and the table stops. `pathing.limits(config)` shares one
+    instance among the configs of one rule.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -138,6 +139,18 @@ class AdmissionLimits:
 
             self.table = np.append(self.table, min(bound, threshold(wide, min(bound, self.reach))))
         return self.table.take(counts, mode="clip")
+
+
+# one table per rule, keyed by the whole config with seed and strategy
+# normalised, so a field added later is part of the rule
+_rule_limits = lru_cache(maxsize=32)(AdmissionLimits)
+
+
+@lru_cache(maxsize=128)
+def limits(config: SimConfig) -> AdmissionLimits:
+    """The admission rule's threshold distances, shared across rng_seed and strategy."""
+    # a config met before skips the rule key's replace(), which validates anew
+    return _rule_limits(config.replace(rng_seed=0, strategy=STRATEGIES[0]))
 
 
 def occurrence(keys: np.ndarray) -> np.ndarray:

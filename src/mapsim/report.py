@@ -10,6 +10,7 @@ ledger.json is. Wall clock time deliberately stays out of the files.
 from __future__ import annotations
 
 import csv
+import os
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
@@ -45,10 +46,26 @@ def write_summary_json(path: Any, summary: dict) -> None:
 
 
 def write_run(out_dir: Any, report: SimulationReport) -> Path:
-    """Write rounds.csv, summary.json and ledger.json under out_dir."""
+    """Write rounds.csv, summary.json and ledger.json under out_dir, all three or none.
+
+    Each is written under a temporary name in out_dir, and all three are
+    renamed into place once written. A failure removes the temporaries and
+    the artifacts already renamed, then propagates.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(out / "rounds.csv", report.round_metrics)
-    write_summary_json(out / "summary.json", report.summary)
-    report.ledger.to_json(out / "ledger.json")
+    names = ("rounds.csv", "summary.json", "ledger.json")
+    # where each artifact lies: its temporary name, then its own once renamed
+    made = [out / f".{name}.tmp" for name in names]
+    try:
+        write_rounds_csv(made[0], report.round_metrics)
+        write_summary_json(made[1], report.summary)
+        report.ledger.to_json(made[2])
+        for i, name in enumerate(names):
+            os.replace(made[i], out / name)
+            made[i] = out / name
+    except BaseException:
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
     return out

@@ -17,12 +17,6 @@ class CandidateTable:
     trust: np.ndarray
     weights: np.ndarray
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Only tests read these: the weights over their sequential sum, as select_maps' scan adds it up."""
-        total = np.cumsum(self.weights)[-1] if len(self.weights) else 0.0
-        return self.weights / total if total > 0 else np.zeros_like(self.weights)
-
 
 def selection_probabilities(load, score, eligible) -> CandidateTable:
     """Weight each eligible identity with positive trust by load times trust.

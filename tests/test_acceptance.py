@@ -25,6 +25,8 @@ from mapsim.ledger import verify_chain
 from mapsim.report import write_run
 from mapsim.selection import select_maps, selection_probabilities
 
+from oracles import probabilities
+
 DATA = Path(__file__).parent / "data"
 SEEDS = tuple(range(1, 11))
 BLOCKCHAIN = "blockchain-multipath"
@@ -161,12 +163,12 @@ def elect_all(rows):
 def test_criterion_06_selection_probability_law():
     table = elect_all([(2, 100.0), (2, 50.0), (1, 50.0)])
     hand = (0.5714285714285714, 0.2857142857142857, 0.14285714285714285)
-    for got, want in zip(table.probabilities, hand):
+    for got, want in zip(probabilities(table), hand):
         assert abs(got - want) <= 1e-12
 
     golden = elect_all([(4, 100.0), (1, 90.0), (3, 80.0), (2, 60.0)])
     fixture = json.loads((DATA / "golden_round.json").read_text())
-    for got, want in zip(golden.probabilities, fixture["expected"]["probabilities"]):
+    for got, want in zip(probabilities(golden), fixture["expected"]["probabilities"]):
         assert abs(got - want) <= 1e-12
 
     rng = np.random.default_rng(5)
@@ -174,12 +176,12 @@ def test_criterion_06_selection_probability_law():
         n = int(rng.integers(1, 41))
         rows = [(int(rng.integers(1, 5)), float(rng.uniform(1.0, 100.0))) for _ in range(n)]
         t = elect_all(rows)
-        assert abs(sum(t.probabilities) - 1.0) <= 1e-9
+        assert abs(sum(probabilities(t)) - 1.0) <= 1e-9
 
     base = [(1 + i % 4, 10.0 * (i + 1)) for i in range(8)]
-    reference = elect_all(base).probabilities
-    scaled_loads = elect_all([(load * 3, trust) for load, trust in base]).probabilities
-    scaled_trust = elect_all([(load, trust * 2.5) for load, trust in base]).probabilities
+    reference = probabilities(elect_all(base))
+    scaled_loads = probabilities(elect_all([(load * 3, trust) for load, trust in base]))
+    scaled_trust = probabilities(elect_all([(load, trust * 2.5) for load, trust in base]))
     for variant in (scaled_loads, scaled_trust):
         for got, want in zip(variant, reference):
             assert abs(got - want) <= 1e-12
@@ -281,7 +283,7 @@ def test_criterion_09_golden_round_trace():
             str(i): [handovers[i], low_sinr[i], connected[i]] for i in eligible
         },
         "positions": {str(i): p for i, p in enumerate(state.position.tolist())},
-        "probabilities": list(table.probabilities),
+        "probabilities": list(probabilities(table)),
         "v1_stats": stat_block(stats_of[1][0]),
         "v3_stats": stat_block(stats_of[3][0]),
         "weights": list(table.weights),

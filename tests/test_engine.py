@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+from math import fsum
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,12 @@ from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance
 from mapsim.pathing import PathAssignment, count_handovers, occurrence
-from mapsim.radio import make_link_stats
+from mapsim.radio import compute_sinr, make_link_stats, path_delay
 from mapsim.report import write_run
 from mapsim.selection import selection_probabilities
 from mapsim.trust import TrustRecord, update_trust
+
+from oracles import probabilities
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden_round.json").read_text())
 
@@ -91,7 +94,7 @@ def test_golden_election_table():
     table = selection_probabilities(state.load, state.score, eligible)
     assert table.idents.tolist() == exp["eligible"]
     assert list(table.weights) == exp["weights"]
-    assert list(table.probabilities) == exp["probabilities"]
+    assert list(probabilities(table)) == exp["probabilities"]
 
 
 def test_golden_link_stats():
@@ -679,6 +682,89 @@ def test_handover_totals_cover_honest_identities_only():
     assert honest.any()
     assert report.summary["avg_handover"] == int(honest.sum()) / len(honest)
     assert report.summary["zero_handover_vehicles"] == int((honest == 0).sum())
+
+
+def each_round(cfg):
+    """Each round of cfg's run as (previous links, previous MAPs, state, metrics)."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    for r in range(cfg.rounds()):
+        prev_links, prev_maps = state.links, state.maps
+        state, metrics, _ = run_round(state, r, cfg, rng)
+        yield prev_links, prev_maps, state, metrics
+
+
+def maps_held(links, n):
+    """Each identity's set of MAPs in these link arrays."""
+    held = [set() for _ in range(n)]
+    for i, m in zip(links[0].tolist(), links[1].tolist()):
+        held[i].add(m)
+    return held
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("changes", [{}, {"max_paths": 4, "map_fraction": 0.3}])
+def test_round_handovers_average_the_honest_non_map_identities(strategy, changes):
+    # a handover is a MAP an identity holds now and did not hold last
+    # round, none in round 0; the round's metric covers every identity
+    # that is neither a clone nor one of the round's MAPs, served or not
+    cfg = SMALL.replace(strategy=strategy, **changes)
+    moved = 0
+    for prev_links, _, state, m in each_round(cfg):
+        n = len(state.position)
+        before, now = maps_held(prev_links, n), maps_held(state.links, n)
+        outside = set(state.clone_ids.tolist()) | set(state.maps.tolist())
+        counts = [len(now[i] - before[i]) if m.round_index else 0 for i in range(n) if i not in outside]
+        assert m.avg_handover == sum(counts) / len(counts), m.round_index
+        assert (m.max_handover, m.min_handover) == (max(counts), min(counts)), m.round_index
+        moved += sum(counts)
+    assert moved
+
+
+# under blockchain-multipath, a round of the second config flags enough
+# identities that the incumbents outnumber the seats
+ELECTION_CONFIGS = {
+    "default": {},
+    "outnumbered": {"map_fraction": 0.35, "sybil_fraction": 0.3},
+    "no_retention": {"incumbent_retention": False},
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ELECTION_CONFIGS)
+def test_election_size_counts_the_unflagged_identities(strategy, name):
+    # max(1, round(map_fraction x unflagged)) seats, or every retained
+    # incumbent when flagging has left fewer seats than incumbents
+    cfg = SMALL.replace(strategy=strategy, **ELECTION_CONFIGS[name])
+    retains = strategy == engine.BLOCKCHAIN and cfg.incumbent_retention
+    outnumbered = False
+    for _, prev_maps, state, m in each_round(cfg):
+        seats = max(1, round(cfg.map_fraction * int((~state.flagged).sum())))
+        retained = prev_maps[~state.flagged[prev_maps]].tolist() if retains else []
+        assert set(retained) <= set(state.maps.tolist())
+        assert m.elected_maps == len(state.maps) == max(seats, len(retained)), m.round_index
+        outnumbered |= len(retained) > seats
+    assert outnumbered == (retains and name == "outnumbered")
+    # seats differ from a count over every identity only once some are flagged
+    assert state.flagged.any() == (strategy == engine.BLOCKCHAIN)
+
+
+@pytest.mark.parametrize("changes", [{"max_paths": 4}, {"max_paths": 3, "b_cap": 0.2}])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_round_delay_is_the_fsum_mean_of_each_vehicles_link_delays(changes, seed):
+    # three or more link delays summed in float64 can round differently
+    # from the exact sum; each vehicle's mean and the round's mean of those
+    # must be the correctly rounded ones
+    cfg = SimConfig(rng_seed=seed, **changes)
+    widths = set()
+    for _, _, state, m in each_round(cfg):
+        delays = {}
+        for i, d in zip(state.links[0].tolist(), state.links[2].tolist()):
+            delays.setdefault(i, []).append(path_delay(d, compute_sinr(d, cfg), cfg))
+        means = [fsum(ds) / len(ds) for ds in delays.values()]
+        assert m.avg_delay_s == (fsum(means) / len(means) if means else None), m.round_index
+        widths.add(max(map(len, delays.values()), default=0))
+    assert cfg.max_paths in widths
 
 
 def test_baselines_never_flag():

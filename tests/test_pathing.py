@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mapsim.engine as engine
+import mapsim.pathing as pathing
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.fleet import ring_distance
 from mapsim.pathing import (
@@ -307,8 +308,8 @@ def test_cached_limits_match_the_scalar_predicate(
         road_length=road_length, b_cap=b_cap, bandwidth_min=bandwidth_min,
         delay_threshold=delay_threshold, a0=a0, b0=b0, path_loss_exp=path_loss_exp,
     )
-    limits = cfg.limits
-    assert cfg.limits is limits
+    limits = pathing.limits(cfg)
+    assert pathing.limits(cfg) is limits
 
     def check(limit, passes):
         # d < limit must equal passes(d) at the limit and at the float below it
@@ -410,8 +411,6 @@ RING_800 = SimConfig(vehicle_density=0.08, map_fraction=0.2, sybil_fraction=0.0,
 
 
 def test_ring_800_limits_grow_one_entry_per_new_count(monkeypatch):
-    import mapsim.pathing as pathing
-
     limits = pathing.AdmissionLimits(RING_800)
     limits.at(np.array(24))
     calls, bandwidth = [], pathing.link_bandwidth
@@ -425,11 +424,11 @@ def test_ring_800_limits_grow_one_entry_per_new_count(monkeypatch):
 
 
 def test_configs_of_one_rule_share_one_limit_table():
-    limits = SimConfig(rng_seed=1).limits
-    assert SimConfig(rng_seed=2, strategy="sequence-based").limits is limits
+    limits = pathing.limits(SimConfig(rng_seed=1))
+    assert pathing.limits(SimConfig(rng_seed=2, strategy="sequence-based")) is limits
     for strategy in STRATEGIES:
-        assert CFG.replace(strategy=strategy, rng_seed=99).limits is limits
-    other = SimConfig(rng_seed=1, b_cap=3.0).limits
+        assert pathing.limits(CFG.replace(strategy=strategy, rng_seed=99)) is limits
+    other = pathing.limits(SimConfig(rng_seed=1, b_cap=3.0))
     assert other is not limits
     assert other.config.b_cap == 3.0
 
@@ -438,15 +437,13 @@ def test_a_signed_zero_shares_the_table_it_would_build():
     # the cache finds a rule by equality, and -0.0 == 0.0, so a table built
     # for either sign must be the other's
     negative, positive = CFG.replace(a0=-0.0), CFG.replace(a0=0.0)
-    assert negative.limits is positive.limits
+    assert pathing.limits(negative) is pathing.limits(positive)
     counts = np.arange(60)
     for cfg in (negative, positive):
-        assert AdmissionLimits(cfg).at(counts).tolist() == cfg.limits.at(counts).tolist()
+        assert AdmissionLimits(cfg).at(counts).tolist() == pathing.limits(cfg).at(counts).tolist()
 
 
 def test_a_new_seed_bisects_only_counts_its_rule_has_not_met(monkeypatch):
-    import mapsim.pathing as pathing
-
     engine.run_simulation(RING_800.replace(rng_seed=1))
     asked, sinr, bandwidth = [], pathing.compute_sinr, pathing.link_bandwidth
     # every predicate call computes an SNR; a bandwidth one names its count
@@ -455,28 +452,28 @@ def test_a_new_seed_bisects_only_counts_its_rule_has_not_met(monkeypatch):
     # alone, seed 1's run asks for counts 0-29, seed 2's for 0-26 and seed 8's for 0-35
     for seed in (2, 8):
         asked.clear()
-        met = len(RING_800.limits.table)
+        met = len(pathing.limits(RING_800).table)
         engine.run_simulation(RING_800.replace(rng_seed=seed))
         counts = [count for count in asked if count is not None]
-        assert set(counts) == set(range(met, len(RING_800.limits.table)))
+        assert set(counts) == set(range(met, len(pathing.limits(RING_800).table)))
         # each SNR went to a bandwidth call, so the delay limit was not bisected again
         assert len(asked) == 2 * len(counts)
 
 
 def test_only_the_admitting_policies_read_the_limit_table(monkeypatch):
-    import mapsim.config as config
-    import mapsim.pathing as pathing
-
     asked, sinr = [], pathing.compute_sinr
     monkeypatch.setattr(pathing, "compute_sinr", lambda *a: asked.append(None) or sinr(*a))
     # a b_cap no other test runs, so its rule has no table yet
     rule = SimConfig(b_cap=1.2345, total_time=20.0)
     for strategy, admits in (("independent-random", False), ("distance-based", False), ("sequence-based", True)):
         asked.clear()
-        cfg, built = rule.replace(strategy=strategy), config._shared_limits.cache_info().misses
+        cfg = rule.replace(strategy=strategy)
+        # lru_cache counts every call as a hit or a miss
+        before, built = pathing.limits.cache_info(), pathing._rule_limits.cache_info().misses
         engine.run_simulation(cfg)
-        assert ("limits" in vars(cfg)) == admits, strategy
-        assert config._shared_limits.cache_info().misses == built + admits, strategy
+        after = pathing.limits.cache_info()
+        assert (after.hits + after.misses > before.hits + before.misses) == admits, strategy
+        assert pathing._rule_limits.cache_info().misses == built + admits, strategy
         assert bool(asked) == admits, strategy
 
 

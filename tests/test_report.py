@@ -163,3 +163,17 @@ def test_write_run_emits_artifacts(tmp_path):
     assert (out / "ledger.json").is_file()
     summary = json.loads((out / "summary.json").read_text())
     assert summary == json.loads(json.dumps(report.summary))
+    # no temporary outlives the write
+    assert {p.name for p in out.iterdir()} == {"rounds.csv", "summary.json", "ledger.json"}
+
+
+@pytest.mark.parametrize("blocker", ["rounds.csv", "summary.json", "ledger.json"])
+def test_a_failed_write_leaves_no_artifact(tmp_path, blocker):
+    # the blocker directory fails its artifact's rename, after all three are written
+    report = run_simulation(CFG.replace(total_time=20.0))
+    out = tmp_path / "run"
+    (out / blocker).mkdir(parents=True)
+    with pytest.raises(OSError):
+        write_run(out, report)
+    assert [p.name for p in out.iterdir()] == [blocker]
+    assert not any((out / blocker).iterdir())
