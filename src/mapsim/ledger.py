@@ -13,11 +13,12 @@ decoded payload) and "round". Keys are sorted at every level, the indent is
 2 spaces and a newline ends the file, so an empty ledger is "[]\\n". These are
 the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
 
-The writer decodes each payload with one call to the stdlib's C scanner
-(decode_json) and renders it with `indented`, which writes int lists and int
-dict values without a call per element. The reader takes each row's fields
-and makes one type and range check; only a row that fails it goes through
-the ordered field-by-field checks that name the first bad field.
+The writer decodes each payload with one C scanner call (decode_json) and
+renders it with `indented`, which writes ints, strings, empty containers and
+int lists in place. The reader makes one type and range check per row, and
+only a failing row takes the ordered field checks that name the first bad
+field. Both append and the reader encode payloads with one C encoder built
+at import, without cycle markers, so it keeps no per-call state.
 
 A payload's "input_digest" is the sha256 hex digest of the round's election
 table as compact JSON: one [ident, load, trust] row per unflagged identity
@@ -31,18 +32,19 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 GENESIS_HASH = bytes(32)
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
 _pack_indices = struct.Struct("<QQ").pack
 _scan_once = json.JSONDecoder().scan_once
 _U64 = 1 << 64
 
 
 def canonical_payload(obj: Any) -> bytes:
-    return _compact(obj).encode("utf-8")
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")).encode(); a cycle raises RecursionError."""
+    return "".join(_encode(obj, 0)).encode("utf-8")
 
 
 def block_digest(index: int, round_index: int, payload: bytes, prev_hash: bytes) -> bytes:
@@ -64,27 +66,32 @@ def decode_json(text: str) -> Any:
 def indented(obj: Any, pad: str) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with `pad` after every newline,
     for obj built of str-keyed dicts, lists, str, int, float, bool and None."""
-    if type(obj) is int:
-        return int.__repr__(obj)
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if not obj or type(obj) not in (list, dict):
-        return _compact(obj)
+    is_list = type(obj) is list
+    if not (is_list or type(obj) is dict) or not obj:
+        return "".join(_encode(obj, 0))
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(obj) is dict:
-        items = [
-            encode_basestring_ascii(k) + ": " + (int.__repr__(v) if type(v) is int else indented(v, inner))
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
-    # bool is not int here, so true and false keep the recursive path
-    if {int} >= set(map(type, obj)):
-        return "[\n" + inner + sep.join(map(int.__repr__, obj)) + "\n" + pad + "]"
-    return "[\n" + inner + sep.join([indented(v, inner) for v in obj]) + "\n" + pad + "]"
+    out = []
+    for item in obj if is_list else sorted(obj):
+        value = item if is_list else obj[item]
+        kind = type(value)
+        # an exact int, so repr is int's; bool is not int here
+        if kind is int:
+            text = repr(value)
+        elif kind is str:
+            text = encode_basestring_ascii(value)
+        elif not value and (kind is list or kind is dict):
+            text = "[]" if kind is list else "{}"
+        elif kind is list and {int} >= set(map(type, value)):
+            text = "[\n" + inner + "  " + (sep + "  ").join(map(repr, value)) + "\n" + inner + "]"
+        else:
+            text = indented(value, inner)
+        out.append(text if is_list else encode_basestring_ascii(item) + ": " + text)
+    brackets = "[]" if is_list else "{}"
+    return brackets[0] + "\n" + inner + sep.join(out) + "\n" + pad + brackets[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     index: int
     round_index: int

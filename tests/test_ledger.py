@@ -239,6 +239,28 @@ JSON_VALUES = st.recursive(
 )
 
 
+@given(JSON_VALUES)
+@example(float("nan"))
+@example([float("inf"), -float("inf"), -0.0, 0.0])
+@example({"big": 2**70, "neg": -(2**70), "ints": [2**64, -1]})
+@example({"é\u2028": "\U0001f600", "q\"\\\n\x00": "tab\there\x7f"})
+@example({"": [], "e": {}, "n": [[], {"x": [{}, [None, True]]}]})
+def test_canonical_payload_equals_json_dumps(value):
+    assert canonical_payload(value) == json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_canonical_payload_rejects_cycles_and_sets():
+    cyclic = {"round": 1}
+    cyclic["self"] = [cyclic]
+    # no cycle markers, so a cycle ends at the recursion limit rather than json's ValueError
+    with pytest.raises(RecursionError):
+        canonical_payload(cyclic)
+    with pytest.raises(TypeError, match="set"):
+        canonical_payload({"elected": {1, 2}})
+    with pytest.raises(RecursionError):
+        Ledger().append(0, cyclic)
+
+
 def _stdlib_to_json(ledger, path):
     """The ledger.json writer as it was: the stdlib encoder's indent path."""
     rows = [
@@ -265,6 +287,12 @@ def _stdlib_to_json(ledger, path):
 @example([(2**40, {"elected": [0, 13], "excluded": [], "input_digest": "ab" * 32, "round": 5})])
 @example([(1, {"b": True, "i": -(2**70), "l": [True, False], "m": [1, True], "n": [2**65, -0, 7], "z": 0})])
 @example([(1, [[1, 2], [3.0, 4], [None, 5], {"x": [False]}])])
+# one example per value indented writes in place, in a dict and in a list
+@example([(1, {"d": {}, "l": [], "in_list": [[], {}]})])
+@example([(1, {"ints": [2**70, -1, 0], "in_list": [[3], [-(2**65), 4]]})])
+@example([(1, {"bools": [True], "mixed": [1, True, 2], "in_list": [[True, 1]]})])
+@example([(1, {"é": "\u2028é\U0001f600", "esc": "q\"\\\n\x00\t", "in_list": ["\x7f", "ü"]})])
+@example([(1, {"outer": {"inner": {"round": 1}, "n": 2}, "in_list": [{"a": {"b": 3}}]})])
 def test_to_json_bytes_equal_the_stdlib_encoder(tmp_path, steps):
     led = Ledger()
     round_index = 0
