@@ -16,9 +16,10 @@ KMH_TO_MPS = 1000.0 / 3600.0
 
 # a run longer than this is a mistyped dt or total_time, not a simulation
 MAX_ROUNDS = 10**6
-# the most identities a run may expect, clones included; a round's served x
-# MAP grid holds up to identities**2 / 4 cells, so peak RSS at the cap is about
-# 1.1 GB (66 MB at 4,000 identities and map_fraction 0.5, numpy 2.4, x n**2)
+# the most identities a run may expect, clones included; distance-based's
+# served x MAP grid holds up to identities**2 / 4 cells, so its round at the
+# cap peaks near 0.97 GB RSS (15,604 identities, map_fraction 0.5, numpy 2.4);
+# blockchain growth there reads windows of the MAPs in reach and peaks near 0.16 GB
 MAX_IDENTITIES = 2**14
 
 STRATEGIES = (

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import SimConfig
-from .fleet import Vehicle, make_fleet, ring_distance, step_positions
+from .fleet import Vehicle, make_fleet, ring_distance, ring_window, step_positions
 from .ledger import Ledger
 from .pathing import PathAssignment, occurrence, resolve, limits as rule_limits
 # not called here; the benchmark's tracer wraps the reference passes on this module
@@ -22,6 +22,9 @@ from .selection import RowText, select_maps, selection_probabilities, table_dige
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
 
 BLOCKCHAIN = "blockchain-multipath"
+# growth over more client x MAP cells than this reads each client's MAPs in
+# reach (fleet.ring_window) in place of the grid; below it the grid is faster
+GRID_CELLS = 2**16
 
 log = logging.getLogger("mapsim")
 
@@ -275,8 +278,11 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
     each MAP's current count would admit, and resolve admits them at
     exact counts (see mapsim.pathing). Link distances are ring distances
     of the pairs a pass reads, between(who[:, None], maps) being a client
-    x MAP grid: growth builds one over the vehicles with a free slot
-    after retention only, and distance-based over every client.
+    x MAP grid. distance-based builds one over every client. Growth reads
+    the vehicles with a free slot after retention only: a grid up to
+    GRID_CELLS cells, and above it each vehicle's window of the MAPs in
+    reach (fleet.ring_window), whose columns keep ident order and whose
+    pads are inf, so both give the same links.
     """
 
     def between(who, to):
@@ -324,16 +330,31 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
     # so len(maps) caps its slots, and its held MAPs are never open
     free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
     grows = served[free[served] > 0]
-    dmat = between(grows[:, None], maps)
     keep = free[hw] > 0
-    dmat[grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])] = np.inf
+    held_row, held_col = grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])
+    windowed = len(grows) * len(maps) > GRID_CELLS
+    if windowed:
+        # no probe at or past limits.at(1) is admitted, so a vehicle's
+        # candidates are the MAPs in reach: window[i] indexes maps by ident,
+        # padded with len(maps) at inf
+        reach = float(limits.at(np.array(1)))
+        window, dmat = ring_window(position[grows], position[maps], reach, config.road_length)
+        # a held MAP is in reach, so in its row, after the row's lower indices
+        held_col = (window[held_row] < held_col[:, None]).sum(axis=1)
+    else:
+        dmat = between(grows[:, None], maps)
+    dmat[held_row, held_col] = np.inf
     free = free[grows]
     width = int(free.max(initial=0))
 
     def grow(start):
         at = grows.searchsorted(start)
         view = dmat[at:]
-        open_d = np.where(view < limits.at(shares[maps] + 1), view, np.inf)
+        bound = limits.at(shares[maps] + 1)
+        if windowed:
+            # each cell's MAP's limit; a pad, at inf, admits nothing
+            bound = np.append(bound, 0.0)[window[at:]]
+        open_d = np.where(view < bound, view, np.inf)
         span = np.arange(len(view))
         pick = np.empty((len(view), width), dtype=np.int64)
         pick_d = np.empty((len(view), width))
@@ -342,7 +363,8 @@ def attach(config: SimConfig, round_index: int, rng, served, maps, position, pre
             pick_d[:, t] = open_d[span, j]
             open_d[span, j] = np.inf
         rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
-        return grows[rows + at], maps[pick[rows, t]], pick_d[rows, t]
+        cols = window[rows + at, pick[rows, t]] if windowed else pick[rows, t]
+        return grows[rows + at], maps[cols], pick_d[rows, t]
 
     grown = resolve(grow, shares, limits)
     return *(np.concatenate(pair) for pair in zip(held, grown)), len(hw)

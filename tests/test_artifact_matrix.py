@@ -24,5 +24,5 @@ def test_first_seed_of_every_config_and_strategy_is_byte_identical():
     for key, config in artifact_matrix.runs():
         # keys read 'config / strategy / seed'
         first.setdefault(key.rsplit(" / ", 1)[0], (key, config))
-    assert len(first) == 52
+    assert len(first) == 54
     assert artifact_matrix.changed(list(first.values()), artifact_matrix.load()) == []

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,7 +97,9 @@ MAX_SPEED = 6.471695285504336e307
 MAX_PENALTY = 5.992310449541052e307
 
 # accepted configs at the ends of their fields' ranges; the largest fleet
-# MAX_IDENTITIES accepts is left out as too slow and too large for the suite
+# MAX_IDENTITIES accepts runs below for one blockchain-multipath round, whose
+# growth reads windows of the MAPs in reach, and is left out here: every
+# distance-based round there takes a served x MAP grid of about 1 GB
 EDGE_CONFIGS = [
     {"road_length": 1e-300, "vehicle_density": 1e300},
     {"speed_min": MAX_SPEED, "speed_max": MAX_SPEED},
@@ -127,6 +130,23 @@ def test_edge_configs_run_without_warnings(changes, strategy):
     assert report.ledger.verify()
     for key, value in report.summary.items():
         assert not isinstance(value, float) or math.isfinite(value), key
+
+
+def test_a_cold_start_round_at_the_identity_cap_stays_small():
+    # growth's client x MAP grid over 7,802 clients and 7,802 MAPs traced
+    # 988 MB here; the windows of the MAPs in reach keep it near 120 MB
+    cfg = SimConfig(vehicle_density=1.2, map_fraction=0.5, rng_seed=1)
+    rng = np.random.default_rng(cfg.rng_seed)
+    state = initial_state(cfg, rng)
+    assert len(state.position) == 15604
+    tracemalloc.start()
+    try:
+        state, metrics, _ = run_round(state, 0, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metrics.attached > 0
+    assert peak < 300 * 2**20, peak
 
 
 def test_identity_bound_is_inclusive():

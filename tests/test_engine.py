@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mapsim.engine as engine
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
-from mapsim.fleet import ring_distance
+from mapsim.fleet import ring_distance, ring_window
 from mapsim.pathing import PathAssignment, count_handovers, occurrence
 from mapsim.radio import compute_sinr, make_link_stats, path_delay
 from mapsim.report import write_run
@@ -332,9 +332,10 @@ def test_recorded_distances_equal_ring_distance(strategy):
 
 def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
     # criterion 11's 800-vehicle point; most vehicles keep every path they
-    # held, and growth builds the round's one client x MAP grid over the rest
+    # held, and growth builds the round's one client x MAP grid, or above
+    # engine.GRID_CELLS cells its windows, over the rest
     cfg = SimConfig(vehicle_density=0.08, total_time=80.0, map_fraction=0.2, sybil_fraction=0.0, rng_seed=3)
-    grids = []
+    grids, windows = [], []
 
     def measured(a, b, road_length):
         out = ring_distance(a, b, road_length)
@@ -342,7 +343,13 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
             grids.append(a[:, 0].tolist())
         return out
 
+    def windowed(points, sites, reach, road_length):
+        grids.append(points.tolist())
+        windows.append(len(points) * len(sites))
+        return ring_window(points, sites, reach, road_length)
+
     monkeypatch.setattr(engine, "ring_distance", measured)
+    monkeypatch.setattr(engine, "ring_window", windowed)
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_state(cfg, rng)
     shares = []
@@ -360,6 +367,8 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
         shares.append(free.mean())
     assert shares[0] == 1.0
     assert max(shares[1:]) < 0.25, shares
+    # the cold start alone is over the line
+    assert len(windows) == 1 and windows[0] > engine.GRID_CELLS
 
 
 # configs the round-level shortcuts are checked under: default, scarce

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mapsim.config import SimConfig, speed_to_mps
-from mapsim.fleet import make_fleet, ring_distance, step_positions
+from mapsim.fleet import make_fleet, ring_distance, ring_window, step_positions
 
 
 def test_ring_distance_oracles():
@@ -80,6 +82,60 @@ def test_ring_distance_of_index_pairs_equals_the_grid(road_length, seed, shape):
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in grid[rows, cols].tolist()]
     sub = np.unique(rows)
     assert np.array_equal(ring_distance(a[sub][:, None], b[None, :], road_length), grid[sub])
+
+
+@given(
+    road_length=st.one_of(st.floats(1e-3, 1e9), st.sampled_from([1.0, 3.0, 10000.0])),
+    data=st.data(),
+)
+def test_ring_window_holds_every_site_in_reach_once_by_index(road_length, data):
+    # growth reads each vehicle's MAPs in reach from these rows in place of
+    # the full grid, so a row must miss no site under reach and keep index
+    # (MAP ident) order for argmin's lowest-ident tie rule
+    half = road_length / 2
+    edges = [0.0, half, road_length, np.nextafter(road_length, 0.0), np.nextafter(half, 0.0)]
+    point = st.one_of(st.floats(0.0, road_length), st.sampled_from(edges))
+    points = np.array(data.draw(st.lists(point, max_size=12)), dtype=np.float64)
+    # few distinct site positions, so that sites stack
+    spots = data.draw(st.lists(point, min_size=1, max_size=4))
+    sites = np.array(data.draw(st.lists(st.sampled_from(spots), max_size=15)), dtype=np.float64)
+    reach = data.draw(st.one_of(
+        st.floats(0.0, road_length), st.sampled_from([0.0, half, np.nextafter(half, 0.0), road_length, math.inf])
+    ))
+    k = len(sites)
+    cols, dist = ring_window(points, sites, reach, road_length)
+    assert cols.shape == dist.shape and cols.shape[0] == len(points) and cols.shape[1] >= 1
+    grid = ring_distance(points[:, None], sites[None, :], road_length)
+    for i in range(len(points)):
+        pad = cols[i] == k
+        real = cols[i][~pad]
+        # pads last at inf, each site at most once and ascending
+        assert not pad[: len(real)].any() and dist[i][pad].tolist() == [math.inf] * int(pad.sum())
+        assert (np.diff(real) > 0).all() and ((0 <= real) & (real < k)).all()
+        assert set((grid[i] < reach).nonzero()[0].tolist()) <= set(real.tolist())
+        assert [x.hex() for x in dist[i][~pad].tolist()] == [x.hex() for x in grid[i][real].tolist()]
+        if reach >= half:
+            assert real.tolist() == list(range(k))
+        else:
+            # a window, not the ring: no site far past reach
+            assert (grid[i][real] <= reach + road_length * 1e-8).all()
+
+
+def test_ring_window_edge_cases():
+    cols, dist = ring_window(np.array([0.0, 5.0]), np.zeros(0), 2.0, 10.0)
+    assert cols.tolist() == [[0], [0]] and dist.tolist() == [[math.inf], [math.inf]]
+    cols, dist = ring_window(np.zeros(0), np.array([0.0, 9.5]), 2.0, 10.0)
+    assert cols.shape == dist.shape == (0, 1)
+    # across the wrap, both ways, from exactly 0
+    cols, dist = ring_window(np.array([0.0, 9.0]), np.array([9.5, 0.0, 5.0]), 2.0, 10.0)
+    assert cols.tolist() == [[0, 1], [0, 1]] and dist.tolist() == [[0.5, 0.0], [0.5, 1.0]]
+    # sites one step under reach across the wrap, where the tiled copy
+    # rounds past the unwidened arc
+    for road_length, p, site in ((772848.3723411694, 16523.634772226498, 766177.600136755),
+                                 (209341.49908382737, 11210.80475006277, 181179.9865968999)):
+        reach = np.nextafter(ring_distance(p, site, road_length), math.inf)
+        cols, _ = ring_window(np.array([p]), np.array([site]), reach, road_length)
+        assert cols.tolist() == [[0]]
 
 
 def test_step_wraps_around():

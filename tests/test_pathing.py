@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mapsim.engine as engine
 import mapsim.pathing as pathing
 from mapsim.config import STRATEGIES, SimConfig
-from mapsim.fleet import ring_distance
+from mapsim.fleet import ring_distance, ring_window
 from mapsim.pathing import (
     AdmissionLimits,
     PathAssignment,
@@ -628,8 +628,10 @@ def array_attach(config, round_index, rng, served, maps, position, prev):
 def attach_inputs(draw):
     """A dense ring with scarce bandwidth, and previous links to retain.
 
-    The previous links come as probe order lists them: a held block then
-    a grown block, each ascending by identity. Some of them belong to
+    Some draws stack MAPs at one position, or put them within a few metres
+    of either end of the ring, where a window of MAPs in reach wraps. The
+    previous links come as probe order lists them: a held block then a
+    grown block, each ascending by identity. Some of them belong to
     identities that are MAPs now, and some to or from identities left out
     of both served and maps, as flagged ones are.
     """
@@ -650,6 +652,14 @@ def attach_inputs(draw):
         position = rng.uniform(0.0, road_length, n)
     k = draw(st.integers(0, n - 1))
     maps = np.sort(rng.choice(n, k, replace=False))
+    moved = maps[rng.random(k) < 0.5]
+    layout = draw(st.sampled_from(("spread", "stacked", "wrap")))
+    if layout == "stacked" and len(moved):
+        position[moved] = position[moved[0]]
+    elif layout == "wrap":
+        # exactly 0 too, and never past road_length
+        near = rng.integers(0, 4, len(moved)) * rng.random(len(moved))
+        position[moved] = np.where(rng.random(len(moved)) < 0.5, near, road_length - near)
     left = rng.choice(np.setdiff1d(np.arange(n), maps), draw(st.integers(0, (n - k) // 3)), replace=False)
     served = np.setdiff1d(np.arange(n), np.union1d(maps, left))
     dmat = ring_distance(position[served][:, None], position[maps][None, :], road_length)
@@ -699,7 +709,8 @@ def empty_attach_inputs():
 def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # each resolve call records its pass and its speculations as (start,
     # rows, cols); `passes` names the passes the next attach resolves;
-    # `grids` holds the row count of each client x MAP grid attach builds
+    # `grids` holds (kind, rows, cells) of each client x MAP grid or set of
+    # windows attach builds
     seen, loops, passes, grids = Counter(), [], [], []
 
     def recorded(speculate, counts, limits):
@@ -721,31 +732,47 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     def measured(a, b, road_length):
         out = ring_distance(a, b, road_length)
         if np.ndim(out) == 2:
-            grids.append(len(out))
+            grids.append(("grid", len(out), out.size))
         return out
 
+    def windowed(points, sites, reach, road_length):
+        grids.append(("window", len(points), len(points) * len(sites)))
+        return ring_window(points, sites, reach, road_length)
+
+    line = engine.GRID_CELLS
     monkeypatch.setattr(engine, "resolve", recorded)
     monkeypatch.setattr(engine, "ring_distance", measured)
+    monkeypatch.setattr(engine, "ring_window", windowed)
 
     def check(inputs):
         cfg, round_index, seed, served, maps, position, prev = inputs
         seen["no MAP", cfg.strategy] += not len(maps)
         seen["no client", cfg.strategy] += not len(served)
-        passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
         dmat = ring_distance(position[served][:, None], position[maps][None, :], cfg.road_length)
         *want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
-        grids.clear()
-        got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev)
-        # the same links, and the held ones lead attach's arrays
-        assert list(got) == want
-        assert passes == []
+        # at the engine's line, then with every growth over its windows
+        for cells in (line, 0):
+            monkeypatch.setattr(engine, "GRID_CELLS", cells)
+            passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
+            grids.clear()
+            got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev)
+            # the same links, and the held ones lead attach's arrays
+            assert list(got) == want
+            assert passes == []
+            if cfg.strategy == engine.BLOCKCHAIN:
+                kind, rows, size = grids[-1]
+                assert kind == ("window" if size > cells else "grid")
+                seen["windows"] += kind == "window"
         seen["rejected"] += rejected
+        at = position[maps]
+        seen["MAPs stacked"] += len(np.unique(at)) < len(at)
+        seen["MAPs at the wrap"] += bool(((at < 4.0) | (at > cfg.road_length - 4.0)).any())
         seen["links of MAPs"] += bool(np.isin(prev[0], maps).any())
         left = np.setdiff1d(np.arange(len(position)), np.union1d(served, maps))
         to_left = np.isin(prev[1][np.isin(prev[0], served)], left).any()
         seen["links of and to neither"] += bool(np.isin(prev[0], left).any() and to_left)
-        # growth builds its grid over the vehicles retention left a free slot
-        seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[0] < len(served)
+        # growth builds its grid or windows over the vehicles retention left a free slot
+        seen["partial growth"] += cfg.strategy == engine.BLOCKCHAIN and 0 < grids[-1][1] < len(served)
 
     # every policy's early return also runs on empty arrays
     for inputs in empty_attach_inputs():
@@ -757,6 +784,8 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
     # bandwidth turned probes away, so speculations were wrong, in every pass
     assert seen["rejected"] > 0
     assert seen["partial growth"] > 0
+    assert seen["windows"] > 0
+    assert seen["MAPs stacked"] > 0 and seen["MAPs at the wrap"] > 0
     # and attach passed over the previous links of identities now MAPs, and
     # those of identities neither served nor MAPs and of served ones to them
     assert seen["links of MAPs"] > 0

@@ -39,7 +39,9 @@ RING_800 = {"vehicle_density": 0.08, "total_time": 80.0, "map_fraction": 0.2, "s
 # (SimConfig overrides, strategies, seeds); the scarce-bandwidth configs make
 # pathing.resolve speculate again, the ring configs are the largest fleets
 # and the 2,000-round config gives the longest ledgers; path_loss_exp=2.7
-# takes the link-scoring power off the default exponent of 4
+# takes the link-scoring power off the default exponent of 4; the scarce
+# 800-vehicle ring's cold start grows over engine.GRID_CELLS cells, so
+# blockchain growth speculates again over its windows of MAPs in reach
 MATRIX = (
     *(
         (overrides, STRATEGIES, SEEDS)
@@ -60,6 +62,7 @@ MATRIX = (
     (RING_800, STRATEGIES, (3, 4, 7)),
     (RING_400, STRATEGIES, (3, 4, 7)),
     ({"vehicle_density": 0.002, "total_time": 20000.0}, STRATEGIES, (1, 2, 3)),
+    ({**RING_800, "b_cap": 0.16, "delay_threshold": 30.0}, ADMISSION, (1, 2, 3)),
 )
 
 
