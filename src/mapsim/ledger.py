@@ -13,12 +13,16 @@ decoded payload) and "round". Keys are sorted at every level, the indent is
 2 spaces and a newline ends the file, so an empty ledger is "[]\\n". These are
 the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
 
-The writer decodes each payload with one C scanner call (decode_json) and
+The writer decodes each payload with one C scanner call (decode_json),
 renders it with `indented`, which writes ints, strings, empty containers and
-int lists in place. The reader makes one type and range check per row, and
-only a failing row takes the ordered field checks that name the first bad
-field. Both append and the reader encode payloads with one C encoder built
-at import, without cycle markers, so it keeps no per-call state.
+int lists in place, and writes each row as soon as it is rendered, so it
+holds one row at a time. The reader scans the file READ_CHUNK characters at
+a time and turns each row into a Block as it is scanned, so it holds the
+blocks and about one chunk; text that is not one plain array takes json.load
+whole. It makes one type and range check per row, and only a failing row
+takes the ordered field checks that name the first bad field. Both append
+and the reader encode payloads with one C encoder built at import, without
+cycle markers, so it keeps no per-call state.
 
 A payload's "input_digest" is the sha256 hex digest of the round's election
 table as compact JSON: one [ident, load, trust] row per unflagged identity
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -39,7 +44,11 @@ GENESIS_HASH = bytes(32)
 _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
 _pack_indices = struct.Struct("<QQ").pack
 _scan_once = json.JSONDecoder().scan_once
+_skip_ws = re.compile(r"[ \t\n\r]*").match
+_row_end = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match
 _U64 = 1 << 64
+# characters from_json reads at a time
+READ_CHUNK = 1 << 16
 
 
 def canonical_payload(obj: Any) -> bytes:
@@ -163,24 +172,85 @@ class Ledger:
         return verify_chain(self.blocks)
 
     def to_json(self, path: Any) -> None:
-        rows = [
-            f'  {{\n    "digest": "{b.digest.hex()}",\n    "index": {b.index},\n'
-            f'    "payload": {indented(b.payload_obj(), "    ")},\n'
-            f'    "prev_hash": "{b.prev_hash.hex()}",\n    "round": {b.round_index}\n  }}'
-            for b in self.blocks
-        ]
-        text = "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+        """Write ledger.json a row at a time as each is rendered, holding one row.
+        A payload that fails to decode leaves the rows before it in a partial
+        file; report.write_run is the all-or-none writer."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            sep = "[\n"
+            for b in self.blocks:
+                fh.write(
+                    f'{sep}  {{\n    "digest": "{b.digest.hex()}",\n    "index": {b.index},\n'
+                    f'    "payload": {indented(b.payload_obj(), "    ")},\n'
+                    f'    "prev_hash": "{b.prev_hash.hex()}",\n    "round": {b.round_index}\n  }}'
+                )
+                sep = ",\n"
+            fh.write("\n]\n" if self.blocks else "[]\n")
 
     @classmethod
     def from_json(cls, path: Any) -> "Ledger":
-        """Load ledger.json; ValueError names the first malformed row and field."""
+        """Load ledger.json READ_CHUNK characters at a time, holding the blocks
+        and one chunk; ValueError names the first malformed row and field.
+        Text the row scan does not take is read whole by json.load, so every
+        result and error is json.load's, then the rows' in order."""
         with open(path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-        if type(rows) is not list:
-            raise ValueError("ledger is not a JSON array of blocks")
-        return cls([_row_block(i, row) for i, row in enumerate(rows)])
+            blocks = _read_blocks(fh)
+            if blocks is None:
+                fh.seek(0)
+                rows = json.load(fh)
+                if type(rows) is not list:
+                    raise ValueError("ledger is not a JSON array of blocks")
+                blocks = [_row_block(i, row) for i, row in enumerate(rows)]
+        return cls(blocks)
+
+
+def _read_blocks(fh: Any) -> list[Block] | None:
+    """Blocks of fh's array of rows, or None for text that is not whitespace
+    around one array. A row becomes a Block once the scanner has it and the
+    separator after it; a row or separator cut at the end of the text read so
+    far is scanned again with more. The first error a row raises waits until
+    the whole array has scanned, as json.load checks the syntax first."""
+    buf, pos, blocks, held = "", 0, [], None
+    last = ""  # the last mark read: "" before the array, then "[", "," or "]"
+    while True:
+        j = _skip_ws(buf, pos).end()
+        c = buf[j : j + 1]  # "" at the end of the text read so far
+        if c and (last == "]" or not last and c != "["):
+            return None
+        if c and not last or c == "]" and last == "[":
+            last, pos = c, j + 1
+            continue
+        sep = None
+        while c:  # a row, then its separator and the whitespace after that
+            try:
+                row, end = _scan_once(buf, j)
+            except (StopIteration, ValueError, RecursionError):
+                sep = None
+                break
+            sep = _row_end(buf, end)
+            if sep is None:
+                break
+            if held is None:
+                try:
+                    blocks.append(_row_block(len(blocks), row))
+                except Exception as exc:
+                    held = exc
+            last, j = sep[1], sep.end()
+            c = buf[j : j + 1] if last == "," else ""
+        if sep is not None:  # the array closed, or the text read so far ended after a comma
+            pos = j
+            continue
+        # a row longer than a chunk doubles the read, so no text is read in quadratic time
+        try:
+            chunk = fh.read(max(READ_CHUNK, len(buf) - j))
+        except UnicodeDecodeError:
+            return None
+        if not chunk:
+            if last != "]":
+                return None
+            if held is not None:
+                raise held
+            return blocks
+        buf, pos = buf[j:] + chunk, 0
 
 
 def _row_block(i: int, row: Any) -> Block:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mapsim import ledger as ledger_mod
+from mapsim.config import SimConfig
+from mapsim.engine import run_simulation
 from mapsim.ledger import (
     GENESIS_HASH,
     Block,
@@ -482,3 +486,108 @@ def test_from_json_rows_read_as_the_ordered_checks(tmp_path_factory, rows):
     assert ours == theirs
     if ours is None:
         assert Ledger.from_json(path).blocks == [_ordered_row_block(i, row) for i, row in enumerate(rows)]
+
+
+def _reference_from_json(path):
+    """The ledger.json reader as it was: json.loads of the file's text, the array check, then every row in order."""
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if type(rows) is not list:
+        raise ValueError("ledger is not a JSON array of blocks")
+    return [_ordered_row_block(i, row) for i, row in enumerate(rows)]
+
+
+@st.composite
+def ledger_texts(draw):
+    """ROWS as json.dumps writes them, with whitespace, line ends, a BOM, junk or a cut drawn in."""
+    text = json.dumps(draw(ROWS), indent=draw(st.sampled_from([None, 0, 2, "\t"])))
+    text = draw(st.sampled_from(["", " ", "\n\t\r "])) + text + draw(st.sampled_from(["", "\n", " \r\n "]))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    edit = draw(st.sampled_from(["none", "bom", "junk", "cut"]))
+    if edit == "bom":
+        text = "\ufeff" + text
+    elif edit == "junk":
+        text += draw(st.sampled_from(["x", "]", ",", "[]", "0", " {}]", "\x00"]))
+    elif edit == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text.encode("utf-8")
+
+
+_SOUND_ROW = {"digest": "ff" * 32, "index": 0, "payload": {"elected": [3]}, "prev_hash": "00" * 32, "round": 0}
+_ROW_TEXT = json.dumps(_SOUND_ROW).encode()
+
+
+# the chunk-boundary example reads 64k characters one at a time, about 0.2 s
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(ledger_texts())
+# a bad row, then a later syntax error: json.load raises the syntax error first
+@example(b'["block", tru]')
+@example(b'[{"index": 0}, [1,]]')
+@example(b"[]")
+@example(b"[ ]")
+@example(b"[]\n")
+@example(b"[] 0]")
+@example(b"{}")
+@example(b"5")
+@example(b'""')
+@example(b"")
+@example(b"[" + _ROW_TEXT + b", ]")
+@example(b"[0, ]")
+@example(b"\xff[]")
+@example(b"[" + _ROW_TEXT + b"]\xff")
+@example(json.dumps([{**_SOUND_ROW, "payload": [float("nan"), float("inf"), -float("inf")]}]).encode())
+# the first row's closing brace is the last character of the first chunk
+@example(b" " * (ledger_mod.READ_CHUNK - 1 - len(_ROW_TEXT)) + b"[" + _ROW_TEXT + b",\n" + _ROW_TEXT + b"]")
+def test_from_json_reads_as_json_load_then_the_ordered_checks(tmp_path, monkeypatch, raw):
+    path = tmp_path / "ledger.json"
+    path.write_bytes(raw)
+    theirs = _raised(lambda: _reference_from_json(path))
+    for chunk in (1, 2, 3, 7, ledger_mod.READ_CHUNK):
+        monkeypatch.setattr(ledger_mod, "READ_CHUNK", chunk)
+        ours = _raised(lambda: Ledger.from_json(path))
+        assert ours == theirs, chunk
+        if ours is None:
+            assert Ledger.from_json(path).blocks == _reference_from_json(path)
+
+
+@pytest.fixture(scope="module")
+def long_ledger(tmp_path_factory):
+    """3,000 blocks of the default run's payloads, cycled, and their ledger.json."""
+    payloads = [b.payload_obj() for b in run_simulation(SimConfig()).ledger.blocks]
+    led = Ledger()
+    for r in range(3000):
+        led.append(r, payloads[r % len(payloads)])
+    path = tmp_path_factory.mktemp("long") / "ledger.json"
+    led.to_json(path)
+    return led, path
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_json_holds_one_row_at_a_time(long_ledger, tmp_path):
+    led, _ = long_ledger
+    # about 0.02 MB; joining every row first peaked near three times the file
+    assert _traced_peak(lambda: led.to_json(tmp_path / "ledger.json")) < 1 << 20
+
+
+def test_from_json_holds_less_than_the_file(long_ledger):
+    _, path = long_ledger
+    # the blocks themselves are about half the file; json.load's row tree was over twice it
+    assert _traced_peak(lambda: Ledger.from_json(path)) < path.stat().st_size
+
+
+def test_from_json_takes_no_json_loads_call_on_a_written_ledger(long_ledger, monkeypatch):
+    led, path = long_ledger
+
+    def refuse(text, *args, **kwargs):
+        raise AssertionError("json.loads over ledger.json")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert Ledger.from_json(path).blocks == led.blocks

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mapsim.config import SimConfig
 from mapsim.engine import RoundMetrics, run_simulation
+from mapsim.ledger import Ledger
 from mapsim.report import ROUND_COLUMNS, write_rounds_csv, write_run, write_summary_json
 
 CFG = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=9)
@@ -167,13 +170,26 @@ def test_write_run_emits_artifacts(tmp_path):
     assert {p.name for p in out.iterdir()} == {"rounds.csv", "summary.json", "ledger.json"}
 
 
-@pytest.mark.parametrize("blocker", ["rounds.csv", "summary.json", "ledger.json"])
+@pytest.mark.parametrize("blocker", ["rounds.csv", "summary.json", "ledger.json", None])
 def test_a_failed_write_leaves_no_artifact(tmp_path, blocker):
-    # the blocker directory fails its artifact's rename, after all three are written
+    # the blocker directory fails its artifact's rename, after all three are
+    # written; with none, the last block's payload fails to decode once
+    # ledger.json's temporary holds the rows before it
     report = run_simulation(CFG.replace(total_time=20.0))
     out = tmp_path / "run"
-    (out / blocker).mkdir(parents=True)
-    with pytest.raises(OSError):
+    out.mkdir()
+    if blocker:
+        (out / blocker).mkdir()
+        with pytest.raises(OSError):
+            write_run(out, report)
+        assert [p.name for p in out.iterdir()] == [blocker]
+        assert not any((out / blocker).iterdir())
+        return
+    blocks = report.ledger.blocks
+    assert len(blocks) > 1
+    report.ledger = Ledger(blocks[:-1] + [replace(blocks[-1], payload=b"[1")])
+    with pytest.raises(json.JSONDecodeError) as loads_error:
+        json.loads("[1")
+    with pytest.raises(json.JSONDecodeError, match=re.escape(str(loads_error.value))):
         write_run(out, report)
-    assert [p.name for p in out.iterdir()] == [blocker]
-    assert not any((out / blocker).iterdir())
+    assert not any(out.iterdir())
