@@ -16,13 +16,16 @@ the bytes of json.dump(rows, fh, sort_keys=True, indent=2) plus "\\n".
 The writer decodes each payload with one C scanner call (decode_json),
 renders it with `indented`, which writes ints, strings, empty containers and
 int lists in place, and writes each row as soon as it is rendered, so it
-holds one row at a time. The reader scans the file READ_CHUNK characters at
-a time and turns each row into a Block as it is scanned, so it holds the
-blocks and about one chunk; text that is not one plain array takes json.load
-whole. It makes one type and range check per row, and only a failing row
-takes the ordered field checks that name the first bad field. Both append
-and the reader encode payloads with one C encoder built at import, without
-cycle markers, so it keeps no per-call state.
+holds one row at a time. The reader relies on that layout: each row ends
+with the line "  }", and no other line starts that way, since the payload is
+indented 4 or more spaces and a JSON string holds no raw newline. It reads
+READ_CHUNK characters at a time and decodes each run of whole rows with one
+scanner call, so it holds the blocks plus one chunk and its rows. Any other
+text, and a file with a bad row, is read whole by json.load. It makes one
+type and range check per row, and only a failing row takes the ordered field
+checks that name the first bad field. Both append and the reader encode
+payloads with one C encoder built at import, without cycle markers, so it
+keeps no per-call state.
 
 A payload's "input_digest" is the sha256 hex digest of the round's election
 table as compact JSON: one [ident, load, trust] row per unflagged identity
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import struct
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -44,8 +46,6 @@ GENESIS_HASH = bytes(32)
 _encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True)
 _pack_indices = struct.Struct("<QQ").pack
 _scan_once = json.JSONDecoder().scan_once
-_skip_ws = re.compile(r"[ \t\n\r]*").match
-_row_end = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*").match
 _U64 = 1 << 64
 # characters from_json reads at a time
 READ_CHUNK = 1 << 16
@@ -74,7 +74,8 @@ def decode_json(text: str) -> Any:
 
 def indented(obj: Any, pad: str) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with `pad` after every newline,
-    for obj built of str-keyed dicts, lists, str, int, float, bool and None."""
+    for obj built of str-keyed dicts, lists, str, int, float, bool and None;
+    to_json's payload renderer."""
     is_list = type(obj) is list
     if not (is_list or type(obj) is dict) or not obj:
         return "".join(_encode(obj, 0))
@@ -188,10 +189,11 @@ class Ledger:
 
     @classmethod
     def from_json(cls, path: Any) -> "Ledger":
-        """Load ledger.json READ_CHUNK characters at a time, holding the blocks
-        and one chunk; ValueError names the first malformed row and field.
-        Text the row scan does not take is read whole by json.load, so every
-        result and error is json.load's, then the rows' in order."""
+        """Load ledger.json; ValueError names the first malformed row and field.
+        Text in to_json's layout is read a chunk at a time, holding the blocks
+        plus one chunk and its rows. Any other text, and a bad row, takes one
+        json.load of the whole file, so every result and error is json.load's,
+        then the rows' in order."""
         with open(path, "r", encoding="utf-8") as fh:
             blocks = _read_blocks(fh)
             if blocks is None:
@@ -204,53 +206,34 @@ class Ledger:
 
 
 def _read_blocks(fh: Any) -> list[Block] | None:
-    """Blocks of fh's array of rows, or None for text that is not whitespace
-    around one array. A row becomes a Block once the scanner has it and the
-    separator after it; a row or separator cut at the end of the text read so
-    far is scanned again with more. The first error a row raises waits until
-    the whole array has scanned, as json.load checks the syntax first."""
-    buf, pos, blocks, held = "", 0, [], None
-    last = ""  # the last mark read: "" before the array, then "[", "," or "]"
-    while True:
-        j = _skip_ws(buf, pos).end()
-        c = buf[j : j + 1]  # "" at the end of the text read so far
-        if c and (last == "]" or not last and c != "["):
-            return None
-        if c and not last or c == "]" and last == "[":
-            last, pos = c, j + 1
-            continue
-        sep = None
-        while c:  # a row, then its separator and the whitespace after that
-            try:
-                row, end = _scan_once(buf, j)
-            except (StopIteration, ValueError, RecursionError):
-                sep = None
-                break
-            sep = _row_end(buf, end)
-            if sep is None:
-                break
-            if held is None:
-                try:
+    """Blocks of fh's text in the layout to_json writes, or None for any other
+    text, a row that fails its checks or bytes that are not UTF-8.
+
+    A read ends a run of whole rows at its last "\\n  }", the line that closes
+    a row and no other line of the layout. One scanner call decodes the run,
+    which must take all of it and follow "[\\n" or ",\\n"; the text after the
+    last run must be "\\n]\\n". So the file is one JSON array of the runs' rows."""
+    blocks, buf, head = [], "", "[\n"
+    try:
+        while True:
+            # a row longer than a chunk doubles the read, so no text is read in quadratic time
+            chunk = fh.read(max(READ_CHUNK, len(buf)))
+            buf += chunk
+            end = buf.rfind("\n  }") + 4  # 3 when no row ends in buf
+            if end > 3:
+                if buf[:2] != head:
+                    return None
+                # "[" + run + "]" is as long as buf[:end], so a scan of all of it ends at end
+                rows, at = _scan_once("[" + buf[2:end] + "]", 0)
+                if at != end:
+                    return None
+                for row in rows:
                     blocks.append(_row_block(len(blocks), row))
-                except Exception as exc:
-                    held = exc
-            last, j = sep[1], sep.end()
-            c = buf[j : j + 1] if last == "," else ""
-        if sep is not None:  # the array closed, or the text read so far ended after a comma
-            pos = j
-            continue
-        # a row longer than a chunk doubles the read, so no text is read in quadratic time
-        try:
-            chunk = fh.read(max(READ_CHUNK, len(buf) - j))
-        except UnicodeDecodeError:
-            return None
-        if not chunk:
-            if last != "]":
-                return None
-            if held is not None:
-                raise held
-            return blocks
-        buf, pos = buf[j:] + chunk, 0
+                buf, head = buf[end:], ",\n"
+            if not chunk:
+                return blocks if head == ",\n" and buf == "\n]\n" else None
+    except (ValueError, RecursionError, StopIteration):
+        return None
 
 
 def _row_block(i: int, row: Any) -> Block:

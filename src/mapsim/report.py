@@ -2,21 +2,21 @@
 
 csv.writer writes float cells with repr, so a parse round-trips to the
 identical value, and None as an empty cell. Summary JSON is sorted and stable
-so identical runs produce identical bytes: those of json.dump(summary,
-sort_keys=True, indent=2) plus a newline, rendered by ledger.indented as
-ledger.json is. Wall clock time deliberately stays out of the files.
+so identical runs produce identical bytes: json.dumps(summary,
+sort_keys=True, indent=2) plus a newline. Wall clock time deliberately stays
+out of the files.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 from .engine import RoundMetrics, SimulationReport
-from .ledger import indented
 
 
 # (column, RoundMetrics field) in file order
@@ -42,7 +42,7 @@ def write_rounds_csv(path: Any, rounds: list[RoundMetrics]) -> None:
 
 def write_summary_json(path: Any, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(indented(summary, "") + "\n")
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def write_run(out_dir: Any, report: SimulationReport) -> Path:

@@ -2,8 +2,10 @@ import hashlib
 import json
 import re
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,7 +519,19 @@ _SOUND_ROW = {"digest": "ff" * 32, "index": 0, "payload": {"elected": [3]}, "pre
 _ROW_TEXT = json.dumps(_SOUND_ROW).encode()
 
 
-# the chunk-boundary example reads 64k characters one at a time, about 0.2 s
+def _written(n):
+    """The bytes to_json writes for _chain(n)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.json"
+        _chain(n).to_json(path)
+        return path.read_bytes()
+
+
+_WRITTEN = _written(3)
+# a sound row on one line, with a "\n  }" in the whitespace of its payload
+_COMPACT_ROW = _ROW_TEXT.replace(b"[3]}", b"[3]\n  }")
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 @given(ledger_texts())
 # a bad row, then a later syntax error: json.load raises the syntax error first
@@ -538,6 +552,18 @@ _ROW_TEXT = json.dumps(_SOUND_ROW).encode()
 @example(json.dumps([{**_SOUND_ROW, "payload": [float("nan"), float("inf"), -float("inf")]}]).encode())
 # the first row's closing brace is the last character of the first chunk
 @example(b" " * (ledger_mod.READ_CHUNK - 1 - len(_ROW_TEXT)) + b"[" + _ROW_TEXT + b",\n" + _ROW_TEXT + b"]")
+# to_json's layout with one edit at an edge of the run reader
+@example(_WRITTEN[:-3] + b",\n\n]\n")
+@example(b"[\n\n]\n")
+@example(b"\n]\n")
+@example(_WRITTEN + b"x")
+@example(_WRITTEN + _WRITTEN)
+@example(_WRITTEN.replace(b"\n  },\n", b"\n   },\n", 1))
+@example(_WRITTEN.replace(b"\n  },\n", b"\n },\n", 1))
+@example(_WRITTEN.replace(b"\n  }\n]", b"\n   }\n]"))
+@example(_WRITTEN.replace(b"\n  },\n", b"\n  },\n  " + _COMPACT_ROW + b",\n", 1))
+@example(_WRITTEN.replace(b"\n  },\n", b"\n  } \n", 1))
+@example(b"\xef\xbb\xbf" + _WRITTEN)
 def test_from_json_reads_as_json_load_then_the_ordered_checks(tmp_path, monkeypatch, raw):
     path = tmp_path / "ledger.json"
     path.write_bytes(raw)
@@ -581,6 +607,21 @@ def test_from_json_holds_less_than_the_file(long_ledger):
     _, path = long_ledger
     # the blocks themselves are about half the file; json.load's row tree was over twice it
     assert _traced_peak(lambda: Ledger.from_json(path)) < path.stat().st_size
+
+
+def test_from_json_scans_runs_of_rows_not_rows(long_ledger, monkeypatch):
+    led, path = long_ledger
+    calls = []
+    scan = ledger_mod._scan_once
+
+    def counted(text, idx):
+        calls.append(idx)
+        return scan(text, idx)
+
+    monkeypatch.setattr(ledger_mod, "_scan_once", counted)
+    assert Ledger.from_json(path).blocks == led.blocks
+    # one call per read; a call per row would be 3,000
+    assert len(calls) <= len(path.read_text(encoding="utf-8")) // ledger_mod.READ_CHUNK + 2
 
 
 def test_from_json_takes_no_json_loads_call_on_a_written_ledger(long_ledger, monkeypatch):
