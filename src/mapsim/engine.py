@@ -73,8 +73,10 @@ class SimState:
     are `maps`, ascending, its links `links`, attach's (identity, MAP,
     distance) arrays in probe order, and `served` the identities it
     offered paths to under `link_config`; each link is kept only there.
-    `row_text` is the RowText cache table_digest encodes the election
-    rows through; scores must be finite, as its encoding needs.
+    `row_text` is the RowText memo table_digest encodes the election rows
+    through: each identity's row text, and the idents and digest of the
+    last table hashed, which a round whose table is unchanged returns
+    unhashed; scores must be finite, as its encoding needs.
     `current_maps`, `fleet`, `trust` and `last_assignments` are read-only
     views, built on demand, for the tests and the benchmark's worker and
     tracer.

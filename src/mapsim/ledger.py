@@ -49,6 +49,8 @@ _scan_once = json.JSONDecoder().scan_once
 _U64 = 1 << 64
 # characters from_json reads at a time
 READ_CHUNK = 1 << 16
+# how to_json opens a non-empty ledger; any other text is read by json.load
+_OPENING = "[\n  {\n"
 
 
 def canonical_payload(obj: Any) -> bytes:
@@ -212,13 +214,17 @@ def _read_blocks(fh: Any) -> list[Block] | None:
     A read ends a run of whole rows at its last "\\n  }", the line that closes
     a row and no other line of the layout. One scanner call decodes the run,
     which must take all of it and follow "[\\n" or ",\\n"; the text after the
-    last run must be "\\n]\\n". So the file is one JSON array of the runs' rows."""
+    last run must be "\\n]\\n". So the file is one JSON array of the runs' rows.
+    Text that does not open as a non-empty ledger's first row returns None
+    as soon as it is read."""
     blocks, buf, head = [], "", "[\n"
     try:
         while True:
             # a row longer than a chunk doubles the read, so no text is read in quadratic time
             chunk = fh.read(max(READ_CHUNK, len(buf)))
             buf += chunk
+            if not blocks and not buf.startswith(_OPENING[: len(buf)]):
+                return None
             end = buf.rfind("\n  }") + 4  # 3 when no row ends in buf
             if end > 3:
                 if buf[:2] != head:

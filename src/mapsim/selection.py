@@ -43,35 +43,44 @@ def select_maps(table: CandidateTable, k: int, rng, taken=()) -> list[int]:
     if k <= 0:
         # most rounds under retention draw no one; skip the np.isin mask
         return []
-    # every baseline round draws with nothing taken
-    remaining = ~np.isin(table.idents, taken) if len(taken) else np.ones(len(table.idents), dtype=bool)
-    weights = np.where(remaining, table.weights, 0.0)
-    idents = table.idents.tolist()
+    if len(taken):
+        out = np.isin(table.idents, taken)
+        weights, draws = np.where(out, 0.0, table.weights), len(out) - int(out.sum())
+    else:
+        # every baseline round draws with nothing taken
+        weights, draws = table.weights.astype(np.float64), len(table.weights)
     # cumsum's running sums, into one buffer, without np.cumsum's dispatch
     acc, accumulate = np.empty_like(weights), np.add.accumulate
-    winners: list[int] = []
-    for _ in range(min(k, int(remaining.sum()))):
+    picks: list[int] = []
+    for _ in range(min(k, draws)):
         accumulate(weights, out=acc)
         total = acc.item(-1)
         if total <= 0:
             break
         pick = int(acc.searchsorted(rng.random() * total, "right"))
         if pick == len(acc):
-            # u reached the total through rounding; the last remaining wins
+            # u reached the total through rounding; the last row neither
+            # taken nor drawn wins, whatever its weight
+            remaining = ~np.isin(table.idents, taken)
+            remaining[picks] = False
             pick = int(remaining.nonzero()[0][-1])
-        winners.append(idents[pick])
+        picks.append(pick)
         weights[pick] = 0.0
-        remaining[pick] = False
-    return winners
+    return table.idents[picks].tolist()
 
 
 class RowText:
-    """table_digest's row text for idents 0..n-1, with the load and trust bits it encodes."""
+    """table_digest's memo for a state's idents 0..n-1: each ident's row text
+    with the load and trust bits it encodes, and the idents and digest of the
+    last table hashed. A new RowText has hashed no table, so its first
+    table_digest call hashes, even for an empty table."""
 
     def __init__(self, n: int) -> None:
         self.rows = np.full(n, "", dtype=object)
         self.load = np.zeros(n, dtype=np.int64)
         self.trust_bits = np.full(n, -1, dtype=np.int64)  # a NaN, never a table's trust
+        self.idents: np.ndarray | None = None
+        self.digest = ""
 
 
 def table_digest(table: CandidateTable, text: RowText) -> str:
@@ -79,7 +88,9 @@ def table_digest(table: CandidateTable, text: RowText) -> str:
 
     The bytes of json.dumps(rows, separators=(",", ":")) for finite trust.
     text must cover every ident, as a state's RowText covers its identities.
-    Only rows whose load or trust bits differ from text's are encoded anew.
+    Only rows whose load or trust bits differ from text's are encoded anew,
+    and a table with no such row and the last hashed table's idents, as a
+    baseline round's usually is, returns the last digest unhashed.
     """
     ids, loads, trust = table.idents, table.loads, table.trust
     bits = trust.view(np.int64)
@@ -88,4 +99,9 @@ def table_digest(table: CandidateTable, text: RowText) -> str:
         at, new = ids[stale], zip(ids[stale].tolist(), loads[stale].tolist(), trust[stale].tolist())
         text.rows[at] = [f"[{i},{n},{t!r}]" for i, n, t in new]
         text.load[at], text.trust_bits[at] = loads[stale], bits[stale]
-    return hashlib.sha256(("[" + ",".join(text.rows[ids].tolist()) + "]").encode()).hexdigest()
+    elif text.idents is not None and len(text.idents) == len(ids) and (text.idents == ids).all():
+        # every row's text is as last hashed
+        return text.digest
+    text.idents = ids.copy()
+    text.digest = hashlib.sha256(("[" + ",".join(text.rows[ids].tolist()) + "]").encode()).hexdigest()
+    return text.digest

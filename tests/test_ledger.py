@@ -632,3 +632,20 @@ def test_from_json_takes_no_json_loads_call_on_a_written_ledger(long_ledger, mon
 
     monkeypatch.setattr(json, "loads", refuse)
     assert Ledger.from_json(path).blocks == led.blocks
+
+
+def test_from_json_reads_another_layout_once_before_json_load(long_ledger, tmp_path, monkeypatch):
+    led, path = long_ledger
+    copy = tmp_path / "ledger.json"
+    copy.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=4) + "\n", encoding="utf-8")
+    reads = []
+    read_blocks = ledger_mod._read_blocks
+
+    class Counted:
+        def __init__(self, fh):
+            self.read = lambda size: reads.append(size) or fh.read(size)
+
+    monkeypatch.setattr(ledger_mod, "_read_blocks", lambda fh: read_blocks(Counted(fh)))
+    assert Ledger.from_json(copy).blocks == led.blocks
+    # "[\n    {" is not how to_json opens a ledger, so the first read settles it
+    assert reads == [ledger_mod.READ_CHUNK]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +192,27 @@ def test_table_digest_matches_stdlib_encoding(rows, pick):
     check(rows)
 
 
+def test_table_digest_hashes_only_a_changed_table(monkeypatch):
+    table, text = table_of(GOLDEN_ROWS), RowText(4)
+    first = table_digest(table, text)
+    hashed = []
+
+    def counted(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr("mapsim.selection.hashlib", SimpleNamespace(sha256=counted))
+    # the same rows again take the last digest, unhashed
+    assert table_digest(table, text) == first
+    assert hashed == []
+    # ident 2 leaves and every other row is as it was: no row is stale, but
+    # the idents differ, so the table is hashed again
+    keep = table.idents != 2
+    smaller = CandidateTable(table.idents[keep], table.loads[keep], table.trust[keep], table.weights[keep])
+    assert table_digest(smaller, text) == stdlib_digest(smaller)
+    assert len(hashed) == 1
+
+
 def scalar_select(idents, weights, k, rng, taken=()):
     """The per-entry scan select_maps replaced, kept as its oracle.
 
@@ -247,6 +269,10 @@ LAST_TAKEN = [(3, 5e-324), (2, 5e-324), (4, 60.0)]
 @example(rows=PAIRWISE_TRAP, k=3, draws=[1.0 - 2.0**-53] * 30, taken=[2, 18])
 @example(rows=LAST_TAKEN, k=2, draws=[1.0 - 2.0**-53] * 30, taken=[2])
 @example(rows=[(4, 100.0), (1, 90.0), (3, 80.0)], k=2, draws=[0.5] * 30, taken=[1, 99])
+# nothing taken: a draw rounding up to the total falls back to the last row
+# not yet drawn, whatever its weight, on the first draw and after a pick
+@example(rows=[(1, 5e-324), (1, 0.0)], k=2, draws=[1.0 - 2.0**-53] * 30, taken=[])
+@example(rows=[(4, 60.0), (3, 5e-324), (2, 5e-324), (1, 0.0)], k=3, draws=[0.5] + [1.0 - 2.0**-53] * 29, taken=[])
 @given(
     rows=st.lists(st.tuples(st.integers(1, 8), TRUSTS), max_size=25),
     k=st.integers(-2, 30),
