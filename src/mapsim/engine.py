@@ -12,9 +12,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import SimConfig
-from .fleet import Vehicle, make_fleet, ring_distance, ring_window, step_positions
+from .fleet import Vehicle, make_fleet, step_positions
 from .ledger import Ledger
-from .pathing import PathAssignment, occurrence, resolve, limits as rule_limits
+from .pathing import PathAssignment, attach, occurrence
 # not called here; the benchmark's tracer wraps the reference passes on this module
 from .pathing import baseline_paths, count_handovers, grow_paths, retain_paths  # noqa: F401
 from .radio import link_quality, make_link_stats
@@ -22,9 +22,6 @@ from .selection import RowText, select_maps, selection_probabilities, table_dige
 from .trust import TrustRecord, detection_rates, inject_sybils, update_trust
 
 BLOCKCHAIN = "blockchain-multipath"
-# growth over more client x MAP cells than this reads each client's MAPs in
-# reach (fleet.ring_window) in place of the grid; below it the grid is faster
-GRID_CELLS = 2**16
 
 log = logging.getLogger("mapsim")
 
@@ -189,8 +186,8 @@ def run_round(
     is_map = np.zeros(n, dtype=bool)
     is_map[maps] = True
 
-    # path assignment to the unflagged non-MAPs, as comparison policies never
-    # flag; each pass takes the ring distances of its client x MAP pairs
+    # pathing.attach assigns paths to the unflagged non-MAPs, as comparison
+    # policies never flag
     served = (~(is_map | flagged)).nonzero()[0]
     who_prev, to_prev, _ = state.links
     who, to, d, held = attach(config, round_index, rng, served, maps, state.position, (who_prev, to_prev))
@@ -265,111 +262,6 @@ def run_round(
     excluded = tuple(flagged.nonzero()[0].tolist())
     event = SelectionEvent(round_index, tuple(elected), excluded, table_digest(table, state.row_text))
     return state, metrics, event
-
-
-def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
-    """The round's links as (identity, MAP, distance) arrays in probe order, and a count.
-
-    served and maps (ascending) are the round's clients and MAPs, position
-    is indexed by identity and prev holds the previous round's links as
-    (identity, MAP) arrays in probe order. The held links, as many as the
-    count, lead, then the grown ones.
-    independent-random and distance-based take one link per client
-    unconditionally and never call `pathing.limits(config)`; the
-    sequence-based and blockchain passes speculate the links a probe at
-    each MAP's current count would admit, and resolve admits them at
-    exact counts (see mapsim.pathing). Link distances are ring distances
-    of the pairs a pass reads, between(who[:, None], maps) being a client
-    x MAP grid. distance-based builds one over every client. Growth reads
-    the vehicles with a free slot after retention only: a grid up to
-    GRID_CELLS cells, and above it each vehicle's window of the MAPs in
-    reach (fleet.ring_window), whose columns keep ident order and whose
-    pads are inf, so both give the same links.
-    """
-
-    def between(who, to):
-        return ring_distance(position[who], position[to], config.road_length)
-
-    # the single path policies offer each client one link, none without a MAP
-    single = served if len(maps) else served[:0]
-    if config.strategy == "independent-random":
-        to = maps[rng.integers(0, len(maps), size=len(single))] if len(single) else single
-        return single, to, between(single, to), 0
-    if config.strategy == "distance-based":
-        to = maps[between(single[:, None], maps).argmin(axis=1)] if len(single) else single
-        return single, to, between(single, to), 0
-
-    limits = rule_limits(config)
-    shares = np.zeros(len(position), dtype=np.int64)
-
-    def admitted(who, to, dist):
-        """Speculation over fixed candidate links, identities ascending."""
-
-        def speculate(start):
-            at = who.searchsorted(start)
-            w, t, d = who[at:], to[at:], dist[at:]
-            keep = d < limits.at(shares[t] + 1)
-            return w[keep], t[keep], d[keep]
-
-        return speculate
-
-    if config.strategy == "sequence-based":
-        to = maps[(single + round_index) % max(1, len(maps))]
-        return *resolve(admitted(single, to, between(single, to)), shares, limits), 0
-
-    # every vehicle re-books its paths before any grows new ones; the
-    # candidates are its previous links to MAPs still elected, in probe order
-    who, to = prev
-    role = np.zeros(len(position), dtype=np.int8)
-    role[served], role[maps] = 1, 2
-    live = (role[who] == 1) & (role[to] == 2)
-    order = who[live].argsort(kind="stable")
-    who, to = who[live][order], to[live][order]
-    hw, ht, _ = held = resolve(admitted(who, to, between(who, to)), shares, limits)
-
-    # growth takes the nearest open MAPs by (distance, ident) for the
-    # vehicles with a free slot; a vehicle holds each MAP at most once,
-    # so len(maps) caps its slots, and its held MAPs are never open
-    free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
-    grows = served[free[served] > 0]
-    keep = free[hw] > 0
-    held_row, held_col = grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])
-    windowed = len(grows) * len(maps) > GRID_CELLS
-    if windowed:
-        # no probe at or past limits.at(1) is admitted, so a vehicle's
-        # candidates are the MAPs in reach: window[i] indexes maps by ident,
-        # padded with len(maps) at inf
-        reach = float(limits.at(np.array(1)))
-        window, dmat = ring_window(position[grows], position[maps], reach, config.road_length)
-        # a held MAP is in reach, so in its row, after the row's lower indices
-        held_col = (window[held_row] < held_col[:, None]).sum(axis=1)
-    else:
-        dmat = between(grows[:, None], maps)
-    dmat[held_row, held_col] = np.inf
-    free = free[grows]
-    width = int(free.max(initial=0))
-
-    def grow(start):
-        at = grows.searchsorted(start)
-        view = dmat[at:]
-        bound = limits.at(shares[maps] + 1)
-        if windowed:
-            # each cell's MAP's limit; a pad, at inf, admits nothing
-            bound = np.append(bound, 0.0)[window[at:]]
-        open_d = np.where(view < bound, view, np.inf)
-        span = np.arange(len(view))
-        pick = np.empty((len(view), width), dtype=np.int64)
-        pick_d = np.empty((len(view), width))
-        for t in range(width):
-            pick[:, t] = j = open_d.argmin(axis=1)
-            pick_d[:, t] = open_d[span, j]
-            open_d[span, j] = np.inf
-        rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
-        cols = window[rows + at, pick[rows, t]] if windowed else pick[rows, t]
-        return grows[rows + at], maps[cols], pick_d[rows, t]
-
-    grown = resolve(grow, shares, limits)
-    return *(np.concatenate(pair) for pair in zip(held, grown)), len(hw)
 
 
 def build_summary(

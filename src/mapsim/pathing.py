@@ -1,25 +1,33 @@
 """Path admission under delay and bandwidth bounds.
 
-Attachment runs in two passes over the served vehicles each round, in
-identity order: first every vehicle re-books the paths it already holds,
-then remaining slots are filled nearest first among the MAPs under the delay
-bound. Incumbents therefore never lose a slot to a newcomer, which is what
-keeps handover counts low.
+`attach` gives a round's links, one straight path per policy. The single
+path policies take one link per client, as `baseline_paths` defines them;
+independent-random and distance-based never read the limit table.
+blockchain-multipath runs two passes over the served vehicles in identity
+order: first every vehicle re-books the paths it already holds, then
+remaining slots are filled nearest first among the MAPs under the delay
+bound. Incumbents therefore never lose a slot to a newcomer, which is
+what keeps handover counts low.
 
 The model has no co-channel interference, so a link's delay and SNR depend
 on its length alone and its bandwidth on its length and share count, and
 none of them improves as either grows. Every admission test is therefore a
 comparison `d < limit` against a threshold distance that depends only on
 the config and the share count (`AdmissionLimits`, shared through
-`pathing.limits(config)` by every config that differs only in seed or
-strategy): the delay bound's, then a running minimum as the bandwidth
-floor tightens with the count, each found once by bisection with the
-scalar radio functions.
+`limits(config)` by every config that differs only in seed or strategy):
+the delay bound's, then a running minimum as the bandwidth floor tightens
+with the count, each found once by bisection with the scalar radio
+functions.
 
-The engine runs each pass as array operations (`mapsim.engine.attach`)
-on links as (identity, MAP identity, distance) arrays, with share counts
-indexed by MAP identity, so `resolve`'s rows are vehicle identities and
-its columns MAP identities.
+Each pass runs as array operations on links as (identity, MAP identity,
+distance) arrays, with share counts indexed by MAP identity, so
+`resolve`'s rows are vehicle identities and its columns MAP identities.
+A link's distance is the ring distance of its pair; between(who[:, None],
+maps) is a client x MAP grid, which distance-based builds over every
+client. Growth reads the vehicles with a free slot after retention only:
+a grid up to GRID_CELLS cells, and above it each vehicle's window of the
+MAPs in reach (fleet.ring_window), whose columns keep ident order and
+whose pads are inf, so both give the same links.
 A speculation takes the links the remaining vehicles would take if every
 probe ran at its MAP's current count. Counts only grow, so it errs only by
 admitting a probe the exact count turns away, and its first vehicle, which
@@ -29,12 +37,7 @@ it would be probed at, admits the vehicles before the first one holding a
 link at or over its limit and speculates again from that one on. The
 scalar passes (`retain_paths`, `grow_paths`, `baseline_paths`) are the
 reference definition the tests hold the array passes to, and
-`count_handovers` that of a handover; the engine calls none of them. The
-engine keeps the admitted links once, in probe order; a link's rank is
-counted from that order when `last_assignments` is read. A blockchain
-vehicle's handovers are its grown links; a baseline vehicle, which holds
-one link at most, hands over when its link's MAP differs from its
-previous link's.
+`count_handovers` that of a handover; the engine calls none of them.
 """
 
 from __future__ import annotations
@@ -48,7 +51,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import STRATEGIES, SimConfig
+from .fleet import ring_distance, ring_window
 from .radio import LinkStats, compute_sinr, link_bandwidth, path_delay
+
+# growth over more client x MAP cells than this reads each client's MAPs in
+# reach (fleet.ring_window) in place of the grid; below it the grid is faster
+GRID_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,100 @@ def resolve(
         counts[:] = top
         break
     return tuple(np.concatenate(pair) for pair in zip(*parts, links)) if parts else links
+
+
+def attach(config: SimConfig, round_index: int, rng, served, maps, position, prev):
+    """The round's links as (identity, MAP, distance) arrays in probe order, and a count.
+
+    served and maps (ascending) are the round's clients and MAPs, position
+    is indexed by identity and prev holds the previous round's links as
+    (identity, MAP) arrays in probe order. The held links, as many as the
+    count, lead, then the grown ones.
+    """
+
+    def between(who, to):
+        return ring_distance(position[who], position[to], config.road_length)
+
+    # the single path policies offer each client one link, none without a MAP
+    single = served if len(maps) else served[:0]
+    if config.strategy == "independent-random":
+        to = maps[rng.integers(0, len(maps), size=len(single))] if len(single) else single
+        return single, to, between(single, to), 0
+    if config.strategy == "distance-based":
+        to = maps[between(single[:, None], maps).argmin(axis=1)] if len(single) else single
+        return single, to, between(single, to), 0
+
+    rule = limits(config)
+    shares = np.zeros(len(position), dtype=np.int64)
+
+    def admitted(who, to, dist):
+        """Speculation over fixed candidate links, identities ascending."""
+
+        def speculate(start):
+            at = who.searchsorted(start)
+            w, t, d = who[at:], to[at:], dist[at:]
+            keep = d < rule.at(shares[t] + 1)
+            return w[keep], t[keep], d[keep]
+
+        return speculate
+
+    if config.strategy == "sequence-based":
+        to = maps[(single + round_index) % max(1, len(maps))]
+        return *resolve(admitted(single, to, between(single, to)), shares, rule), 0
+
+    # every vehicle re-books its paths before any grows new ones; the
+    # candidates are its previous links to MAPs still elected, in probe order
+    who, to = prev
+    role = np.zeros(len(position), dtype=np.int8)
+    role[served], role[maps] = 1, 2
+    live = (role[who] == 1) & (role[to] == 2)
+    order = who[live].argsort(kind="stable")
+    who, to = who[live][order], to[live][order]
+    hw, ht, _ = held = resolve(admitted(who, to, between(who, to)), shares, rule)
+
+    # growth takes the nearest open MAPs by (distance, ident) for the
+    # vehicles with a free slot; a vehicle holds each MAP at most once,
+    # so len(maps) caps its slots, and its held MAPs are never open
+    free = min(config.max_paths, len(maps)) - np.bincount(hw, minlength=len(position))
+    grows = served[free[served] > 0]
+    keep = free[hw] > 0
+    held_row, held_col = grows.searchsorted(hw[keep]), maps.searchsorted(ht[keep])
+    windowed = len(grows) * len(maps) > GRID_CELLS
+    if windowed:
+        # no probe at or past rule.at(1) is admitted, so a vehicle's
+        # candidates are the MAPs in reach: window[i] indexes maps by ident,
+        # padded with len(maps) at inf
+        reach = float(rule.at(np.array(1)))
+        window, dmat = ring_window(position[grows], position[maps], reach, config.road_length)
+        # a held MAP is in reach, so in its row, after the row's lower indices
+        held_col = (window[held_row] < held_col[:, None]).sum(axis=1)
+    else:
+        dmat = between(grows[:, None], maps)
+    dmat[held_row, held_col] = np.inf
+    free = free[grows]
+    width = int(free.max(initial=0))
+
+    def grow(start):
+        at = grows.searchsorted(start)
+        view = dmat[at:]
+        bound = rule.at(shares[maps] + 1)
+        if windowed:
+            # each cell's MAP's limit; a pad, at inf, admits nothing
+            bound = np.append(bound, 0.0)[window[at:]]
+        open_d = np.where(view < bound, view, np.inf)
+        span = np.arange(len(view))
+        pick = np.empty((len(view), width), dtype=np.int64)
+        pick_d = np.empty((len(view), width))
+        for t in range(width):
+            pick[:, t] = j = open_d.argmin(axis=1)
+            pick_d[:, t] = open_d[span, j]
+            open_d[span, j] = np.inf
+        rows, t = ((pick_d < np.inf) & (np.arange(width) < free[at:, None])).nonzero()
+        cols = window[rows + at, pick[rows, t]] if windowed else pick[rows, t]
+        return grows[rows + at], maps[cols], pick_d[rows, t]
+
+    grown = resolve(grow, shares, rule)
+    return *(np.concatenate(pair) for pair in zip(held, grown)), len(hw)
 
 
 def retain_paths(

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mapsim import STRATEGIES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +31,12 @@ def test_ab_rounds_rejects_an_unknown_strategy():
     )
     assert run.returncode == 2
     assert "unknown strategy ['nope']" in run.stderr
+
+
+@pytest.mark.parametrize("seeds", ["x", "1,,2", "-1"])
+def test_ab_rounds_rejects_a_bad_seed(seeds):
+    run = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), f"--seeds={seeds}"], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert f"bad --seeds {seeds!r}" in run.stderr

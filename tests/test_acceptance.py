@@ -329,7 +329,7 @@ def test_criterion_11_complexity_scaling():
     points = [(m * math.log2(m), t) for m, t in zip(identities, best)]
 
     # a round is a fixed cost plus a*n*log2(n): a growth grid holds at most
-    # engine.GRID_CELLS cells, with windows of the MAPs in reach above it,
+    # pathing.GRID_CELLS cells, with windows of the MAPs in reach above it,
     # and attachment sorts little more than each pass's links; every point
     # within 1.5x of the best non-negative fit, weighted by relative error
     size = np.array([x for x, _ in points])

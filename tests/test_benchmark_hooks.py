@@ -86,6 +86,14 @@ def test_span_target_resolves_to_a_callable(span, module_name, attr):
         assert attr in names_looked_up(module), span
 
 
+def test_the_round_reaches_path_policy_only_through_attach():
+    # the admission table, resolve's speculation and the growth windows
+    # belong to pathing; engine code that read one would split the policy
+    found = names_looked_up(engine)
+    assert "attach" in found
+    assert not found & {"resolve", "limits", "ring_distance", "ring_window", "GRID_CELLS"}
+
+
 def test_scalar_passes_are_spans_of_the_tracer():
     assert set(SCALAR_PASSES) <= {name for name, _, _ in SPANS}
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapsim.engine as engine
+import mapsim.pathing as pathing
 from mapsim.config import STRATEGIES, SimConfig
 from mapsim.engine import SimState, initial_state, run_round, run_simulation
 from mapsim.fleet import ring_distance, ring_window
@@ -333,7 +334,7 @@ def test_recorded_distances_equal_ring_distance(strategy):
 def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
     # criterion 11's 800-vehicle point; most vehicles keep every path they
     # held, and growth builds the round's one client x MAP grid, or above
-    # engine.GRID_CELLS cells its windows, over the rest
+    # pathing.GRID_CELLS cells its windows, over the rest
     cfg = SimConfig(vehicle_density=0.08, total_time=80.0, map_fraction=0.2, sybil_fraction=0.0, rng_seed=3)
     grids, windows = [], []
 
@@ -348,8 +349,8 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
         windows.append(len(points) * len(sites))
         return ring_window(points, sites, reach, road_length)
 
-    monkeypatch.setattr(engine, "ring_distance", measured)
-    monkeypatch.setattr(engine, "ring_window", windowed)
+    monkeypatch.setattr(pathing, "ring_distance", measured)
+    monkeypatch.setattr(pathing, "ring_window", windowed)
     rng = np.random.default_rng(cfg.rng_seed)
     state = initial_state(cfg, rng)
     shares = []
@@ -368,7 +369,7 @@ def test_growth_grid_holds_only_the_vehicles_with_a_free_slot(monkeypatch):
     assert shares[0] == 1.0
     assert max(shares[1:]) < 0.25, shares
     # the cold start alone is over the line
-    assert len(windows) == 1 and windows[0] > engine.GRID_CELLS
+    assert len(windows) == 1 and windows[0] > pathing.GRID_CELLS
 
 
 # configs the round-level shortcuts are checked under: default, scarce

@@ -605,8 +605,8 @@ def scalar_attach(config, round_index, rng, served, maps, dmat, prev):
 
 
 def array_attach(config, round_index, rng, served, maps, position, prev):
-    """engine.attach's links in scalar_attach's form, checking that the held ones lead."""
-    who, to, dist, held = engine.attach(config, round_index, rng, served, maps, position, prev)
+    """pathing.attach's links in scalar_attach's form, checking that the held ones lead."""
+    who, to, dist, held = pathing.attach(config, round_index, rng, served, maps, position, prev)
     if config.strategy == engine.BLOCKCHAIN:
         # the first `held` links are previous links, and growth gives none:
         # a previous MAP retention turned away is over its limit at every
@@ -739,10 +739,10 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         grids.append(("window", len(points), len(points) * len(sites)))
         return ring_window(points, sites, reach, road_length)
 
-    line = engine.GRID_CELLS
-    monkeypatch.setattr(engine, "resolve", recorded)
-    monkeypatch.setattr(engine, "ring_distance", measured)
-    monkeypatch.setattr(engine, "ring_window", windowed)
+    line = pathing.GRID_CELLS
+    monkeypatch.setattr(pathing, "resolve", recorded)
+    monkeypatch.setattr(pathing, "ring_distance", measured)
+    monkeypatch.setattr(pathing, "ring_window", windowed)
 
     def check(inputs):
         cfg, round_index, seed, served, maps, position, prev = inputs
@@ -752,7 +752,7 @@ def test_array_attach_matches_the_scalar_passes(monkeypatch):
         *want, rejected = scalar_attach(cfg, round_index, np.random.default_rng(seed), served, maps, dmat, prev)
         # at the engine's line, then with every growth over its windows
         for cells in (line, 0):
-            monkeypatch.setattr(engine, "GRID_CELLS", cells)
+            monkeypatch.setattr(pathing, "GRID_CELLS", cells)
             passes[:] = {engine.BLOCKCHAIN: ["retain", "grow"], "sequence-based": ["rotate"]}.get(cfg.strategy, [])
             grids.clear()
             got = array_attach(cfg, round_index, np.random.default_rng(seed), served, maps, position, prev)

@@ -190,6 +190,10 @@ def test_table_digest_matches_stdlib_encoding(rows, pick):
     check({**rows, ident: (load - 1 if load > 1 else 2, trust)})
     check({i: row for i, row in rows.items() if i != ident})
     check(rows)
+    # then another row leaves in its place: as many idents, no row stale
+    other = sorted(rows)[(pick + 1) % len(rows)]
+    check({i: row for i, row in rows.items() if i != ident})
+    check({i: row for i, row in rows.items() if i != other})
 
 
 def test_table_digest_hashes_only_a_changed_table(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mapsim.config import SimConfig
@@ -155,6 +155,10 @@ def test_detection_rates_empty_denominators():
 EDGE_SCORES = st.sampled_from([0.0, 5e-324, 50.0, 99.99999999999999, 100.0])
 
 
+# a score left exactly on the threshold, and a quiet connected round with a
+# weak link, which earns no reward
+@example(penalties=(10.0, 20.0, 1.0), threshold=50.0,
+         rows=[(50.0, False, 0, False, False), (60.0, False, 0, True, True)])
 @given(
     penalties=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
     threshold=st.one_of(st.floats(0.0, 100.0), EDGE_SCORES),

@@ -94,7 +94,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", default="1", help="comma-separated rng seeds (default 1)")
     ap.add_argument("--rounds", type=int, help="rounds per run (default: the whole run)")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    entries = args.seeds.split(",")
+    if not all(s.isdecimal() for s in entries):
+        ap.error(f"bad --seeds {args.seeds!r}: each entry must be a non-negative integer")
+    seeds = [int(s) for s in entries]
     if args.rounds is not None and args.rounds < 1:
         ap.error("--rounds must be at least 1")
 

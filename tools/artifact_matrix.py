@@ -40,7 +40,7 @@ RING_800 = {"vehicle_density": 0.08, "total_time": 80.0, "map_fraction": 0.2, "s
 # pathing.resolve speculate again, the ring configs are the largest fleets
 # and the 2,000-round config gives the longest ledgers; path_loss_exp=2.7
 # takes the link-scoring power off the default exponent of 4; the scarce
-# 800-vehicle ring's cold start grows over engine.GRID_CELLS cells, so
+# 800-vehicle ring's cold start grows over pathing.GRID_CELLS cells, so
 # blockchain growth speculates again over its windows of MAPs in reach
 MATRIX = (
     *(
