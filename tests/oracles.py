@@ -7,3 +7,13 @@ def probabilities(table):
     """A candidate table's weights over their sequential sum, as select_maps' scan adds it up."""
     total = np.cumsum(table.weights)[-1] if len(table.weights) else 0.0
     return table.weights / total if total > 0 else np.zeros_like(table.weights)
+
+
+class StubRng:
+    """Replays a fixed sequence of uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)

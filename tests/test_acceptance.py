@@ -25,7 +25,7 @@ from mapsim.ledger import verify_chain
 from mapsim.report import write_run
 from mapsim.selection import select_maps, selection_probabilities
 
-from oracles import probabilities
+from oracles import StubRng, probabilities
 
 DATA = Path(__file__).parent / "data"
 SEEDS = tuple(range(1, 11))
@@ -33,14 +33,6 @@ BLOCKCHAIN = "blockchain-multipath"
 RANDOM = "independent-random"
 DISTANCE = "distance-based"
 SEQUENCE = "sequence-based"
-
-
-class StubRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
 
 
 @pytest.fixture(scope="module")

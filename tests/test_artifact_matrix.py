@@ -1,4 +1,5 @@
-"""The committed byte-identity manifest, on one seed of every (config, strategy).
+"""The committed byte-identity manifest, on one seed of every (config, strategy)
+and on every seed of the small rings.
 
 tools/artifact_matrix.json holds the sha256 of rounds.csv, summary.json and
 ledger.json for every run of tools/artifact_matrix.py's matrix. A mismatch
@@ -24,5 +25,12 @@ def test_first_seed_of_every_config_and_strategy_is_byte_identical():
     for key, config in artifact_matrix.runs():
         # keys read 'config / strategy / seed'
         first.setdefault(key.rsplit(" / ", 1)[0], (key, config))
-    assert len(first) == 54
+    assert len(first) == 62
     assert artifact_matrix.changed(list(first.values()), artifact_matrix.load()) == []
+
+
+def test_every_run_of_the_small_rings_is_byte_identical():
+    small = {artifact_matrix.config_name(o) for o in (artifact_matrix.SMALL, artifact_matrix.SCARCE)}
+    picked = [(key, config) for key, config in artifact_matrix.runs() if key.split(" / ")[0] in small]
+    assert len(picked) == 16
+    assert artifact_matrix.changed(picked, artifact_matrix.load()) == []

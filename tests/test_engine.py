@@ -21,19 +21,11 @@ from mapsim.report import write_run
 from mapsim.selection import selection_probabilities
 from mapsim.trust import TrustRecord, update_trust
 
-from oracles import probabilities
+from oracles import StubRng
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden_round.json").read_text())
 
 SMALL = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=5)
-
-
-class StubRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
 
 
 def golden_setup():
@@ -53,62 +45,6 @@ def observations(state):
         i: (handovers[i], low_sinr[i], connected[i])
         for i in np.flatnonzero(~state.flagged).tolist()
     }
-
-
-def test_golden_round_replay():
-    cfg, state = golden_setup()
-    exp = FIXTURE["expected"]
-    state, metrics, event = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
-
-    assert dict(enumerate(state.position.tolist())) == {
-        int(k): v for k, v in exp["positions"].items()
-    }
-    assert list(event.elected) == exp["elected"]
-    assert list(event.excluded) == exp["excluded"]
-    assert event.input_digest == exp["input_digest"]
-
-    m = exp["metrics"]
-    assert metrics.round_index == m["round"]
-    assert metrics.vehicle_count == m["vehicle_count"]
-    assert metrics.elected_maps == m["elected_maps"]
-    assert metrics.flagged_count == m["flagged_count"]
-    assert metrics.avg_handover == m["avg_handover"]
-    assert metrics.max_handover == m["max_handover"]
-    assert metrics.min_handover == m["min_handover"]
-    assert metrics.avg_delay_s == m["avg_delay_s"]
-    assert metrics.disconnected == m["disconnected"]
-    assert metrics.attached == m["attached"]
-
-    # the whole dict: elected MAP 2 and flagged identity 4 hold no entry
-    expected_paths = {int(k): tuple(v) for k, v in exp["assignments"].items()}
-    assert {i: pa.paths for i, pa in state.last_assignments.items()} == expected_paths
-
-    assert observations(state) == {
-        int(k): (int(v[0]), bool(v[1]), bool(v[2])) for k, v in exp["pending_obs"].items()
-    }
-
-
-def test_golden_election_table():
-    cfg, state = golden_setup()
-    exp = FIXTURE["expected"]
-    eligible = np.isin(np.arange(len(state.load)), exp["eligible"])
-    table = selection_probabilities(state.load, state.score, eligible)
-    assert table.idents.tolist() == exp["eligible"]
-    assert list(table.weights) == exp["weights"]
-    assert list(probabilities(table)) == exp["probabilities"]
-
-
-def test_golden_link_stats():
-    cfg, _ = golden_setup()
-    exp = FIXTURE["expected"]
-    v1 = make_link_stats(2, 190.0, cfg, attached_count=1)
-    assert v1.sinr == exp["v1_stats"]["sinr"]
-    assert v1.bandwidth == exp["v1_stats"]["bandwidth"]
-    assert v1.total_delay == exp["v1_stats"]["total_delay"]
-    v3 = make_link_stats(2, 200.0, cfg, attached_count=2)
-    assert v3.sinr == exp["v3_stats"]["sinr"]
-    assert v3.bandwidth == exp["v3_stats"]["bandwidth"]
-    assert v3.total_delay == exp["v3_stats"]["total_delay"]
 
 
 def test_golden_trust_step_after_round():
@@ -809,120 +745,3 @@ def test_max_paths_past_the_identity_count_runs_as_that_count(tmp_path, strategy
     want = digests(n)
     assert digests(2**62) == want
     assert digests(2**70) == want
-
-
-# sha256 of (rounds.csv, summary.json, ledger.json) for SMALL under each
-# strategy and seed. A mismatch means the run's results changed; a change
-# that means to do so says so and why, it does not just refresh these.
-ARTIFACT_SHA256 = {
-    ("blockchain-multipath", 1): (
-        "4aac9bc134afcc9ac3cdd1aa65d82a720677b0db638be1e7aecdaac2b89a2064",
-        "057a8dcf21483717f4ade47baa80308d6df225aa6b8102661adf97b39c71df16",
-        "27f6a5c3d911b2bc4e772c55b1c64fce95da97d15013a5b132720e35016828fb",
-    ),
-    ("blockchain-multipath", 2): (
-        "f4bfc95556b6d4501a32a3d583c1d9e35ed23119a1918873b8cacede067e337e",
-        "012fcdfa0d371112bc9d9c8474e50c87292f4eda25c18bdaad86f0ba537990cb",
-        "6aef5534156ac4cedbc80c3b5bd2d6075319066f2a11b68668ded286bccd13c4",
-    ),
-    ("distance-based", 1): (
-        "5a624c7d6de5bf110948797c6cdc3ffa1152dbad084de5b0659e7ea12db1504f",
-        "3998320324cac2f43a9cc3b9e146f595951d59002ef74dc8974b4c47a1c99fcb",
-        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
-    ),
-    ("distance-based", 2): (
-        "62f7da2f0d4637e68e384314f070998a3f4d5ac9c53704378083c27eb53f6c39",
-        "a4a974cb27bdc2ba0d946bfc7d90db029e7257fafc8e7b818e139d17a6fe880c",
-        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
-    ),
-    ("independent-random", 1): (
-        "eb714f1b58a8c8fff343d6f90ec598e6a9b93643353c752b13118b275168b143",
-        "ce88f72eec40a9e406eba6262a39f8136193cbd9a571c31daff4004087076817",
-        "8d8777a331f24f5c07361cefe077d2579d126e786ff950c7c8824acf84934799",
-    ),
-    ("independent-random", 2): (
-        "84717b76416d0803449231597bd514d9304e326fb1222c2149a7d3d7272b771f",
-        "660cff7e091c7ddffd56fdcbe88406f1a03b6e94a2bd794455d52e4b1fc98a3b",
-        "471ce9520d6071b76c8b0fc32cdab5e8bf16958335ea11a499fcef5ccb1aceaf",
-    ),
-    ("sequence-based", 1): (
-        "b6b24d98a0d96d3d8020b258f6d6b3e7c07f8d639148b93f6a297878a3a7df80",
-        "ff48caffa349c732d5903aee5d0f7977aec42765cb640a70c3e61b287e0713c3",
-        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
-    ),
-    ("sequence-based", 2): (
-        "92844daa4e57593bf980a3e41c03ee14846dd20eaf84b4a6af41790edbd81ae3",
-        "c1405b8bc001deb262f04c51f640405bbdae87951c7b75a4b68057ed8445f962",
-        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
-    ),
-}
-
-
-@pytest.mark.parametrize("strategy, seed", sorted(ARTIFACT_SHA256))
-def test_artifact_bytes_pinned(tmp_path, strategy, seed):
-    out = write_run(tmp_path, run_simulation(SMALL.replace(strategy=strategy, rng_seed=seed)))
-    got = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("rounds.csv", "summary.json", "ledger.json")
-    )
-    assert got == ARTIFACT_SHA256[strategy, seed]
-
-
-# the same digests for SMALL with scarce bandwidth: one attachment to a MAP
-# 300 m away earns 1.80 Mbps and a second would miss the 1 Mbps floor, so
-# attach's speculations go wrong and pathing.resolve speculates again about
-# twice a round (never at SMALL's own bandwidth). As above, a mismatch means
-# the run's results changed.
-SCARCE = SMALL.replace(b_cap=0.16, delay_threshold=30.0)
-SCARCE_ARTIFACT_SHA256 = {
-    ("blockchain-multipath", 1): (
-        "14f8eb069e7b69d55bfa8148ec65378d817f14f30dbbef3201463193cdd1e4e4",
-        "a46c30b0755febed48155bab3c157ff463706332cc0066faa9515fae9beb6fbe",
-        "e3cb9bd82be449e3849fd332290865f13c68d444933fbe3ccc6ddea8700ff1f2",
-    ),
-    ("blockchain-multipath", 2): (
-        "fc07a2e100ce4541f9e03b1468bbbaa3ea1f3860172c0fb522611f998e20ac6b",
-        "cc40f93303ffe7e62752fd24729841592069706c787df037560f431e5ca49697",
-        "31d12019ffd98ea940d7a5c9682934c1bd285ced3aa0197f6e9f2b1df5f9c9e3",
-    ),
-    ("distance-based", 1): (
-        "5a624c7d6de5bf110948797c6cdc3ffa1152dbad084de5b0659e7ea12db1504f",
-        "3998320324cac2f43a9cc3b9e146f595951d59002ef74dc8974b4c47a1c99fcb",
-        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
-    ),
-    ("distance-based", 2): (
-        "62f7da2f0d4637e68e384314f070998a3f4d5ac9c53704378083c27eb53f6c39",
-        "a4a974cb27bdc2ba0d946bfc7d90db029e7257fafc8e7b818e139d17a6fe880c",
-        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
-    ),
-    ("independent-random", 1): (
-        "eb714f1b58a8c8fff343d6f90ec598e6a9b93643353c752b13118b275168b143",
-        "ce88f72eec40a9e406eba6262a39f8136193cbd9a571c31daff4004087076817",
-        "8d8777a331f24f5c07361cefe077d2579d126e786ff950c7c8824acf84934799",
-    ),
-    ("independent-random", 2): (
-        "84717b76416d0803449231597bd514d9304e326fb1222c2149a7d3d7272b771f",
-        "660cff7e091c7ddffd56fdcbe88406f1a03b6e94a2bd794455d52e4b1fc98a3b",
-        "471ce9520d6071b76c8b0fc32cdab5e8bf16958335ea11a499fcef5ccb1aceaf",
-    ),
-    ("sequence-based", 1): (
-        "a2a1905cf429bc534a3a97804a98eb7268fbc1c024977e9b1dd8d40a951591ce",
-        "7bf0ff641a99078d603d63744439dfa057dfcc0437205dcf210b25cae1a7f803",
-        "ca5d7b53482479b08f95de6074fb27575d6a26ccc22943ee89666f115d3dfd70",
-    ),
-    ("sequence-based", 2): (
-        "565ad68ea07b805ccab4c6e00d1c33a9c6c18406102394016757520f94da00f0",
-        "2116854d4ef28080fac6dca97e8b6674a8a2a3eff312cce779d3684d3cbe24ba",
-        "47a0316098867621aae76bdf93707ae83efdec5a9e382afbb44d8abde4b2ba5d",
-    ),
-}
-
-
-@pytest.mark.parametrize("strategy, seed", sorted(SCARCE_ARTIFACT_SHA256))
-def test_scarce_bandwidth_artifact_bytes_pinned(tmp_path, strategy, seed):
-    out = write_run(tmp_path, run_simulation(SCARCE.replace(strategy=strategy, rng_seed=seed)))
-    got = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("rounds.csv", "summary.json", "ledger.json")
-    )
-    assert got == SCARCE_ARTIFACT_SHA256[strategy, seed]

@@ -4,6 +4,7 @@ A mutant whose old text no longer occurs exactly once, because the code
 moved or changed, would make the tool stop before it judges any mutant.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -31,7 +32,7 @@ def test_each_old_text_occurs_exactly_once_in_its_file():
 
 def test_the_list_holds_the_rules_that_must_be_killed():
     must = {(m.file, m.new) for m in TOOL.MUTANTS if not m.survives}
-    assert len(TOOL.MUTANTS) >= 12
+    assert len(TOOL.MUTANTS) >= 33
     assert {
         ("src/mapsim/engine.py", "population = ~state.is_clone"),
         ("src/mapsim/engine.py", "k = max(1, round(config.map_fraction * n))"),
@@ -40,3 +41,13 @@ def test_the_list_holds_the_rules_that_must_be_killed():
     attach = inspect.getsource(pathing.attach)
     in_attach = [m for m in TOOL.MUTANTS if m.file == "src/mapsim/pathing.py" and m.old in attach and not m.survives]
     assert len(in_attach) >= 3
+
+
+def test_each_deselect_names_a_test_file_or_function_that_exists():
+    # pytest ignores a --deselect that matches nothing, so a stale entry would pass unseen
+    for entry in TOOL.DESELECT:
+        path, _, name = entry.partition("::")
+        assert (ROOT / path).is_file(), entry
+        if name:
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, entry

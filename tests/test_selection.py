@@ -9,17 +9,7 @@ from hypothesis import strategies as st
 
 from mapsim.selection import CandidateTable, RowText, select_maps, selection_probabilities, table_digest
 
-from oracles import probabilities
-
-
-class StubRng:
-    """Replays a fixed sequence of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+from oracles import StubRng, probabilities
 
 
 def table_of(rows, eligible=None):

@@ -35,13 +35,21 @@ SEEDS = (1, 2, 3, 4, 5)
 # criterion 11's 400- and 800-vehicle configs
 RING_400 = {"vehicle_density": 0.04, "total_time": 120.0, "map_fraction": 0.2, "sybil_fraction": 0.0}
 RING_800 = {"vehicle_density": 0.08, "total_time": 80.0, "map_fraction": 0.2, "sybil_fraction": 0.0}
+# the small ring, with its scarce-bandwidth twin; every run of both is
+# checked in tier-1 (tests/test_artifact_matrix.py)
+SMALL = {"road_length": 2000.0, "total_time": 200.0}
+SCARCE = {**SMALL, "b_cap": 0.16, "delay_threshold": 30.0}
 
 # (SimConfig overrides, strategies, seeds); the scarce-bandwidth configs make
 # pathing.resolve speculate again, the ring configs are the largest fleets
 # and the 2,000-round config gives the longest ledgers; path_loss_exp=2.7
 # takes the link-scoring power off the default exponent of 4; the scarce
 # 800-vehicle ring's cold start grows over pathing.GRID_CELLS cells, so
-# blockchain growth speculates again over its windows of MAPs in reach
+# blockchain growth speculates again over its windows of MAPs in reach;
+# on the small scarce ring one attachment to a MAP 300 m away earns
+# 1.80 Mbps and a second would miss the 1 Mbps floor, so resolve
+# speculates again about twice a round, which the small ring at its own
+# bandwidth never does
 MATRIX = (
     *(
         (overrides, STRATEGIES, SEEDS)
@@ -63,6 +71,8 @@ MATRIX = (
     (RING_400, STRATEGIES, (3, 4, 7)),
     ({"vehicle_density": 0.002, "total_time": 20000.0}, STRATEGIES, (1, 2, 3)),
     ({**RING_800, "b_cap": 0.16, "delay_threshold": 30.0}, ADMISSION, (1, 2, 3)),
+    (SMALL, STRATEGIES, (1, 2)),
+    (SCARCE, STRATEGIES, (1, 2)),
 )
 
 

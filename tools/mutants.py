@@ -6,12 +6,14 @@ Each mutant is one (file, old text, new text, why) edit. The tool copies
 this checkout to a temporary directory once, runs the copy's tests
 unmutated, then, one mutant at a time, applies the edit to the copy,
 runs `pytest -x -q` with the mutated module's own test file first and
-restores the file. The edits never touch the checkout. The pinned-byte
-tests (`*artifact_bytes_pinned`) and tests/test_artifact_matrix.py are
-deselected: they fail on any change of results, so they would kill every
-mutant that changes behaviour without naming the direct test that holds
-its rule. So is tests/test_mutants.py, which checks this list against the
-unmutated sources.
+restores the file. The edits never touch the checkout.
+tests/test_artifact_matrix.py is deselected: it fails on any change of
+results, so it would kill every mutant that changes behaviour without
+naming the direct test that holds its rule. So is tests/test_mutants.py,
+which checks this list against the unmutated sources. pytest runs under
+tests/conftest.py's "mutants" hypothesis profile, which skips shrinking:
+a mutant needs a failing example, not the smallest one, and the copy has
+no example database to shrink from.
 
 A mutant is killed when the run fails, and the first failing test is
 printed; it survives when every test passes. A known survivor carries the
@@ -35,8 +37,6 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 DESELECT = (
-    "tests/test_engine.py::test_artifact_bytes_pinned",
-    "tests/test_engine.py::test_scarce_bandwidth_artifact_bytes_pinned",
     "tests/test_artifact_matrix.py",
     # checks this list against the sources, which a mutant has just edited
     "tests/test_mutants.py",
@@ -54,6 +54,7 @@ class Mutant(NamedTuple):
 
 
 ENGINE, PATHING = "src/mapsim/engine.py", "src/mapsim/pathing.py"
+FLEET, LEDGER = "src/mapsim/fleet.py", "src/mapsim/ledger.py"
 MUTANTS = (
     Mutant(ENGINE, "population = ~(state.is_clone | is_map)", "population = ~state.is_clone",
            "the handover metric leaves out the round's MAPs"),
@@ -90,8 +91,16 @@ MUTANTS = (
            "occurrence counts the earlier elements with the same key"),
     Mutant(PATHING, "min(bound, threshold(wide, min(bound, self.reach)))", "threshold(wide, self.reach)",
            "a share count's limit is the running minimum with the delay bound's"),
-    Mutant("src/mapsim/fleet.py", "margin = road_length * 1e-9", "margin = 0.0",
+    Mutant(FLEET, "margin = road_length * 1e-9", "margin = 0.0",
            "ring_window widens each arc past rounding error, so no MAP in reach is missed"),
+    Mutant(FLEET, "cols.sort(axis=1)", "pass",
+           "ring_window lists each row's sites in index order, for growth's lowest-ident tie rule"),
+    Mutant(FLEET, "tiled = np.concatenate((ring - road_length, ring, ring + road_length))", "tiled = ring",
+           "ring_window finds the sites in reach across the wrap"),
+    Mutant(FLEET, "if reach + 2 * margin < road_length / 2:", "if reach + 2 * margin < road_length:",
+           "an arc of half the ring or more would hold a site twice, so it gives every site"),
+    Mutant(FLEET, "dist[cols == k] = np.inf", "pass",
+           "a ring_window pad lies at distance inf, so it is never in reach"),
     Mutant("src/mapsim/trust.py", "flagged | (new <= config.trust_threshold)", "flagged | (new < config.trust_threshold)",
            "a score at the trust threshold flags"),
     Mutant("src/mapsim/trust.py", "where=connected & (handovers == 0) & ~low_sinr)", "where=connected & (handovers == 0))",
@@ -102,11 +111,24 @@ MUTANTS = (
     Mutant("src/mapsim/selection.py", "and len(text.idents) == len(ids) and (text.idents == ids).all():",
            "and len(text.idents) == len(ids):",
            "table_digest reuses the last digest only for the same idents"),
-    Mutant("src/mapsim/ledger.py", "if self.blocks and round_index <= self.blocks[-1].round_index:",
+    Mutant(LEDGER, "if self.blocks and round_index <= self.blocks[-1].round_index:",
            "if self.blocks and round_index < self.blocks[-1].round_index:",
            "a ledger's rounds strictly increase"),
-    Mutant("src/mapsim/ledger.py", "fh.seek(0)\n", "pass\n",
+    Mutant(LEDGER, "fh.seek(0)\n", "pass\n",
            "from_json's fallback reads the file from its start"),
+    Mutant(LEDGER, "if kind is int:", "if kind is int or kind is bool:",
+           "indented writes a bool as JSON's true or false, not as an int's repr"),
+    Mutant(LEDGER, "elif kind is list and {int} >= set(map(type, value)):",
+           "elif kind is list and all(isinstance(v, int) for v in value):",
+           "indented writes a list in place only when it holds exact ints, not bools"),
+    Mutant(LEDGER, 'text = "[]" if kind is list else "{}"', 'text = "[]"',
+           "indented writes an empty dict as {}"),
+    Mutant(LEDGER, r'+ "\n" + inner + "]"', r'+ "\n" + pad + "]"',
+           "indented closes an int list one level in from its key"),
+    Mutant(LEDGER, "text = encode_basestring_ascii(value)", "text = '\"' + value + '\"'",
+           "indented escapes a string as the stdlib encoder does"),
+    Mutant(LEDGER, "_encode = c_make_encoder(None,", "_encode = c_make_encoder({},",
+           "the payload encoder keeps no cycle markers, so a cycle ends at the recursion limit"),
     Mutant("src/mapsim/radio.py", "return config.b0 * max(1.0, config.sinr_threshold / sinr)",
            "return config.b0 * min(1.0, config.sinr_threshold / sinr)",
            "the quality term grows as the SNR falls under the threshold"),
@@ -125,7 +147,7 @@ def failing_test(copy: Path, first: str | None) -> str | None:
     # listed one by one, as pytest runs a directory's files in name order
     files = sorted(p.relative_to(copy).as_posix() for p in (copy / "tests").glob("test_*.py"))
     files.sort(key=lambda f: f != first)
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile", "mutants", *files]
     for prefix in DESELECT:
         cmd += ["--deselect", prefix]
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
