@@ -20,12 +20,12 @@ import pytest
 from scipy.optimize import nnls
 
 from mapsim.config import STRATEGIES, SimConfig
-from mapsim.engine import SimState, initial_state, run_round, run_simulation
+from mapsim.engine import initial_state, run_round, run_simulation
 from mapsim.ledger import verify_chain
 from mapsim.report import write_run
 from mapsim.selection import select_maps, selection_probabilities
 
-from oracles import StubRng, probabilities
+from oracles import StubRng, golden_state, probabilities
 
 DATA = Path(__file__).parent / "data"
 SEEDS = tuple(range(1, 11))
@@ -228,12 +228,8 @@ def test_criterion_08_path_admission_soundness():
 def test_criterion_09_golden_round_trace():
     raw = (DATA / "golden_round.json").read_bytes()
     doc = json.loads(raw)
-    cfg = SimConfig.from_dict(doc["config"])
-    # identities are the array indices, so the fixture must list them in order
-    idents, positions, speeds, loads = (np.array(column) for column in zip(*doc["vehicles"]))
-    assert idents.tolist() == list(range(len(idents)))
-    scores = np.array([doc["trust"][str(i)] for i in idents.tolist()])
-    state = SimState(positions, speeds, loads, scores, np.zeros(len(idents), dtype=bool))
+    cfg, state = golden_state(doc)
+    loads = state.load
     state, metrics, event = run_round(state, 0, cfg, StubRng([doc["stub_draw"]]))
 
     eligible = np.flatnonzero(~state.flagged).tolist()

@@ -21,20 +21,11 @@ from mapsim.report import write_run
 from mapsim.selection import selection_probabilities
 from mapsim.trust import TrustRecord, update_trust
 
-from oracles import StubRng
+from oracles import StubRng, golden_state
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden_round.json").read_text())
 
 SMALL = SimConfig(road_length=2000.0, total_time=200.0, rng_seed=5)
-
-
-def golden_setup():
-    cfg = SimConfig.from_dict(FIXTURE["config"])
-    ident, position, speed, load = (np.array(column) for column in zip(*FIXTURE["vehicles"]))
-    assert ident.tolist() == list(range(len(ident)))
-    score = np.array([FIXTURE["trust"][str(i)] for i in ident.tolist()])
-    state = SimState(position, speed, load, score, np.zeros(len(ident), dtype=bool))
-    return cfg, state
 
 
 def observations(state):
@@ -48,7 +39,7 @@ def observations(state):
 
 
 def test_golden_trust_step_after_round():
-    cfg, state = golden_setup()
+    cfg, state = golden_state(FIXTURE)
     state, _, _ = run_round(state, 0, cfg, StubRng([FIXTURE["stub_draw"]]))
     score, _ = update_trust(state.score, state.flagged, *state.evidence, cfg)
     after = {i: score[i] for i in observations(state)}
@@ -152,7 +143,7 @@ def test_state_rejects_non_finite_scores(bad):
 
 
 def test_record_views_are_read_only():
-    _, state = golden_setup()
+    _, state = golden_state(FIXTURE)
     with pytest.raises(TypeError):
         state.trust[0] = TrustRecord(0, 1.0)
     with pytest.raises(AttributeError):
@@ -232,10 +223,7 @@ def test_debug_log_line_per_round(tmp_path, caplog):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "strategy",
-    ["blockchain-multipath", "independent-random", "distance-based", "sequence-based"],
-)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_conservation_every_round(strategy):
     report = run_simulation(SMALL.replace(strategy=strategy))
     assert len(report.round_metrics) == SMALL.rounds()
@@ -245,10 +233,7 @@ def test_conservation_every_round(strategy):
         ), f"round {m.round_index} leaks identities"
 
 
-@pytest.mark.parametrize(
-    "strategy",
-    ["blockchain-multipath", "independent-random", "distance-based", "sequence-based"],
-)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_recorded_distances_equal_ring_distance(strategy):
     # each attach pass takes the ring distances of the pairs it reads; they
     # must be the scalar ring distances bit for bit

@@ -9,6 +9,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+from hypothesis import Phase, settings
+
 import mapsim.pathing as pathing
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,11 +46,17 @@ def test_the_list_holds_the_rules_that_must_be_killed():
     assert len(in_attach) >= 3
 
 
-def test_each_deselect_names_a_test_file_or_function_that_exists():
+@pytest.mark.parametrize("entry", TOOL.DESELECT)
+def test_each_deselect_names_a_test_file_or_function_that_exists(entry):
     # pytest ignores a --deselect that matches nothing, so a stale entry would pass unseen
-    for entry in TOOL.DESELECT:
-        path, _, name = entry.partition("::")
-        assert (ROOT / path).is_file(), entry
-        if name:
-            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
-            assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, entry
+    path, _, name = entry.partition("::")
+    assert (ROOT / path).is_file(), entry
+    if name:
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, entry
+
+
+def test_the_tool_runs_pytest_under_the_mutants_profile_which_skips_shrinking():
+    # an unregistered profile fails the unmutated run, so the tool would judge no mutant
+    assert '"--hypothesis-profile", "mutants"' in inspect.getsource(TOOL.failing_test)
+    assert Phase.shrink not in settings.get_profile("mutants").phases

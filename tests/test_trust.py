@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
